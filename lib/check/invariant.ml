@@ -3,6 +3,7 @@ module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
 module Inverted = Xks_index.Inverted
 module Klist = Xks_index.Klist
+module Cid = Xks_index.Cid
 module Query = Xks_core.Query
 module Rtf = Xks_core.Rtf
 module Fragment = Xks_core.Fragment
@@ -153,6 +154,73 @@ let fragment doc (f : Fragment.t) =
         end)
       f.members
   end;
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
+(* Node-info construction (section 4.1)                               *)
+
+(* The reference reads everything from the definitions: a member's
+   tree keyword set and content feature come from the RTF keyword nodes
+   inside its subtree, the keyword set by posting membership and the
+   feature by re-tokenising each node. *)
+let node_info ?(cid_mode = Cid.Approx) (q : Query.t) (r : Rtf.t)
+    (t : Node_info.t) =
+  let doc = q.doc in
+  let out = ref [] in
+  let push x = out := x :: !out in
+  let raw = Rtf.raw_fragment q r in
+  let seen = ref [] in
+  let rec walk (info : Node_info.info) =
+    seen := info.id :: !seen;
+    let node = Tree.node doc info.id in
+    let lo = Bsearch.lower_bound r.knodes info.id
+    and hi = Bsearch.upper_bound r.knodes node.subtree_end in
+    let klist = ref Klist.empty and cid = ref Cid.empty in
+    for i = lo to hi - 1 do
+      let kn = r.knodes.(i) in
+      klist := Klist.union !klist (Query.node_klist q kn);
+      cid :=
+        Cid.merge !cid
+          (Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn)))
+    done;
+    if not (Int.equal info.klist !klist) then
+      push
+        (v "node-info-klist" "RTF at %d: member %d has key number %d, not %d"
+           r.lca info.id info.klist !klist);
+    if not (Cid.equal info.cid !cid) then
+      push
+        (v "node-info-cid" "RTF at %d: member %d has cID %s, not %s" r.lca
+           info.id
+           (Format.asprintf "%a" Cid.pp info.cid)
+           (Format.asprintf "%a" Cid.pp !cid));
+    let _ : int =
+      List.fold_left
+        (fun prev (child : Node_info.info) ->
+          if child.id <= prev then
+            push
+              (v "node-info-order"
+                 "RTF at %d: children of member %d not in ascending id \
+                  order (%d after %d)"
+                 r.lca info.id child.id prev);
+          let parent = (Tree.node doc child.id).parent in
+          if parent <> info.id then
+            push
+              (v "node-info-parent"
+                 "RTF at %d: member %d listed under %d but its parent is %d"
+                 r.lca child.id info.id parent);
+          child.id)
+        info.id info.rtf_children
+    in
+    List.iter walk info.rtf_children
+  in
+  walk (Node_info.root t);
+  let members = List.sort Int.compare !seen in
+  if not (List.equal Int.equal members (Fragment.members_list raw)) then
+    push
+      (v "node-info-members"
+         "RTF at %d: info tree members differ from the raw RTF's (%d vs %d \
+          nodes)"
+         r.lca (List.length members) (Fragment.size raw));
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

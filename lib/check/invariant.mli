@@ -12,6 +12,8 @@
       subtree, genuinely matching a query keyword, and jointly covering
       every keyword;
     - fragments are connected (every member's parent is a member);
+    - the node-info tree carries the kList/cID the paper's constructing
+      step defines, with children in document order;
     - valid-contributor pruning respects its Definition 4
       post-conditions (subset of the raw RTF, root preserved, no query
       keyword lost, a single child of its label kept). *)
@@ -42,6 +44,18 @@ val rtf :
 val fragment : Xks_xml.Tree.t -> Xks_core.Fragment.t -> violation list
 (** Connectivity: root is a member, every member lies in the root's
     subtree and has its parent in the fragment. *)
+
+val node_info :
+  ?cid_mode:Xks_index.Cid.mode -> Xks_core.Query.t -> Xks_core.Rtf.t ->
+  Xks_core.Node_info.t -> violation list
+(** A constructed info tree (built under [cid_mode], default [Approx])
+    against a direct reference: its members are exactly
+    {!Xks_core.Rtf.raw_fragment}'s; each member's kList is the union of
+    {!Xks_core.Query.node_klist} over the RTF keyword nodes in its
+    subtree and its cID the merge of those nodes' content features
+    (re-tokenised from the document); each member's [rtf_children] are
+    in strictly ascending id order, and each child's document parent is
+    that member. *)
 
 val valid_contributor_post :
   ?cid_mode:Xks_index.Cid.mode -> Xks_core.Query.t -> Xks_core.Rtf.t ->

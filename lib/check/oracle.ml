@@ -3,6 +3,7 @@ module Inverted = Xks_index.Inverted
 module Query = Xks_core.Query
 module Rtf = Xks_core.Rtf
 module Pipeline = Xks_core.Pipeline
+module Node_info = Xks_core.Node_info
 module Naive = Xks_lca.Naive
 
 type impl = {
@@ -93,6 +94,17 @@ let check_query ?(tag = "") idx keywords =
         Pipeline.run_query ~lca:Pipeline.Elca_indexed_stack
           ~pruning:Pipeline.Valid_contributor q
       in
+      (* The info trees pruning starts from, in both content-feature
+         modes, against the direct reference. *)
+      List.iter
+        (fun r ->
+          List.iter
+            (fun cid_mode ->
+              push
+                (Invariant.node_info ~cid_mode q r
+                   (Node_info.construct ~cid_mode q r)))
+            [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ])
+        result.Pipeline.rtfs;
       if
         List.length result.Pipeline.rtfs
         = List.length result.Pipeline.fragments

@@ -36,7 +36,8 @@ val check_query :
   Invariant.violation list
 (** Full audit of one query: posting/document-order invariants, every
     ELCA and SLCA implementation against the naive reference, RTF
-    well-formedness over the naive ELCA set, and Definition 4
+    well-formedness over the naive ELCA set, {!Invariant.node_info} on
+    the pipeline's RTFs in both cID modes, and Definition 4
     post-conditions on the real ValidRTF pipeline output.  [tag]
     prefixes every violation (e.g. with the query text).  Queries the
     index cannot prepare (no keywords survive normalisation) check

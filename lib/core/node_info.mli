@@ -8,10 +8,12 @@
     distinct key numbers ([chkList]) and the children's cIDs, which is
     everything Definition 4 needs.
 
-    The constructing step starts from each keyword node, fills its self
-    info from the document, and transfers it to every ancestor up to the
-    RTF root (the paper's lines 5–12, including the line 11–12 fix that
-    pushes the information all the way up). *)
+    The constructing step gives every member the information of all
+    keyword nodes in its subtree, as the paper's lines 5–12 do by
+    transferring each keyword node's information to every ancestor up to
+    the RTF root (including the line 11–12 fix).  It is computed in one
+    sweep over the keyword nodes in reverse document order, folding each
+    member into its parent once when its subtree is complete. *)
 
 type info = private {
   id : int;
@@ -29,7 +31,15 @@ val construct : ?cid_mode:Xks_index.Cid.mode -> Query.t -> Rtf.t -> t
     nodes and connecting path nodes), with [klist]/[cid] aggregated bottom
     up.  Keyword-node contents are read from the document; path nodes
     contribute no content of their own (the paper's tree content set only
-    unions {e keyword} nodes). *)
+    unions {e keyword} nodes).
+
+    [rtf.knodes] must be in document order, as {!Rtf.get_rtfs} gives them,
+    and inside the subtree of [rtf.lca].  Cost: O(members) plus, per
+    keyword node and keyword, one galloping step along that keyword's
+    posting list, never more than a binary search.
+    @raise Invalid_argument ["Node_info.construct: ..."] naming the
+    keyword node when one lies outside the subtree of [rtf.lca] or the
+    keyword nodes are out of document order. *)
 
 val root : t -> info
 
@@ -45,4 +55,5 @@ val label_groups : info -> label_group list
     order of first appearance. *)
 
 val info_of : t -> int -> info option
-(** Look up the info of an RTF member by node id. *)
+(** Look up the info of an RTF member by node id ([None] for any other
+    id).  Descends from the root, so it costs O(depth × fan-out). *)

@@ -26,44 +26,18 @@ let get_lcas ?budget lca (q : Query.t) =
            now interrupts the sweep itself. *)
         Xks_lca.Slca.indexed_lookup_eager ?budget q.doc q.postings
 
-(* Prune every RTF, optionally striping the work over several domains;
-   pruning touches only immutable query state and RTF-local tables, so
-   the parallel run is observationally identical.  A budgeted run is
-   always sequential: the budget counter is mutable shared state. *)
-let prune_all ?cid_mode ?budget ~domains q pruning rtfs =
-  let prune (rtf : Rtf.t) =
-    Budget.tick_opt budget (1 + Array.length rtf.knodes);
-    let info = Node_info.construct ?cid_mode q rtf in
-    match pruning with
-    | Valid_contributor -> Prune.valid_contributor info
-    | Contributor -> Prune.contributor info
-    | No_pruning -> Prune.keep_all info
-  in
-  let domains = if budget = None then domains else 1 in
-  let n = List.length rtfs in
-  if domains <= 1 || n < 2 * domains then List.map prune rtfs
-  else begin
-    let input = Array.of_list rtfs in
-    let output = Array.make n None in
-    let worker stripe () =
-      let i = ref stripe in
-      while !i < n do
-        output.(!i) <- Some (prune input.(!i));
-        i := !i + domains
-      done
-    in
-    let spawned =
-      List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join spawned;
-    Array.to_list
-      (Array.map
-         (function Some f -> f | None -> assert false (* all stripes ran *))
-         output)
-  end
+let prune_all ?cid_mode ?budget q pruning rtfs =
+  List.map
+    (fun (rtf : Rtf.t) ->
+      Budget.tick_opt budget (1 + Array.length rtf.knodes);
+      let info = Node_info.construct ?cid_mode q rtf in
+      match pruning with
+      | Valid_contributor -> Prune.valid_contributor info
+      | Contributor -> Prune.contributor info
+      | No_pruning -> Prune.keep_all info)
+    rtfs
 
-let run_query ?cid_mode ?(domains = 1) ?budget ~lca ~pruning q =
+let run_query ?cid_mode ?budget ~lca ~pruning q =
   (* getKeywordNodes already happened in [Query.make]; charge its cost
      (the posting entries the query holds) up front so oversized queries
      exhaust a node budget before any LCA work starts. *)
@@ -74,7 +48,7 @@ let run_query ?cid_mode ?(domains = 1) ?budget ~lca ~pruning q =
   { query = q; lcas; rtfs;
     fragments =
       Trace.with_span "prune" (fun () ->
-          prune_all ?cid_mode ?budget ~domains q pruning rtfs) }
+          prune_all ?cid_mode ?budget q pruning rtfs) }
 
 let run ?cid_mode ~lca ~pruning idx ws =
   run_query ?cid_mode ~lca ~pruning (Query.make idx ws)

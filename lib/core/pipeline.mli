@@ -22,18 +22,13 @@ type result = {
 }
 
 val run_query :
-  ?cid_mode:Xks_index.Cid.mode -> ?domains:int ->
-  ?budget:Xks_robust.Budget.t -> lca:lca_algorithm -> pruning:pruning ->
-  Query.t -> result
-(** [domains] (default 1) prunes the RTFs on that many OCaml domains in
-    parallel — pruning is per-RTF-local, so this is safe; it pays off on
-    queries with many RTFs (high-frequency keywords).  Results are
-    identical to the sequential run.
+  ?cid_mode:Xks_index.Cid.mode -> ?budget:Xks_robust.Budget.t ->
+  lca:lca_algorithm -> pruning:pruning -> Query.t -> result
+(** Run the four stages over a prepared query.
 
     [budget] makes the run cooperative: posting entries are charged up
     front, then the LCA stage, keyword-node dispatch and per-RTF pruning
-    tick as they visit nodes.  A budgeted run is forced sequential
-    (the budget counter is shared mutable state).
+    tick as they visit nodes.
     @raise Xks_robust.Budget.Exhausted when the budget runs out;
     {!Xks_core.Engine.search} catches this and degrades instead. *)
 

@@ -4,10 +4,10 @@
    single load-and-branch per instrumentation point — the pipeline's hot
    loops tick counters unconditionally, so when no trace is installed
    the cost must be negligible.  The slot is an [Atomic.t] and the
-   counters are atomic because work may run on several domains (striped
-   pruning, [Xks_exec] batch execution); spans are recorded only on the
-   domain that installed the trace, so the span stack stays
-   single-domain mutable state. *)
+   counters are atomic because work may run on several domains
+   ([Xks_exec] batch execution); spans are recorded only on the domain
+   that installed the trace, so the span stack stays single-domain
+   mutable state. *)
 
 type counter =
   | Postings_scanned
@@ -143,8 +143,8 @@ let degradation reason =
 let now = Unix.gettimeofday
 
 (* Spans mutate the trace's stack, which is not synchronised: only the
-   installing domain records them.  Worker domains (striped pruning,
-   batch execution) still tick the atomic counters above. *)
+   installing domain records them.  Worker domains (batch execution)
+   still tick the atomic counters above. *)
 let owns t = Atomic.get t.owner = domain_id ()
 
 let span_begin label =

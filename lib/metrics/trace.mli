@@ -16,14 +16,13 @@
     ]}
 
     The layer is domain-aware: the current-trace slot is atomic,
-    counters are atomic (pruning may stripe over domains, and
-    [Xks_exec.Exec.search_batch] runs whole queries on worker domains
-    that tick into the installing domain's trace), and degradation
-    events are pushed with a CAS loop.  Spans, in contrast, are recorded
-    {e only} on the domain that installed the trace — a span call from
-    any other domain is a silent no-op, so the span stack never needs a
-    lock.  A trace accumulates across queries until replaced — snapshot
-    with {!counter}/{!counters}. *)
+    counters are atomic ([Xks_exec.Exec.search_batch] runs whole queries
+    on worker domains that tick into the installing domain's trace), and
+    degradation events are pushed with a CAS loop.  Spans, in contrast,
+    are recorded {e only} on the domain that installed the trace — a span
+    call from any other domain is a silent no-op, so the span stack never
+    needs a lock.  A trace accumulates across queries until replaced —
+    snapshot with {!counter}/{!counters}. *)
 
 type counter =
   | Postings_scanned  (** posting-list entries fetched from the index *)

@@ -14,6 +14,22 @@ let upper_bound a x =
   done;
   !lo
 
+let upper_bound_back a ~hi x =
+  if hi < 0 || hi > Array.length a then invalid_arg "Bsearch.upper_bound_back";
+  (* Gallop: after the loop every element from [hi - step / 2] up is
+     [> x], and [hi - step] is before the array or holds an element
+     [<= x]; the answer lies between the two. *)
+  let step = ref 1 in
+  while !step <= hi && a.(hi - !step) > x do
+    step := 2 * !step
+  done;
+  let lo = ref (max 0 (hi - !step + 1)) and up = ref (hi - (!step / 2)) in
+  while !lo < !up do
+    let mid = (!lo + !up) / 2 in
+    if a.(mid) <= x then lo := mid + 1 else up := mid
+  done;
+  !lo
+
 let left_match a x =
   let i = upper_bound a x in
   if i = 0 then None else Some a.(i - 1)

@@ -12,6 +12,15 @@ val upper_bound : int array -> int -> int
 (** [upper_bound a x] is the smallest index [i] with [a.(i) > x], or
     [Array.length a] when every element is [<= x]. *)
 
+val upper_bound_back : int array -> hi:int -> int -> int
+(** [upper_bound_back a ~hi x] is [min hi (upper_bound a x)] for
+    [0 <= hi <= Array.length a]: the smallest index [i <= hi] such that
+    every element of [a.(i) .. a.(hi - 1)] is greater than [x].  It
+    gallops down from [hi] and bisects the last stride, so it makes
+    O(log (hi - i)) probes: a cursor moved backwards along a sorted array
+    pays for the entries it skips, and never more than a binary search.
+    @raise Invalid_argument if [hi] is out of range. *)
+
 val left_match : int array -> int -> int option
 (** [left_match a x] is the largest element [<= x], if any — the paper's
     [lm] probe. *)

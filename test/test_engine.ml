@@ -146,27 +146,6 @@ let test_search_result_clean_run () =
   Alcotest.(check int) "search agrees" (List.length result.Engine.hits)
     (List.length (Engine.search engine [ "xml"; "search" ]))
 
-let test_parallel_pruning_identical () =
-  (* Enough RTFs to engage the striping. *)
-  let doc =
-    Xks_datagen.Xmark_gen.generate
-      ~config:{ Xks_datagen.Xmark_gen.default_config with items = 8 }
-      Xks_datagen.Xmark_gen.Standard
-  in
-  let idx = Xks_index.Inverted.build doc in
-  let q = Xks_core.Query.make idx [ "description"; "order" ] in
-  let run domains =
-    Xks_core.Pipeline.run_query ~domains ~lca:Elca_indexed_stack
-      ~pruning:Valid_contributor q
-  in
-  let sequential = run 1 and parallel = run 4 in
-  Alcotest.(check bool) "enough rtfs to stripe" true
-    (List.length sequential.Xks_core.Pipeline.fragments >= 8);
-  Alcotest.(check bool) "identical fragments" true
-    (List.for_all2 Xks_core.Fragment.equal
-       sequential.Xks_core.Pipeline.fragments
-       parallel.Xks_core.Pipeline.fragments)
-
 let tests =
   [
     Alcotest.test_case "end-to-end search" `Quick test_search_end_to_end;
@@ -183,5 +162,4 @@ let tests =
     Alcotest.test_case "degraded non-empty result" `Quick
       test_search_result_degraded_nonempty;
     Alcotest.test_case "clean search_result" `Quick test_search_result_clean_run;
-    Alcotest.test_case "parallel pruning is identical" `Quick test_parallel_pruning_identical;
   ]

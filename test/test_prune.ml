@@ -83,6 +83,75 @@ let test_keep_all_is_raw () =
   Helpers.check_fragment doc "keep_all = raw RTF" [ "0"; "0.0"; "0.1"; "0.2" ]
     (Prune.keep_all info)
 
+(* Node-info construction. *)
+
+(* r > a(w1) > b(w1 w2) > c(w2), with d (no keyword) under a and e (w1)
+   after a: the RTF rooted at a has an LCA that is itself a keyword node,
+   each keyword node nested under the previous one, and non-members
+   before (r), inside (d) and after (e) it. *)
+let nested_xml = "<r><a>w1<b>w1 w2<c>w2</c></b><d>x</d></a><e>w1</e></r>"
+
+let nested_rtf () =
+  let doc = Xks_xml.Parser.parse_string nested_xml in
+  let q = Query.make (Xks_index.Inverted.build doc) [ "w1"; "w2" ] in
+  let id = Helpers.id_at doc in
+  ( doc,
+    q,
+    { Rtf.lca = id "0.0"; knodes = [| id "0.0"; id "0.0.0"; id "0.0.0.0" |] } )
+
+let test_nested_node_info () =
+  let doc, q, rtf = nested_rtf () in
+  let id = Helpers.id_at doc in
+  List.iter
+    (fun cid_mode ->
+      let t = Node_info.construct ~cid_mode q rtf in
+      Alcotest.(check (list string)) "matches the reference" []
+        (List.map Xks_check.Invariant.to_string
+           (Xks_check.Invariant.node_info ~cid_mode q rtf t));
+      let root = Node_info.root t in
+      Alcotest.(check int) "root kList = {w1, w2}" 3 (root.klist :> int);
+      Alcotest.(check (list int)) "root children" [ id "0.0.0" ]
+        (List.map (fun (i : Node_info.info) -> i.id) root.rtf_children);
+      List.iter
+        (fun (dewey, member) ->
+          Alcotest.(check (option int)) ("info_of " ^ dewey)
+            (if member then Some (id dewey) else None)
+            (Option.map
+               (fun (i : Node_info.info) -> i.id)
+               (Node_info.info_of t (id dewey))))
+        [ ("0", false); ("0.0", true); ("0.0.0", true); ("0.0.0.0", true);
+          ("0.0.1", false); ("0.1", false) ])
+    [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ]
+
+let test_construct_rejects_bad_knodes () =
+  let doc, q, rtf = nested_rtf () in
+  let id = Helpers.id_at doc in
+  let a = id "0.0" and e = id "0.1" in
+  Alcotest.check_raises "keyword node after the RTF root's subtree"
+    (Invalid_argument
+       (Printf.sprintf
+          "Node_info.construct: keyword node %d is outside the subtree of \
+           RTF root %d" e a))
+    (fun () -> ignore (Node_info.construct q { rtf with knodes = [| a; e |] }));
+  Alcotest.check_raises "keyword node before the RTF root"
+    (Invalid_argument
+       (Printf.sprintf
+          "Node_info.construct: keyword node %d is outside the subtree of \
+           RTF root %d" a (id "0.0.0")))
+    (fun () ->
+      ignore
+        (Node_info.construct q
+           { Rtf.lca = id "0.0.0"; knodes = [| a; id "0.0.0.0" |] }));
+  Alcotest.check_raises "keyword nodes out of document order"
+    (Invalid_argument
+       (Printf.sprintf
+          "Node_info.construct: keyword nodes %d and %d are out of document \
+           order" (id "0.0.0.0") (id "0.0.0")))
+    (fun () ->
+      ignore
+        (Node_info.construct q
+           { rtf with knodes = [| a; id "0.0.0.0"; id "0.0.0" |] }))
+
 (* Properties. *)
 
 let gen_case = QCheck2.Gen.pair Helpers.gen_doc Helpers.gen_query
@@ -146,6 +215,43 @@ let prop_root_always_kept =
           Fragment.mem (Prune.valid_contributor info) rtf.Rtf.lca)
         (infos_of doc ws))
 
+(* Every RTF the pipeline builds, plus one rooted at every node over the
+   keyword nodes in its subtree — so LCAs that are keyword nodes and
+   keyword nodes nested under keyword nodes both occur — checked in both
+   cID modes against the reference, with [info_of] probed at every id of
+   the document: before, inside and after the RTF. *)
+let prop_construct_matches_reference =
+  QCheck2.Test.make ~name:"node-info construction matches the reference"
+    ~count:300 ~print:print_case gen_case (fun (doc, ws) ->
+      let q = Query.make (Xks_index.Inverted.build doc) ws in
+      let knodes = Rtf.keyword_node_ids q in
+      let rooted_everywhere =
+        List.init (Tree.size doc) (fun lca ->
+            let last = (Tree.node doc lca).Tree.subtree_end in
+            { Rtf.lca;
+              knodes =
+                Array.of_list
+                  (List.filter (fun kn -> lca <= kn && kn <= last)
+                     (Array.to_list knodes)) })
+      in
+      let lcas = Xks_lca.Indexed_stack.elca q.doc q.postings in
+      List.for_all
+        (fun (rtf : Rtf.t) ->
+          let raw = Rtf.raw_fragment q rtf in
+          List.for_all
+            (fun cid_mode ->
+              let t = Node_info.construct ~cid_mode q rtf in
+              Xks_check.Invariant.node_info ~cid_mode q rtf t = []
+              && List.for_all
+                   (fun id ->
+                     match Node_info.info_of t id with
+                     | Some info ->
+                         info.Node_info.id = id && Fragment.mem raw id
+                     | None -> not (Fragment.mem raw id))
+                   (List.init (Tree.size doc) Fun.id))
+            [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ])
+        (Rtf.get_rtfs q lcas @ rooted_everywhere))
+
 let tests =
   [
     Alcotest.test_case "rule 1: unique label kept" `Quick test_rule1_unique_label_kept;
@@ -158,8 +264,12 @@ let tests =
     Alcotest.test_case "discard removes the subtree" `Quick test_discard_removes_subtree;
     Alcotest.test_case "cid approximation vs exact" `Quick test_cid_collision_vs_exact;
     Alcotest.test_case "keep_all" `Quick test_keep_all_is_raw;
+    Alcotest.test_case "node info of a nested RTF" `Quick test_nested_node_info;
+    Alcotest.test_case "construct rejects misplaced keyword nodes" `Quick
+      test_construct_rejects_bad_knodes;
     Helpers.qtest prop_pruned_is_subset_of_raw;
     Helpers.qtest prop_pruned_still_covers_query;
     Helpers.qtest prop_pruned_connected;
     Helpers.qtest prop_root_always_kept;
+    Helpers.qtest prop_construct_matches_reference;
   ]

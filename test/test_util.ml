@@ -178,6 +178,16 @@ let prop_matches_agree_with_spec =
                match acc with Some _ -> acc | None -> if y >= x then Some y else None)
              None l)
 
+let prop_upper_bound_back =
+  QCheck2.Test.make ~name:"upper_bound_back = upper_bound capped at hi"
+    ~count:500
+    QCheck2.Gen.(
+      bind gen_sorted (fun a ->
+          triple (return a) (int_range 0 (Array.length a)) (int_range 0 50)))
+    (fun (a, hi, x) ->
+      Xks_util.Bsearch.upper_bound_back a ~hi x
+      = min hi (Xks_util.Bsearch.upper_bound a x))
+
 let tests =
   [
     Alcotest.test_case "int_vec basics" `Quick test_int_vec_basics;
@@ -196,4 +206,5 @@ let tests =
     Alcotest.test_case "bsearch ranges" `Quick test_bsearch_ranges;
     Helpers.qtest prop_bounds_consistent;
     Helpers.qtest prop_matches_agree_with_spec;
+    Helpers.qtest prop_upper_bound_back;
   ]

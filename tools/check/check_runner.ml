@@ -162,8 +162,8 @@ let run_standard ~seed =
   if !bad = 0 then
     Printf.printf
       "check: ok — %d queries audited (invariants, ELCA/SLCA differential, \
-       Definition 4 post-conditions, jobs=%d batch determinism, top-k \
-       prefix equivalence, workload seed=%d)\n"
+       node-info reference, Definition 4 post-conditions, jobs=%d batch \
+       determinism, top-k prefix equivalence, workload seed=%d)\n"
       audited determinism_jobs seed
   else begin
     Printf.eprintf
