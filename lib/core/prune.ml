@@ -1,6 +1,13 @@
 module Klist = Xks_index.Klist
 module Cid = Xks_index.Cid
 
+module Kept = Hashtbl.Make (struct
+  type t = Klist.t * Cid.t
+
+  let equal (k, c) (k', c') = Int.equal k k' && Cid.equal c c'
+  let hash (k, c) = (31 * Hashtbl.hash k) + Cid.hash c
+end)
+
 (* Children of [info] surviving Definition 4, document order preserved
    within each label group.
 
@@ -15,30 +22,21 @@ let valid_children (info : Node_info.info) =
   let keep_of_group (g : Node_info.label_group) =
     if g.counter = 1 then g.group_children
     else begin
-      let used_cids_by_knum = Hashtbl.create 4 in
-      let cid_used knum c =
-        match Hashtbl.find_opt used_cids_by_knum knum with
-        | Some cids -> List.exists (Cid.equal c) !cids
-        | None -> false
-      in
-      let record knum c =
-        match Hashtbl.find_opt used_cids_by_knum knum with
-        | Some cids -> cids := c :: !cids
-        | None -> Hashtbl.add used_cids_by_knum knum (ref [ c ])
-      in
+      (* The kLists with a kept child, and the kept (kList, cID) pairs:
+         a hash probe per child keeps a wide label group linear. *)
+      let kept_klists = Hashtbl.create 4 and kept = Kept.create 16 in
       List.filter
         (fun (ch : Node_info.info) ->
-          if Hashtbl.mem used_cids_by_knum ch.klist then
-            if cid_used ch.klist ch.cid then false
-            else begin
-              record ch.klist ch.cid;
-              true
-            end
-          else if Klist.covered_by_any ch.klist g.chklist then false
-          else begin
-            record ch.klist ch.cid;
-            true
-          end)
+          let keep =
+            if Hashtbl.mem kept_klists ch.klist then
+              not (Kept.mem kept (ch.klist, ch.cid))
+            else not (Klist.covered_by_any ch.klist g.chklist)
+          in
+          if keep then begin
+            Hashtbl.replace kept_klists ch.klist ();
+            Kept.add kept (ch.klist, ch.cid) ()
+          end;
+          keep)
         g.group_children
     end
   in

@@ -53,7 +53,9 @@ let contribution w i tf =
 
 let score_tf w tf =
   let acc = ref 0. in
-  Array.iteri (fun i c -> acc := !acc +. contribution w i c) tf;
+  for i = 0 to Array.length tf - 1 do
+    acc := !acc +. contribution w i tf.(i)
+  done;
   !acc
 
 (* An RTF's tf vector: how many of its dispatched keyword nodes contain

@@ -55,6 +55,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let hash = function
+  | Empty -> 0
+  | Minmax (lo, hi) -> (31 * Hashtbl.hash lo) + Hashtbl.hash hi
+  | Words ws -> List.fold_left (fun h w -> (31 * h) + Hashtbl.hash w) 1 ws
+
 let is_empty = function Empty -> true | Minmax _ | Words _ -> false
 
 let pp fmt = function

@@ -27,6 +27,11 @@ val merge : t -> t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** A hash that agrees with {!equal} in both modes: equal features hash
+    equally.  Every word of an exact feature contributes. *)
+
 val is_empty : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 module Tree = Xks_xml.Tree
-module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
 module Trace = Xks_trace.Trace
 
@@ -10,32 +9,52 @@ type entry = {
          recent first; disjoint, each inside [node]'s range *)
 }
 
+(* Drop the leading ranges that end before [x] (ascending, disjoint). *)
+(* xkscost: unticked amortised: the range cursor only moves forward over u's disjoint child ranges, and every probe that moves it is ticked *)
+let rec skip_ranges_before x = function
+  | (_, hi) :: rest when hi < x -> skip_ranges_before x rest
+  | ranges -> ranges
+
 (* Does [u]'s subtree hold, for every keyword, a witness outside every
-   full container strictly below [u]?  [child_ranges] only accelerates the
-   scan; correctness rests on the [fc] validation of each probe. *)
+   full container strictly below [u]?  Each keyword's probes move
+   forward through [u]'s range, so one cursor over the ascending child
+   ranges per keyword finds the range (if any) holding a probe in
+   amortised O(1).  [child_ranges] only accelerates the scan;
+   correctness rests on the [fc] validation of each probe: [fc x] is an
+   ancestor-or-self of [x], as is [u], so [fc x] lies outside every
+   full container strictly below [u] iff [(fc x).id <= u.id]. *)
 let is_elca ?budget doc postings (u : Tree.node) child_ranges =
   let ranges = List.rev child_ranges (* ascending start *) in
-  let u_depth = Dewey.depth u.dewey in
-  let witness_for posting =
-    let rec probe pos =
+  let k = Array.length postings in
+  let all_found = ref true and i = ref 0 in
+  while !all_found && !i < k do
+    let posting = postings.(!i) in
+    let n = Array.length posting in
+    let cursor = ref ranges in
+    let pos = ref u.id and searching = ref true in
+    while !searching do
       Xks_robust.Budget.tick_opt budget 1;
-      if pos > u.subtree_end then false
-      else
-        match Bsearch.first_in_range posting ~lo:pos ~hi:u.subtree_end with
-        | None -> false
-        | Some x -> (
-            (* xkscost: unticked prefix skip over u's disjoint child ranges; probe ticks each probe *)
-            match List.find_opt (fun (lo, hi) -> x >= lo && x <= hi) ranges with
-            | Some (_, hi) -> probe (hi + 1)
-            | None -> (
-                match Probe.fc doc postings (Tree.node doc x) with
-                | None -> assert false (* no list is empty here *)
-                | Some f ->
-                    Dewey.depth f.dewey <= u_depth || probe (f.subtree_end + 1)))
-    in
-    probe u.id
-  in
-  Array.for_all witness_for postings
+      let j = Bsearch.lower_bound posting !pos in
+      if j = n || posting.(j) > u.subtree_end then begin
+        all_found := false;
+        searching := false
+      end
+      else begin
+        let x = posting.(j) in
+        cursor := skip_ranges_before x !cursor;
+        match !cursor with
+        | (lo, hi) :: _ when lo <= x -> pos := hi + 1
+        | _ :: _ | [] -> (
+            match Probe.fc doc postings (Tree.node doc x) with
+            | None -> assert false (* no list is empty here *)
+            | Some f ->
+                if f.id <= u.id then searching := false
+                else pos := f.subtree_end + 1)
+      end
+    done;
+    incr i
+  done;
+  !all_found
 
 let elca ?budget doc postings =
   let k = Array.length postings in
@@ -45,9 +64,6 @@ let elca ?budget doc postings =
     let s1 = postings.(Probe.smallest_list_index postings) in
     let results = ref [] in
     let stack = ref [] in
-    let ancestor_or_self (a : Tree.node) (b : Tree.node) =
-      Dewey.is_ancestor_or_self a.dewey b.dewey
-    in
     (* Pop [e], emit it if it passes the check, and hand its range to the
        entry below (its ancestor when the stack is non-empty). *)
     let pop_and_check () =
@@ -81,9 +97,9 @@ let elca ?budget doc postings =
       let pending = ref [] in
       let rec unwind () =
         match !stack with
-        | e :: _ when not (ancestor_or_self e.node x) ->
+        | e :: _ when not (Tree.in_subtree ~root:e.node x) ->
             let range = pop_and_check () in
-            if !stack = [] && ancestor_or_self x e.node then
+            if !stack = [] && Tree.in_subtree ~root:x e.node then
               pending := range :: !pending;
             unwind ()
         | _ -> ()

@@ -3,40 +3,43 @@ module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
 
 let ancestor_at doc (n : Tree.node) d =
-  if d < 0 || d > Dewey.depth n.dewey then invalid_arg "Probe.ancestor_at";
-  let rec up (n : Tree.node) =
-    if Dewey.depth n.dewey = d then n
-    else
-      match Tree.parent_node doc n with
-      | Some p -> up p
-      | None -> assert false (* d >= 0 = depth of the root *)
-  in
-  up n
+  let depth = Dewey.depth n.dewey in
+  if d < 0 || d > depth then invalid_arg "Probe.ancestor_at";
+  let cur = ref n in
+  (* xkscost: unticked depth-bounded: one parent step per level above d; callers tick per candidate *)
+  for _ = d + 1 to depth do
+    cur := Tree.node doc !cur.parent
+  done;
+  !cur
 
-let closest_lca_depth doc posting (x : Tree.node) =
-  if Array.length posting = 0 then None
-  else
-    let depth_with id = Dewey.lca_depth x.dewey (Tree.node doc id).dewey in
-    let left = Bsearch.left_match posting x.id in
-    let right = Bsearch.right_match posting x.id in
-    match (left, right) with
-    | None, None -> None
-    | Some l, None -> Some (depth_with l)
-    | None, Some r -> Some (depth_with r)
-    | Some l, Some r -> Some (max (depth_with l) (depth_with r))
-
+(* Interval form of the closest-occurrence probe: with [l] the last
+   occurrence at or before [x] and [r] the first after it, an
+   ancestor-or-self [a] of [x] holds the list iff [l >= a.id] or
+   [r <= a.subtree_end].  The sentinels [-1] and [max_int] stand for a
+   missing neighbour and never satisfy their test.  Ancestors holding
+   list i form a chain from the root, so walking up from where list
+   i - 1 stopped reaches the deepest ancestor holding lists 0..i; the
+   root holds every non-empty list, so the walk always stops. *)
 let fc doc postings (x : Tree.node) =
-  (* xkscost: unticked k-bounded: two binary-search probes per keyword list; every caller ticks per candidate before probing *)
-  let rec loop i depth =
-    if i = Array.length postings then Some depth
-    else
-      match closest_lca_depth doc postings.(i) x with
-      | None -> None
-      | Some d -> loop (i + 1) (min depth d)
-  in
-  match loop 0 (Dewey.depth x.dewey) with
-  | None -> None
-  | Some depth -> Some (ancestor_at doc x depth)
+  let k = Array.length postings in
+  let cur = ref x and i = ref 0 and empty = ref false in
+  (* xkscost: unticked k-bounded: one binary search per keyword list; every caller ticks per candidate before probing *)
+  while !i < k && not !empty do
+    let p = postings.(!i) in
+    let n = Array.length p in
+    if n = 0 then empty := true
+    else begin
+      let j = Bsearch.upper_bound p x.id in
+      let l = if j > 0 then p.(j - 1) else -1 in
+      let r = if j < n then p.(j) else max_int in
+      (* xkscost: unticked depth-bounded: parent steps above x, at most depth x over all lists; the caller ticks per candidate *)
+      while l < !cur.id && r > !cur.subtree_end do
+        cur := Tree.node doc !cur.parent
+      done
+    end;
+    incr i
+  done;
+  if !empty then None else Some !cur
 
 let smallest_list_index postings =
   if Array.length postings = 0 then invalid_arg "Probe.smallest_list_index";

@@ -1,23 +1,18 @@
 (** Posting-list probes shared by the LCA algorithms.
 
     All probes work on posting lists: sorted arrays of node ids (document
-    order).  The classic [lm]/[rm] probes find the closest occurrences of
-    a keyword around a node; combining them per keyword yields [fc x], the
-    deepest {e full container} of [x] — the deepest ancestor-or-self of
-    [x] whose subtree contains every query keyword.  [fc] is also the
-    paper's [elca_can]/[slca_can] candidate function when [x] comes from
-    the smallest posting list. *)
+    order), and on preorder intervals: a node [a] is an ancestor-or-self
+    of [x] iff [a.id <= x.id <= a.subtree_end].  [fc x] is the deepest
+    {e full container} of [x] — the deepest ancestor-or-self of [x] whose
+    subtree contains every query keyword.  [fc] is also the paper's
+    [elca_can]/[slca_can] candidate function when [x] comes from the
+    smallest posting list. *)
 
 val ancestor_at : Xks_xml.Tree.t -> Xks_xml.Tree.node -> int -> Xks_xml.Tree.node
-(** [ancestor_at doc n d] is the ancestor of [n] at depth [d].
-    @raise Invalid_argument if [d] exceeds the depth of [n]. *)
-
-val closest_lca_depth :
-  Xks_xml.Tree.t -> int array -> Xks_xml.Tree.node -> int option
-(** [closest_lca_depth doc posting x] is the maximal [Dewey.lca_depth x m]
-    over occurrences [m] in [posting] — reached by one of the two
-    occurrences adjacent to [x] in document order.  [None] when the list
-    is empty. *)
+(** [ancestor_at doc n d] is the ancestor of [n] at depth [d], reached by
+    walking parent ids (no allocation).
+    @raise Invalid_argument if [d] is negative or exceeds the depth of
+    [n]. *)
 
 val fc :
   Xks_xml.Tree.t -> int array array -> Xks_xml.Tree.node ->
@@ -25,7 +20,15 @@ val fc :
 (** [fc doc postings x] is the deepest full container of [x]: the deepest
     ancestor-or-self of [x] whose subtree contains at least one occurrence
     of every keyword.  [None] when some posting list is empty (then no
-    full container exists at all). *)
+    full container exists at all).
+
+    One binary search per list finds the occurrences [l <= x.id < r]
+    adjacent to [x]; an ancestor-or-self [a] of [x] holds the list iff
+    [l >= a.id] or [r <= a.subtree_end].  The ancestors holding a list
+    form a chain from the root, so a single walk up the parent ids,
+    resumed list after list, stops at the answer.  Cost
+    [O(k log |S| + depth x)]; the only allocation is the result's
+    [Some]. *)
 
 val smallest_list_index : int array array -> int
 (** Index of the shortest posting list (ties broken by lower index).

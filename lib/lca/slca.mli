@@ -2,10 +2,11 @@
 
     The Indexed Lookup Eager algorithm of Xu & Papakonstantinou (SIGMOD
     2005): for each occurrence [v] of the rarest keyword, the candidate
-    [slca_can v] is the deepest full container of [v] (computed with
-    [lm]/[rm] probes on the other lists); the SLCAs are the candidates
-    that are not ancestors of other candidates.  Time
-    [O(k |S1| d log |S|)] where [S1] is the smallest list.
+    [slca_can v] is the deepest full container of [v] ({!Probe.fc}: the
+    paper's [lm]/[rm] probes on the other lists, read as one binary
+    search per list); the SLCAs are the candidates that are not
+    ancestors of other candidates.  Time [O(|S1| (k log |S| + d))]
+    where [S1] is the smallest list and [d] the document depth.
 
     This powers the {e original} MaxMatch baseline, which works on SLCA
     fragments only. *)

@@ -44,7 +44,6 @@
       keyword occurrences the exit freed us from ever dispatching. *)
 
 module Tree = Xks_xml.Tree
-module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
 module Topheap = Xks_util.Topheap
 module Trace = Xks_trace.Trace
@@ -64,6 +63,18 @@ type entry = {
   mutable passed : (int * int) list;
       (* maximal emitted-ELCA ranges inside [node], disjoint *)
 }
+
+(* Occurrences of [posting] in [u]'s range ([acc], counted by the
+   caller) minus those inside its passed ranges: one binary search per
+   passed range, ticked so an emit over a long accounting list is
+   interruptible. *)
+let rec count_dispatched ?budget posting acc = function
+  | [] -> acc
+  | (lo, hi) :: passed ->
+      Xks_robust.Budget.tick_opt budget 1;
+      count_dispatched ?budget posting
+        (acc - Bsearch.count_in_range posting ~lo ~hi)
+        passed
 
 let run ?budget ~k ~score ~bound doc postings =
   if k < 1 then invalid_arg "Topk.run: k must be >= 1";
@@ -101,24 +112,22 @@ let run ?budget ~k ~score ~bound doc postings =
       in
       go [] ranges
     in
-    let ancestor_or_self (a : Tree.node) (b : Tree.node) =
-      Dewey.is_ancestor_or_self a.dewey b.dewey
-    in
-    let count_dispatched posting (u : Tree.node) passed =
-      List.fold_left
-        (fun acc (lo, hi) ->
-          (* One binary search per passed range: ticked so an emit over a
-             long accounting list is interruptible. *)
-          Xks_robust.Budget.tick_opt budget 1;
-          acc - Bsearch.count_in_range posting ~lo ~hi)
-        (Bsearch.count_in_range posting ~lo:u.id ~hi:u.subtree_end)
-        passed
-    in
+    (* One tf vector per run: [score] only reads it during the call, and
+       it is copied only for a fragment the heap admits. *)
+    let tf = Array.make nk 0 in
     let emit (u : Tree.node) passed =
-      let tf = Array.map (fun p -> count_dispatched p u passed) postings in
-      Array.iteri (fun i c -> consumed.(i) <- consumed.(i) + c) tf;
+      for j = 0 to nk - 1 do
+        let c =
+          count_dispatched ?budget postings.(j)
+            (Bsearch.count_in_range postings.(j) ~lo:u.id ~hi:u.subtree_end)
+            passed
+        in
+        tf.(j) <- c;
+        consumed.(j) <- consumed.(j) + c
+      done;
       let s = score ~lca:u.id ~tf in
-      ignore (Topheap.insert heap ~score:s ~id:u.id (tf, passed) : bool)
+      if Topheap.admits heap ~score:s ~id:u.id then
+        ignore (Topheap.insert heap ~score:s ~id:u.id (Array.copy tf, passed) : bool)
     in
     (* Pop [e]; emit it if it passes the check; hand its range (and the
        emitted ranges it accounts for) to the entry below. *)
@@ -160,9 +169,9 @@ let run ?budget ~k ~score ~bound doc postings =
       let pending = ref [] in
       let rec unwind () =
         match !stack with
-        | e :: _ when not (ancestor_or_self e.node x) ->
+        | e :: _ when not (Tree.in_subtree ~root:e.node x) ->
             let range = pop_and_check () in
-            if !stack = [] && ancestor_or_self x e.node then
+            if !stack = [] && Tree.in_subtree ~root:x e.node then
               pending := range :: !pending;
             unwind ()
         | _ -> ()

@@ -45,9 +45,12 @@ val run :
     [score] must be monotone nondecreasing in every [tf] component and
     [bound ~avail] must be an upper bound on [score] over all tf vectors
     with [tf_i <= avail_i] — {!Xks_core.Rank} provides both; early
-    termination is unsound otherwise.  [budget] ticks once per driver
-    occurrence, as {!Indexed_stack.elca} does.  Ticks the
-    [topk.early_exit] / [topk.pruned_postings] trace counters when the
-    bound fires.
+    termination is unsound otherwise.  The [tf] array passed to [score]
+    is a scratch buffer the scan refills for every emitted fragment: it
+    is valid only during the call, so [score] must read it and not keep
+    it (the [tf] of each returned {!candidate} is its own copy).
+    [budget] ticks once per occurrence of the rarest keyword, as
+    {!Indexed_stack.elca} does.  Ticks the [topk.early_exit] /
+    [topk.pruned_postings] trace counters when the bound fires.
     @raise Invalid_argument when [k < 1].
     @raise Xks_robust.Budget.Exhausted when the budget runs out. *)

@@ -30,10 +30,6 @@ let upper_bound_back a ~hi x =
   done;
   !lo
 
-let left_match a x =
-  let i = upper_bound a x in
-  if i = 0 then None else Some a.(i - 1)
-
 let right_match a x =
   let i = lower_bound a x in
   if i = Array.length a then None else Some a.(i)
@@ -44,7 +40,3 @@ let mem a x =
 
 let count_in_range a ~lo ~hi =
   if hi < lo then 0 else upper_bound a hi - lower_bound a lo
-
-let first_in_range a ~lo ~hi =
-  let i = lower_bound a lo in
-  if i < Array.length a && a.(i) <= hi then Some a.(i) else None

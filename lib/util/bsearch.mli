@@ -2,7 +2,8 @@
 
     Posting lists are arrays of node ids sorted ascending (node ids are
     preorder ranks, so ascending id order is document order).  The LCA
-    algorithms need the classic left-match / right-match probes. *)
+    algorithms probe them by index: [upper_bound] at a node gives both
+    of its neighbouring occurrences at once. *)
 
 val lower_bound : int array -> int -> int
 (** [lower_bound a x] is the smallest index [i] with [a.(i) >= x], or
@@ -21,10 +22,6 @@ val upper_bound_back : int array -> hi:int -> int -> int
     pays for the entries it skips, and never more than a binary search.
     @raise Invalid_argument if [hi] is out of range. *)
 
-val left_match : int array -> int -> int option
-(** [left_match a x] is the largest element [<= x], if any — the paper's
-    [lm] probe. *)
-
 val right_match : int array -> int -> int option
 (** [right_match a x] is the smallest element [>= x], if any — the
     paper's [rm] probe. *)
@@ -34,6 +31,3 @@ val mem : int array -> int -> bool
 
 val count_in_range : int array -> lo:int -> hi:int -> int
 (** Number of elements [x] with [lo <= x <= hi]. *)
-
-val first_in_range : int array -> lo:int -> hi:int -> int option
-(** Smallest element [x] with [lo <= x <= hi], if any. *)

@@ -61,6 +61,36 @@ let gen_doc_sized =
 
 let gen_doc = QCheck2.Gen.map Tree.build gen_doc_sized
 
+(* Wide documents: a root with 50-300 children, each a leaf or a node
+   with up to three leaves.  [gen_doc] caps fan-out at 4; these reach
+   the wide cases — witness scans across many candidate child ranges,
+   large same-label sibling groups for Definition 4. *)
+let gen_text =
+  QCheck2.Gen.(
+    oneof
+      [
+        return "";
+        oneofa words;
+        map2 (fun a b -> a ^ " " ^ b) (oneofa words) (oneofa words);
+      ])
+
+let gen_leaf =
+  QCheck2.Gen.map2
+    (fun l t -> Tree.elem ~text:t l [])
+    (QCheck2.Gen.oneofa labels)
+    gen_text
+
+let gen_wide_doc =
+  QCheck2.Gen.(
+    map2
+      (fun t children -> Tree.build (Tree.elem ~text:t "r" children))
+      gen_text
+      (list_size (int_range 50 300)
+         (map3
+            (fun l t leaves -> Tree.elem ~text:t l leaves)
+            (oneofa labels) gen_text
+            (list_size (int_range 0 3) gen_leaf))))
+
 let print_doc doc = Xks_xml.Writer.to_string ~declaration:false doc
 
 (* A random non-empty keyword query over the small word alphabet. *)

@@ -106,6 +106,32 @@ let prop_explain_matches_prune =
           && agree Explain.contributor Prune.contributor)
         (Rtf.get_rtfs q lcas))
 
+(* The hashed Definition-4 dedup in [Prune] against the list-based
+   reference kept by [Explain], under both content-feature modes. *)
+let prop_explain_matches_prune_both_modes =
+  QCheck2.Test.make ~name:"valid contributor agrees with its reference in both cID modes"
+    ~count:200
+    ~print:(fun (doc, ws) ->
+      Printf.sprintf "query=%s doc=%s" (String.concat "," ws)
+        (Helpers.print_doc doc))
+    QCheck2.Gen.(
+      pair (oneof [ Helpers.gen_doc; Helpers.gen_wide_doc ]) Helpers.gen_query)
+    (fun (doc, ws) ->
+      let q = Query.make (Xks_index.Inverted.build doc) ws in
+      let lcas = Xks_lca.Indexed_stack.elca q.doc q.postings in
+      List.for_all
+        (fun cid_mode ->
+          List.for_all
+            (fun rtf ->
+              let info = Node_info.construct ~cid_mode q rtf in
+              let kept_ids =
+                List.filter Explain.kept (Explain.valid_contributor info)
+                |> List.map (fun (d : Explain.decision) -> d.Explain.node)
+              in
+              kept_ids = Fragment.members_list (Prune.valid_contributor info))
+            (Rtf.get_rtfs q lcas))
+        [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ])
+
 let prop_every_rtf_node_decided =
   QCheck2.Test.make ~name:"one decision per raw-RTF node" ~count:200
     ~print:(fun (doc, ws) ->
@@ -134,5 +160,6 @@ let tests =
       test_cid_scoped_per_keyword_set;
     Alcotest.test_case "rendering" `Quick test_render;
     Helpers.qtest prop_explain_matches_prune;
+    Helpers.qtest prop_explain_matches_prune_both_modes;
     Helpers.qtest prop_every_rtf_node_decided;
   ]

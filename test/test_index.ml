@@ -80,6 +80,8 @@ let test_cid_collision () =
   let a = Cid.of_words Approx [ "a"; "z"; "m" ] in
   let b = Cid.of_words Approx [ "a"; "z"; "q" ] in
   Alcotest.(check bool) "approx collides" true (Cid.equal a b);
+  Alcotest.(check int) "colliding features hash equally" (Cid.hash a)
+    (Cid.hash b);
   let a' = Cid.of_words Exact [ "a"; "z"; "m" ] in
   let b' = Cid.of_words Exact [ "a"; "z"; "q" ] in
   Alcotest.(check bool) "exact distinguishes" false (Cid.equal a' b')
@@ -110,9 +112,9 @@ let prop_cid_of_union_is_merge =
     (fun (a, b) ->
       List.for_all
         (fun mode ->
-          Cid.equal
-            (Cid.of_words mode (a @ b))
-            (Cid.merge (Cid.of_words mode a) (Cid.of_words mode b)))
+          let union = Cid.of_words mode (a @ b)
+          and merged = Cid.merge (Cid.of_words mode a) (Cid.of_words mode b) in
+          Cid.equal union merged && Cid.hash union = Cid.hash merged)
         [ Cid.Approx; Cid.Exact ])
 
 let prop_klist_union_laws =

@@ -76,6 +76,54 @@ let test_probe_fc () =
   Alcotest.(check string) "fc of t is m" "0.0" (fc_of "0.0.1");
   Alcotest.(check string) "fc of d is root" "0" (fc_of "0.1")
 
+(* Postings w1 = [a; e; g], w2 = [c; f; g] around the probed nodes:
+   r(0) a(1) b(2) c(3) d(4) e(5) f(6) g(7) h(8). *)
+let fc_xml =
+  "<r><a>w1</a><b><c>w2</c><d>z</d><e>w1</e></b><f>w2</f><g>w1 w2</g><h>z</h></r>"
+
+let test_fc_edges () =
+  let doc, ps = doc_and_postings fc_xml [ "w1"; "w2" ] in
+  let fc_of ps dewey =
+    match Probe.fc doc ps (Tree.node doc (Helpers.id_at doc dewey)) with
+    | Some n -> Xks_xml.Dewey.to_string n.Tree.dewey
+    | None -> "none"
+  in
+  let check msg expected dewey =
+    Alcotest.(check string) msg expected (fc_of ps dewey)
+  in
+  check "x in a list: e (w1) finds w2's c inside b" "0.1" "0.1.2";
+  check "x before w2's first occurrence" "0" "0.0";
+  check "x is the root" "0" "0";
+  check "x after every occurrence" "0" "0.4";
+  check "x between w1's a and e" "0.1" "0.1.1";
+  check "x holds every keyword" "0.3" "0.3";
+  check "x in w2, between w1's e and g" "0" "0.2";
+  let _, with_empty = doc_and_postings fc_xml [ "w1"; "w9" ] in
+  Alcotest.(check string) "an empty list gives None" "none"
+    (fc_of with_empty "0.3");
+  Alcotest.(check string) "no lists: x is its own full container" "0.1.1"
+    (fc_of [||] "0.1.1")
+
+(* The kernel's allocation contract: [fc]'s only allocation is its
+   [Some] (two words).  Native only: bytecode boxes what native code
+   keeps in registers. *)
+let test_fc_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+      let doc, ps = doc_and_postings fc_xml [ "w1"; "w2"; "z" ] in
+      let n = Tree.size doc and reps = 1000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to reps do
+        for id = 0 to n - 1 do
+          ignore (Sys.opaque_identity (Probe.fc doc ps (Tree.node doc id)))
+        done
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int (reps * n) in
+      if per_call > 2.0 then
+        Alcotest.failf "Probe.fc allocates %.2f minor words per call (> 2)"
+          per_call
+
 let test_probe_ancestor_at () =
   let doc, _ = doc_and_postings nested_xml [ "w1" ] in
   let n = Tree.node doc (Helpers.id_at doc "0.0.1") in
@@ -179,6 +227,22 @@ let prop_fc_is_deepest_full_container =
           | Some _, None | None, Some _ -> false)
         true doc)
 
+let prop_wide_documents =
+  QCheck2.Test.make ~name:"wide documents: scans agree with the references"
+    ~count:100
+    ~print:(fun (doc, q, k) ->
+      Printf.sprintf "k=%d query=%s doc=%s" k (String.concat "," q)
+        (Helpers.print_doc doc))
+    QCheck2.Gen.(triple Helpers.gen_wide_doc Helpers.gen_query (int_range 1 5))
+    (fun (doc, q, k) ->
+      let ps = Helpers.postings_for doc q in
+      let engine = Xks_core.Engine.of_doc doc in
+      let full = Xks_core.Engine.search ~rank:`Bm25 engine q in
+      Indexed_stack.elca doc ps = Naive.elca doc ps
+      && Slca.indexed_lookup_eager doc ps = Naive.slca doc ps
+      && Xks_core.Engine.search ~rank:`Bm25 ~k engine q
+         = List.filteri (fun i _ -> i < k) full)
+
 let tests =
   [
     Alcotest.test_case "nested full containers" `Quick test_nested_elca;
@@ -187,6 +251,8 @@ let tests =
     Alcotest.test_case "keyword with no occurrence" `Quick test_no_match;
     Alcotest.test_case "inner keyword node" `Quick test_keyword_on_inner_node;
     Alcotest.test_case "fc probe" `Quick test_probe_fc;
+    Alcotest.test_case "fc edge cases" `Quick test_fc_edges;
+    Alcotest.test_case "fc allocates only its result" `Quick test_fc_allocation;
     Alcotest.test_case "ancestor_at" `Quick test_probe_ancestor_at;
     Alcotest.test_case "smallest list index" `Quick test_smallest_list;
     Helpers.qtest prop_elca_implementations_agree;
@@ -198,4 +264,5 @@ let tests =
     Helpers.qtest prop_elca_subset_full_containers;
     Helpers.qtest prop_elca_subset_lca_closure;
     Helpers.qtest prop_fc_is_deepest_full_container;
+    Helpers.qtest prop_wide_documents;
   ]

@@ -252,6 +252,24 @@ let prop_construct_matches_reference =
             [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ])
         (Rtf.get_rtfs q lcas @ rooted_everywhere))
 
+(* Definition 4's dedup in a wide label group: 2,000 same-label
+   siblings share one kList and cycle through 3 content features, so
+   exactly the first sibling of each feature survives. *)
+let test_wide_group_dedup () =
+  let siblings =
+    String.concat ""
+      (List.init 2000 (fun i -> Printf.sprintf "<p>w1 zz%d</p>" (i mod 3)))
+  in
+  List.iter
+    (fun cid_mode ->
+      let doc, info =
+        setup ~cid_mode ("<r>" ^ siblings ^ "w2</r>") [ "w1"; "w2" ]
+      in
+      Helpers.check_fragment doc "first of each content feature"
+        [ "0"; "0.0"; "0.1"; "0.2" ]
+        (Prune.valid_contributor info))
+    [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ]
+
 let tests =
   [
     Alcotest.test_case "rule 1: unique label kept" `Quick test_rule1_unique_label_kept;
@@ -264,6 +282,8 @@ let tests =
     Alcotest.test_case "discard removes the subtree" `Quick test_discard_removes_subtree;
     Alcotest.test_case "cid approximation vs exact" `Quick test_cid_collision_vs_exact;
     Alcotest.test_case "keep_all" `Quick test_keep_all_is_raw;
+    Alcotest.test_case "wide label group keeps one per content" `Quick
+      test_wide_group_dedup;
     Alcotest.test_case "node info of a nested RTF" `Quick test_nested_node_info;
     Alcotest.test_case "construct rejects misplaced keyword nodes" `Quick
       test_construct_rejects_bad_knodes;
