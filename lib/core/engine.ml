@@ -15,7 +15,7 @@ type rank_mode = [ `Heuristic | `Bm25 | `Doc ]
    even one adopting a reloaded index via [of_index] — gets a fresh id,
    so entries cached against a previous engine can never be served for a
    new one. *)
-(* xkslint: allow module-state *)
+(* xkslint: allow module-state process-unique engine id counter *)
 let next_id = Atomic.make 0
 
 type hit = {

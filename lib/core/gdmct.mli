@@ -12,8 +12,13 @@
     per keyword, the witness {e closest to the root} (path interactions
     between witnesses are ignored, so the tree is minimal per keyword
     rather than globally — the grouped variant of the original paper
-    does the same).  A root qualifies when it is exactly the LCA of its
-    chosen witnesses ("tightest", so each group is reported once).
+    does the same).  Witnesses are drawn from the root's own RTF when it
+    can: if every keyword has a witness outside all full containers
+    below the root (the root is then an ELCA), the closest is chosen
+    among those, so the tree never exceeds the raw RTF at that root;
+    any other root takes the closest witness anywhere in its subtree.
+    A root qualifies when it is exactly the LCA of its chosen witnesses
+    ("tightest", so each group is reported once).
 
     The A5 ablation compares fragment sizes of MCTs against meaningful
     RTFs on the same queries. *)

@@ -120,7 +120,6 @@ let keyword_index q w =
 let node_klist q id =
   let k = k q in
   let mask = ref Klist.empty in
-  (* xkscost: unticked k-bounded: one binary search per keyword list; callers tick per node looked up *)
   Array.iteri
     (fun i posting ->
       if Xks_util.Bsearch.mem posting id then

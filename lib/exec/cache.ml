@@ -142,7 +142,6 @@ let observe t s a =
    record overhead plus the fragment's node set.  Only relative sizes
    matter — the knob is --cache-mb, not an exact accounting. *)
 let cost_of (r : Engine.search_result) =
-  (* xkscost: unticked maintenance: cache accounting is off the query budget — one size read per already-computed hit *)
   List.fold_left
     (fun acc (h : Engine.hit) -> acc + 160 + (24 * Fragment.size h.fragment))
     128 r.hits
@@ -214,8 +213,7 @@ let find t k =
 (* xksrace: requires_lock lock *)
 let evict_lru s =
   let victim =
-    (* xkscost: unticked maintenance: eviction runs under the shard write lock, off the query budget *)
-    Hashtbl.fold (* xkscost: allow hashtbl-fold one LRU scan per eviction by design; the shard table is capacity-bounded *)
+    Hashtbl.fold
       (fun _ n best ->
         match best with
         | Some b when Atomic.get b.stamp <= Atomic.get n.stamp -> best
@@ -251,7 +249,6 @@ let add t k value =
           Hashtbl.replace s.table k n;
           s.bytes <- s.bytes + cost;
           let count = ref 0 in
-          (* xkscost: unticked maintenance: eviction loop under the shard write lock, off the query budget; each pass frees bytes so it terminates *)
           while s.bytes > s.capacity do
             evict_lru s;
             incr count

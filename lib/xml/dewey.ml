@@ -52,7 +52,7 @@ let lca_depth a b =
   (* Plain int comparisons in the scan loop: both operands are array
      indices, so the polymorphic specialisation is exact and the bounds
      check reads better than an Int.compare dance. *)
-  (* xkslint: allow poly-compare *)
+  (* xkslint: allow poly-compare int array indices, see above *)
   let rec loop i = if i < n && Int.equal a.(i) b.(i) then loop (i + 1) else i in
   loop 0
 

@@ -26,7 +26,7 @@ let words =
 let set =
   (* Populated once at module initialisation, only read (Hashtbl.mem)
      afterwards — safe to share across domains. *)
-  (* xkslint: allow module-state *)
+  (* xkslint: allow module-state write-once at init, read-only after *)
   let h = Hashtbl.create 256 in
   List.iter (fun w -> Hashtbl.replace h w ()) words;
   h

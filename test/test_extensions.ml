@@ -158,40 +158,6 @@ let test_rank_with_prior () =
       Alcotest.(check bool) "positive scores" true (s.Xks_core.Ranking.score > 0.0))
     ranked
 
-(* --- TF-IDF --- *)
-
-let test_idf_monotone () =
-  let engine =
-    engine_of "<r><a>rare common</a><b>common</b><c>common</c></r>"
-  in
-  let t = Xks_core.Tfidf.build (Engine.index engine) in
-  Alcotest.(check bool) "rarer word has higher idf" true
-    (Xks_core.Tfidf.idf t "rare" > Xks_core.Tfidf.idf t "common");
-  Alcotest.(check bool) "idf positive" true (Xks_core.Tfidf.idf t "common" > 0.0);
-  Alcotest.(check bool) "case-insensitive" true
-    (Xks_core.Tfidf.idf t "RARE" = Xks_core.Tfidf.idf t "rare")
-
-let test_tfidf_rank_prefers_rare () =
-  (* Two results for a single-keyword query: the compact fragment with
-     the occurrence outranks the larger one. *)
-  let engine =
-    engine_of
-      "<db><x>rare</x><big><p1>rare</p1><p2>pad</p2><p3>pad</p3><p4>pad</p4></big></db>"
-  in
-  let result = Engine.run engine [ "rare" ] in
-  let t = Xks_core.Tfidf.build (Engine.index engine) in
-  let ranked = Xks_core.Tfidf.rank t result in
-  (match ranked with
-  | first :: _ ->
-      Alcotest.(check string) "compact fragment first" "0.0"
-        (Helpers.dewey_str (Engine.doc engine)
-           first.Xks_core.Ranking.fragment.Xks_core.Fragment.root)
-  | [] -> Alcotest.fail "expected results");
-  List.iter
-    (fun (s : Xks_core.Ranking.scored) ->
-      Alcotest.(check bool) "positive" true (s.Xks_core.Ranking.score > 0.0))
-    ranked
-
 let test_singleton_document () =
   let doc = Xks_xml.Parser.parse_string "<only/>" in
   let pr = Elemrank.compute doc in
@@ -213,7 +179,5 @@ let tests =
     Alcotest.test_case "elemrank: hubs beat leaves" `Quick test_elemrank_hub_beats_leaf;
     Alcotest.test_case "elemrank: top" `Quick test_elemrank_top;
     Alcotest.test_case "elemrank: singleton document" `Quick test_singleton_document;
-    Alcotest.test_case "tfidf: idf monotonicity" `Quick test_idf_monotone;
-    Alcotest.test_case "tfidf: ranking prefers compact" `Quick test_tfidf_rank_prefers_rare;
     Alcotest.test_case "ranking with structural prior" `Quick test_rank_with_prior;
   ]

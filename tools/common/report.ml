@@ -1,13 +1,14 @@
-(* Shared driver/reporting layer for the xks static analyzers.
+(* Shared entry point and reporting layer for the xks static analyzers.
 
-   xkslint, xksrace and xksleak are separate binaries with one
-   contract: scan the directory roots given on the command line, print
-   findings in the compiler's own location format (or one JSON object
-   under [--json]), and exit 0 clean / 1 findings / 2 usage-or-parse
-   errors.  This module is that contract, factored out so the three
-   tools cannot drift: the finding record, the deterministic sort, the
-   text and JSON printers, the directory walk, the parse front end and
-   the exit logic all live here.
+   xkslint, xksrace, xksleak and xkscost are separate binaries with one
+   contract: load the directory roots given on the command line
+   (Front), run the tool's rules, print findings in the compiler's own
+   location format (or one JSON object under [--json]), and exit 0
+   clean / 1 findings / 2 usage, parse or annotation errors.  This
+   module is that contract, factored out so the four tools cannot
+   drift: argv, suppression by annotation, de-duplication, the
+   deterministic sort, the text and JSON printers and the exit logic
+   all live here.
 
    The JSON finding schema is shared by all tools:
 
@@ -26,18 +27,20 @@ type finding = {
   msg : string;
 }
 
-(* --- locations --- *)
-
-let line_of (loc : Location.t) = loc.loc_start.pos_lnum
-
-let cols_of (loc : Location.t) =
-  ( loc.loc_start.pos_cnum - loc.loc_start.pos_bol,
-    loc.loc_end.pos_cnum - loc.loc_end.pos_bol )
+let at file (loc : Location.t) rule msg =
+  {
+    file;
+    line = loc.loc_start.pos_lnum;
+    cstart = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
+    cend = loc.loc_end.pos_cnum - loc.loc_end.pos_bol;
+    rule;
+    msg;
+  }
 
 (* --- deterministic ordering: file, then line, then column, then rule --- *)
 
 let sort findings =
-  List.sort
+  List.stable_sort
     (fun a b ->
       let c = String.compare a.file b.file in
       if c <> 0 then c
@@ -48,109 +51,6 @@ let sort findings =
           let c = Int.compare a.cstart b.cstart in
           if c <> 0 then c else String.compare a.rule b.rule)
     findings
-
-(* --- source discovery and parsing --- *)
-
-let rec walk_dir path acc =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if String.length entry > 0 && not (Char.equal entry.[0] '.') then
-          walk_dir (Filename.concat path entry) acc
-        else acc)
-      acc
-      (let entries = Sys.readdir path in
-       Array.sort String.compare entries;
-       entries)
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_implementation ~tool path src =
-  let lexbuf = Lexing.from_string src in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> structure
-  | exception Syntaxerr.Error _ ->
-      Printf.eprintf "%s: %s: syntax error\n" tool path;
-      exit 2
-
-(* --- command line: [--json] [--rules ID[,ID...]] plus directory roots --- *)
-
-type options = {
-  json : bool;
-  rules : string list option;  (* None = all rules enabled *)
-  roots : string list;
-}
-
-let usage ~tool ~with_rules =
-  Printf.eprintf "usage: %s [--json]%s DIR...\n" tool
-    (if with_rules then " [--rules ID[,ID...]]" else "");
-  exit 2
-
-let parse_argv_opts ?known_rules ~tool argv =
-  let json = ref false in
-  let rules = ref None in
-  let roots = ref [] in
-  let n = Array.length argv in
-  let rec go i =
-    if i < n then
-      match argv.(i) with
-      | "--json" ->
-          json := true;
-          go (i + 1)
-      | "--rules" -> (
-          match known_rules with
-          | None ->
-              Printf.eprintf "%s: --rules is not supported by this tool\n" tool;
-              exit 2
-          | Some known ->
-              if i + 1 >= n then usage ~tool ~with_rules:true;
-              let ids =
-                String.split_on_char ',' argv.(i + 1)
-                |> List.map String.trim
-                |> List.filter (fun s -> s <> "")
-              in
-              if ids = [] then usage ~tool ~with_rules:true;
-              List.iter
-                (fun id ->
-                  if not (List.mem id known) then begin
-                    Printf.eprintf "%s: unknown rule id %S (known: %s)\n" tool
-                      id
-                      (String.concat ", " known);
-                    exit 2
-                  end)
-                ids;
-              rules := Some ids;
-              go (i + 2))
-      | arg ->
-          roots := arg :: !roots;
-          go (i + 1)
-  in
-  go 1;
-  let roots = List.rev !roots in
-  if roots = [] then usage ~tool ~with_rules:(known_rules <> None);
-  List.iter
-    (fun r ->
-      if not (Sys.file_exists r) then begin
-        Printf.eprintf "%s: no such file or directory: %s\n" tool r;
-        exit 2
-      end)
-    roots;
-  { json = !json; rules = !rules; roots }
-
-let rule_enabled opts id =
-  match opts.rules with None -> true | Some ids -> List.mem id ids
-
-(* The historical two-value form, kept for tools without rule staging. *)
-let parse_argv ~tool argv =
-  let opts = parse_argv_opts ~tool argv in
-  (opts.json, opts.roots)
 
 (* --- output --- *)
 
@@ -189,11 +89,44 @@ let print_json ~tool ~files_scanned findings =
   if findings <> [] then print_string "\n  ";
   print_string "]\n}\n"
 
-(* Print the (sorted) findings and exit with the shared contract: 0
-   clean, 1 findings (with a one-line summary on stderr in text mode). *)
-let report ~tool ~json ~files_scanned findings =
-  let findings = sort findings in
-  if json then print_json ~tool ~files_scanned findings
+(* --- the entry point: [TOOL [--json] DIR...] --- *)
+
+let parse_argv ~tool argv =
+  let args = match Array.to_list argv with _ :: args -> args | [] -> [] in
+  let roots = List.filter (fun a -> a <> "--json") args in
+  if roots = [] || List.exists (fun r -> String.length r > 0 && r.[0] = '-') roots then begin
+    Printf.eprintf "usage: %s [--json] DIR...\n" tool;
+    exit 2
+  end;
+  List.iter
+    (fun r ->
+      if not (Sys.file_exists r) then begin
+        Printf.eprintf "%s: no such file or directory: %s\n" tool r;
+        exit 2
+      end)
+    roots;
+  (List.mem "--json" args, roots)
+
+let main ~tool ?(rules = []) ?(suppresses = fun _ _ -> false) ?(by_position = false)
+    grammar check =
+  let json, roots = parse_argv ~tool Sys.argv in
+  let prog = Front.load ~tool ~rules grammar roots in
+  let files = Hashtbl.create 64 in
+  List.iter (fun (f : _ Front.file) -> Hashtbl.replace files f.path f) prog.files;
+  let findings = ref [] and seen = Hashtbl.create 64 in
+  check prog (fun f ->
+      let suppressed =
+        match Hashtbl.find_opt files f.file with
+        | Some file -> List.exists (fun a -> suppresses a f.rule) (Front.anns_at file f.line)
+        | None -> false
+      in
+      let key = if by_position then { f with cend = 0; msg = "" } else f in
+      if not (suppressed || Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        findings := f :: !findings
+      end);
+  let findings = sort !findings in
+  if json then print_json ~tool ~files_scanned:(List.length prog.files) findings
   else List.iter print_text findings;
   match findings with
   | [] -> exit 0
@@ -204,5 +137,5 @@ let report ~tool ~json ~files_scanned findings =
           (List.length
              (List.sort_uniq String.compare
                 (List.map (fun f -> f.file) findings)))
-          files_scanned;
+          (List.length prog.files);
       exit 1

@@ -1,11 +1,12 @@
-(** Shared driver/reporting layer for the xks static analyzers
-    (xkslint, xksrace, xksleak).
+(** Shared entry point and reporting layer for the four xks static analyzers
+    (xkslint, xksrace, xksleak, xkscost).
 
-    One contract for all three binaries: findings print in the
-    compiler's location format or as one JSON object under [--json]
-    with the unified schema [{file, line, cstart, cend, rule,
-    message}]; exit status is 0 clean, 1 findings, 2 usage or parse
-    errors. *)
+    One contract for all four binaries: [TOOL [--json] DIR...] loads
+    every [.ml] under the roots ({!Front.load}), runs the tool's rules,
+    and prints findings in the compiler's location format or as one
+    JSON object with the unified schema [{file, line, cstart, cend,
+    rule, message}]; exit status is 0 clean, 1 findings, 2 usage,
+    parse or annotation errors. *)
 
 type finding = {
   file : string;
@@ -16,61 +17,22 @@ type finding = {
   msg : string;
 }
 
-val line_of : Location.t -> int
-(** 1-based start line of a compiler location. *)
+val at : string -> Location.t -> string -> string -> finding
+(** [at file loc rule msg]: a finding spanning [loc]. *)
 
-val cols_of : Location.t -> int * int
-(** 0-based [(start, end)] column span of a compiler location. *)
-
-val sort : finding list -> finding list
-(** Deterministic report order: file, then line, then column, then
-    rule id. *)
-
-val walk_dir : string -> string list -> string list
-(** [walk_dir root acc] prepends every [.ml] file under [root]
-    (dot-entries skipped, entries visited in sorted order) to [acc];
-    the result is reverse-sorted, so callers [List.rev] it. *)
-
-val read_file : string -> string
-(** Whole file as a string; the channel is closed on any exit. *)
-
-val parse_implementation : tool:string -> string -> string -> Parsetree.structure
-(** [parse_implementation ~tool path src] parses [src] with the
-    compiler front end, locations anchored to [path].  Exits 2 with a
-    diagnostic on [tool]'s behalf on a syntax error. *)
-
-type options = {
-  json : bool;  (** [--json] present *)
-  rules : string list option;  (** [--rules] filter; [None] = all rules *)
-  roots : string list;  (** directory roots to scan *)
-}
-
-val parse_argv_opts :
-  ?known_rules:string list -> tool:string -> string array -> options
-(** Parse [argv] into {!options}.  [--rules ID[,ID...]] is accepted only
-    when [known_rules] is given (so CI can stage rules in one id at a
-    time); an unknown id, an empty root list or a nonexistent root exits
-    2. *)
-
-val rule_enabled : options -> string -> bool
-(** Whether findings of rule [id] should be emitted under the parsed
-    [--rules] filter (always [true] without one). *)
-
-val parse_argv : tool:string -> string array -> bool * string list
-(** Parse [argv] into ([--json] present, directory roots) — the
-    historical two-value form of {!parse_argv_opts} for tools without
-    rule staging.  Exits 2 on an empty root list or a nonexistent
-    root. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal. *)
-
-val print_text : finding -> unit
-(** One finding in the two-line compiler format. *)
-
-val print_json : tool:string -> files_scanned:int -> finding list -> unit
-(** The whole report as one JSON object on stdout. *)
-
-val report : tool:string -> json:bool -> files_scanned:int -> finding list -> unit
-(** Sort, print (text or JSON) and exit: 0 when clean, 1 with findings
-    (text mode adds a one-line stderr summary). *)
+val main :
+  tool:string ->
+  ?rules:string list ->
+  ?suppresses:('a -> string -> bool) ->
+  ?by_position:bool ->
+  'a Front.grammar ->
+  ('a Front.program -> (finding -> unit) -> unit) ->
+  unit
+(** [main ~tool grammar check] parses [Sys.argv], loads the roots with
+    [grammar] ([rules] are the ids an annotation may name), calls
+    [check] with an emit function, and exits with the report.  A
+    finding is dropped when an annotation on its line or the line
+    above [suppresses] its rule, and when one with the same content —
+    or, under [by_position], the same file, line, start column and rule
+    — was emitted before.  Findings print sorted by file, line, column
+    and rule; ties keep the reverse of emission order. *)

@@ -16,11 +16,13 @@
 
    Pass 1 (call graph and hot set, cross-module).  Every [.ml] is
    parsed; every [let]-bound name (any nesting depth) becomes a node
-   keyed [Module.name], with edges to every unqualified identifier it
-   mentions (resolved within its own module) and every qualified
-   [M.f] mention (resolved to the scanned file [m.ml]).  Mentions, not
-   just call heads, so higher-order passing ([Array.iter process s1])
-   keeps [process] reachable.  Three fixpoints run over this graph:
+   keyed by its file and name, with edges to every unqualified
+   identifier it mentions (resolved within its own file) and every
+   qualified [M.f] mention (resolved by the shared front end,
+   [Xks_report.Front]: sibling, library path or alias, unique name).
+   Mentions, not just call heads, so higher-order passing
+   ([Array.iter process s1]) keeps [process] reachable.  Three
+   fixpoints run over this graph:
 
      hot      reachable from the entry points whose complexity is the
               paper's contract — [Engine.search]/[search_result],
@@ -81,15 +83,17 @@
                                             oracle-only path)
 
    Known approximations, by design (this is a linter, not a verifier):
-   names are resolved per module, not per scope, so shadowing
+   names are resolved per file, not per scope, so shadowing
    over-approximates; reachability ignores dead branches; the
    traversal vocabulary is nominal — a posting array renamed [xs]
    escapes B1, and a [stack] of something else is conservatively
-   in.  Output, [--json], [--rules] staging and the 0/1/2 exit
-   contract are the shared analyzer layer ([Xks_report.Report]). *)
+   in.  Loading, the annotation grammar, the fixpoint, output,
+   [--json] and the 0/1/2 exit contract are the shared analyzer layer
+   ([Xks_report.Front] and [Xks_report.Report]). *)
 
-module StringSet = Set.Make (String)
+module Front = Xks_report.Front
 module Report = Xks_report.Report
+module StringSet = Front.StringSet
 
 let tool = "xkscost"
 
@@ -132,377 +136,142 @@ let is_iterator m f =
 (* ------------------------------------------------------------------ *)
 (* Annotations                                                        *)
 
-type ann =
-  | Hot
-  | Tight
-  | Allow of string  (* rule id; the reason is for the human reader *)
-  | Unticked
+type ann = Hot | Tight | Allow of string | Unticked
 
-let ann_marker = "(* xkscost: "
-
-let scan_annotations path src =
-  let anns : (int, ann list) Hashtbl.t = Hashtbl.create 16 in
-  let add line a =
-    let prev = match Hashtbl.find_opt anns line with Some l -> l | None -> [] in
-    Hashtbl.replace anns line (a :: prev)
-  in
-  let reject line body =
-    Printf.eprintf "xkscost: %s: line %d: unrecognized annotation %S\n" path
-      line body;
-    exit 2
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      match
-        let mlen = String.length ann_marker in
-        let tlen = String.length text in
-        let rec find from =
-          if from + mlen > tlen then None
-          else if String.equal (String.sub text from mlen) ann_marker then
-            Some (from + mlen)
-          else find (from + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start ->
-          let stop =
-            let rec close j =
-              if j + 2 > String.length text then String.length text
-              else if String.equal (String.sub text j 2) "*)" then j
-              else close (j + 1)
-            in
-            close start
-          in
-          let body = String.trim (String.sub text start (stop - start)) in
-          let keyword, arg =
-            match String.index_opt body ' ' with
-            | None -> (body, "")
-            | Some sp ->
-                ( String.sub body 0 sp,
-                  String.trim
-                    (String.sub body (sp + 1) (String.length body - sp - 1)) )
-          in
-          let first_word s =
-            match String.index_opt s ' ' with
-            | None -> s
-            | Some sp -> String.sub s 0 sp
-          in
-          let line = i + 1 in
-          (match keyword with
-          | "hot" when arg = "" -> add line Hot
-          | "tight" when arg = "" -> add line Tight
-          | "allow" when arg <> "" ->
-              let rule = first_word arg in
-              let reason =
-                String.trim
-                  (String.sub arg (String.length rule)
-                     (String.length arg - String.length rule))
-              in
-              if not (List.mem rule all_rules) then reject line body;
-              if reason = "" then reject line body (* the why is the point *);
-              add line (Allow rule)
-          | "unticked" when arg <> "" -> add line Unticked
-          | _ -> reject line body))
-    lines;
-  anns
-
-let anns_at anns line =
-  let at l = match Hashtbl.find_opt anns l with Some l -> l | None -> [] in
-  at line @ at (line - 1)
-
-let has_ann anns line p = List.exists p (anns_at anns line)
-
-(* ------------------------------------------------------------------ *)
-(* Locations and paths                                                *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
-
-let last_of (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [] -> ""
-  | l -> List.nth l (List.length l - 1)
-
-let qualifier (lid : Longident.t) =
-  match lid with
-  | Longident.Ldot (path, _) -> (
-      match Longident.flatten path with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)))
-  | Longident.Lident _ | Longident.Lapply _ -> None
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+let grammar =
+  Front.
+    [
+      ("hot", Flag Hot);
+      ("tight", Flag Tight);
+      ("allow", Rule (fun r -> Allow r));
+      ("unticked", Reason Unticked);
+    ]
 
 let under_lca_dir path =
   List.exists (String.equal "lca") (String.split_on_char '/' path)
 
-(* ------------------------------------------------------------------ *)
-(* Mentions: the raw material of every graph edge                     *)
-
-type mentions = {
-  m_unqual : StringSet.t;  (* bare identifiers *)
-  m_qual : (string * string) list;  (* (last module component, name) *)
-  m_names : StringSet.t;  (* identifiers + record-field accesses: vocab *)
-}
-
-let mentions_of expr =
-  let unqual = ref StringSet.empty in
-  let qual = ref [] in
-  let names = ref StringSet.empty in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt = Longident.Lident x; _ } ->
-              unqual := StringSet.add x !unqual;
-              names := StringSet.add x !names
-          | Pexp_ident { txt; _ } -> (
-              match qualifier txt with
-              | Some q -> qual := (q, last_of txt) :: !qual
-              | None -> ())
-          | Pexp_field (_, { txt; _ }) | Pexp_setfield (_, { txt; _ }, _) ->
-              names := StringSet.add (last_of txt) !names
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it expr;
-  { m_unqual = !unqual; m_qual = !qual; m_names = !names }
-
-let stems_in names =
-  List.filter
-    (fun stem ->
-      StringSet.exists
-        (fun n ->
-          let n = String.lowercase_ascii n in
-          let sl = String.length stem and nl = String.length n in
-          let rec find i = i + sl <= nl && (String.equal (String.sub n i sl) stem || find (i + 1)) in
-          find 0)
-        names)
-    vocab_stems
+(* Traversal stems among identifiers and record fields mentioned. *)
+let stems_in (m : Front.mentions) =
+  let names = StringSet.union m.bare m.fields in
+  StringSet.of_list
+    (List.filter
+       (fun stem ->
+         StringSet.exists
+           (fun n ->
+             let n = String.lowercase_ascii n in
+             let sl = String.length stem and nl = String.length n in
+             let rec find i = i + sl <= nl && (String.equal (String.sub n i sl) stem || find (i + 1)) in
+             find 0)
+           names)
+       vocab_stems)
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1: nodes of the call graph                                    *)
+(* Pass 1: the call graph and its fixpoints                           *)
 
-type node = {
-  nd_module : string;
-  nd_name : string;
-  nd_file : string;
-  nd_line : int;
-  nd_toplevel : bool;
-  nd_hot_ann : bool;
-  nd_body : Parsetree.expression;
-  nd_mentions : mentions;
-}
+(* A node is every [let]-bound name, keyed (file, name): bindings of the
+   same name in one file share a key. *)
+type node = ann Front.binding
 
-let key_of m f = m ^ "." ^ f
-let nd_key n = key_of n.nd_module n.nd_name
-
-type file_info = {
-  fi_path : string;
-  fi_anns : (int, ann list) Hashtbl.t;
-  fi_structure : Parsetree.structure;
-}
-
-let nodes_of_file fi =
-  let mname = module_of_path fi.fi_path in
-  let out = ref [] in
-  let add ~toplevel (vb : Parsetree.value_binding) =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } ->
-        out :=
-          {
-            nd_module = mname;
-            nd_name = txt;
-            nd_file = fi.fi_path;
-            nd_line = line_of vb.pvb_loc;
-            nd_toplevel = toplevel;
-            nd_hot_ann =
-              has_ann fi.fi_anns (line_of vb.pvb_loc) (function
-                | Hot -> true
-                | _ -> false);
-            nd_body = vb.pvb_expr;
-            nd_mentions = mentions_of vb.pvb_expr;
-          }
-          :: !out
-    | _ -> ()
-  in
-  let nested =
-    {
-      Ast_iterator.default_iterator with
-      value_binding =
-        (fun it vb ->
-          add ~toplevel:false vb;
-          Ast_iterator.default_iterator.value_binding it vb);
-    }
-  in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            add ~toplevel:true vb;
-            nested.expr nested vb.pvb_expr)
-          vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | Pstr_eval (e, _) -> nested.expr nested e
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
-  !out
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoints over the node graph                                      *)
+let key (n : node) = (n.file.path, n.name)
 
 type graph = {
-  by_key : (string, node list) Hashtbl.t;
-  by_site : (string * string * int, node) Hashtbl.t;  (* file, name, line *)
-  hot : (string, unit) Hashtbl.t;
-  ticking : (string, unit) Hashtbl.t;
-  vocab : (string, StringSet.t) Hashtbl.t;  (* key -> matched stems *)
+  prog : ann Front.program;
+  by_key : (string * string, node) Hashtbl.t;  (* key -> each binding *)
+  hot : (string * string, unit) Hashtbl.t;
+  ticking : (string * string, unit) Hashtbl.t;
+  vocab : (string * string, StringSet.t) Hashtbl.t;  (* key -> matched stems *)
 }
 
+let nodes_at g k = Hashtbl.find_all g.by_key k
+let vocab_at g k = Option.value (Hashtbl.find_opt g.vocab k) ~default:StringSet.empty
+
 (* Keys a node's mentions resolve to: unqualified names within its own
-   module, qualified names to any scanned module of that name. *)
+   file, qualified names through the front end's resolver. *)
 let edges g (n : node) =
-  let from_unqual =
-    StringSet.fold
-      (fun u acc ->
-        let k = key_of n.nd_module u in
-        if Hashtbl.mem g.by_key k then k :: acc else acc)
-      n.nd_mentions.m_unqual []
+  let from_bare =
+    List.map (fun u -> (n.file.path, u)) (StringSet.elements n.mentions.bare)
   in
   let from_qual =
     List.filter_map
-      (fun (m, f) ->
-        let k = key_of m f in
-        if Hashtbl.mem g.by_key k then Some k else None)
-      n.nd_mentions.m_qual
+      (fun (path, f) ->
+        Option.map (fun (m : _ Front.file) -> (m.path, f)) (Front.resolve g.prog n.file path))
+      n.mentions.qualified
   in
-  from_unqual @ from_qual
+  List.filter (Hashtbl.mem g.by_key) (from_bare @ from_qual)
 
-(* Ticking keys a node mentions — unlike [edges] this includes the
+(* Does a mention set reach a tick?  Unlike [edges] this includes the
    virtual [Budget.*] primitives, which need no scanned definition. *)
-let mentions_ticking g (m : mentions) ~in_module =
+let mentions_ticking g (m : Front.mentions) (file : ann Front.file) =
   List.exists
-    (fun (q, f) -> Hashtbl.mem g.ticking (key_of q f))
-    m.m_qual
-  || StringSet.exists
-       (fun u -> Hashtbl.mem g.ticking (key_of in_module u))
-       m.m_unqual
+    (fun (path, f) ->
+      ((match List.rev path with "Budget" :: _ -> true | _ -> false)
+       && List.mem f budget_fns)
+      ||
+      match Front.resolve g.prog file path with
+      | Some t -> Hashtbl.mem g.ticking (t.path, f)
+      | None -> false)
+    m.qualified
+  || StringSet.exists (fun u -> Hashtbl.mem g.ticking (file.path, u)) m.bare
 
-let build_graph infos =
-  let nodes = List.concat_map nodes_of_file infos in
+let build_graph (prog : ann Front.program) =
+  let nodes = prog.bindings in
   let g =
     {
+      prog;
       by_key = Hashtbl.create 512;
-      by_site = Hashtbl.create 512;
       hot = Hashtbl.create 256;
       ticking = Hashtbl.create 64;
       vocab = Hashtbl.create 256;
     }
   in
-  List.iter
-    (fun n ->
-      let k = nd_key n in
-      let prev =
-        match Hashtbl.find_opt g.by_key k with Some l -> l | None -> []
-      in
-      Hashtbl.replace g.by_key k (n :: prev);
-      Hashtbl.replace g.by_site (n.nd_file, n.nd_name, n.nd_line) n)
-    nodes;
+  List.iter (fun n -> Hashtbl.add g.by_key (key n) n) nodes;
   (* Hot set: seeds, then forward reachability along mention edges. *)
-  let seed_hot k = if not (Hashtbl.mem g.hot k) then Hashtbl.replace g.hot k () in
   List.iter
-    (fun (m, f) ->
-      let k = key_of m f in
-      if Hashtbl.mem g.by_key k then seed_hot k)
-    default_roots;
-  List.iter
-    (fun n ->
-      if n.nd_hot_ann || (n.nd_toplevel && under_lca_dir n.nd_file) then
-        seed_hot (nd_key n))
+    (fun (n : node) ->
+      if
+        List.mem Hot n.anns
+        || (n.toplevel && under_lca_dir n.file.path)
+        || List.mem (n.file.modname, n.name) default_roots
+      then Hashtbl.replace g.hot (key n) ())
     nodes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        if Hashtbl.mem g.hot (nd_key n) then
-          List.iter
-            (fun k ->
-              if not (Hashtbl.mem g.hot k) then begin
-                Hashtbl.replace g.hot k ();
-                changed := true
-              end)
-            (edges g n))
-      nodes
-  done;
+  Front.fixpoint nodes (fun n ->
+      Hashtbl.mem g.hot (key n)
+      && List.fold_left
+           (fun changed k ->
+             if Hashtbl.mem g.hot k then changed
+             else (
+               Hashtbl.replace g.hot k ();
+               true))
+           false (edges g n));
   (* Ticking set: the Budget primitives, then backward closure — a node
      ticks if it mentions a ticking key. *)
-  List.iter (fun f -> Hashtbl.replace g.ticking (key_of "Budget" f) ()) budget_fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        let k = nd_key n in
-        if
-          (not (Hashtbl.mem g.ticking k))
-          && mentions_ticking g n.nd_mentions ~in_module:n.nd_module
-        then begin
-          Hashtbl.replace g.ticking k ();
-          changed := true
-        end)
-      nodes
-  done;
+  List.iter
+    (fun (n : node) ->
+      if String.equal n.file.modname "Budget" && List.mem n.name budget_fns then
+        Hashtbl.replace g.ticking (key n) ())
+    nodes;
+  Front.fixpoint nodes (fun n ->
+      (not (Hashtbl.mem g.ticking (key n)))
+      && mentions_ticking g n.mentions n.file
+      && (Hashtbl.replace g.ticking (key n) ();
+          true));
   (* Vocabulary set: which traversal stems a node's region mentions,
-     closed over same-module callees. *)
+     closed over same-file callees. *)
   List.iter
     (fun n ->
-      let k = nd_key n in
-      let prev =
-        match Hashtbl.find_opt g.vocab k with
-        | Some s -> s
-        | None -> StringSet.empty
-      in
-      Hashtbl.replace g.vocab k
-        (List.fold_left
-           (fun acc s -> StringSet.add s acc)
-           prev
-           (stems_in n.nd_mentions.m_names)))
+      Hashtbl.replace g.vocab (key n)
+        (StringSet.union (vocab_at g (key n)) (stems_in n.mentions)))
     nodes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        let k = nd_key n in
-        let mine =
-          match Hashtbl.find_opt g.vocab k with
-          | Some s -> s
-          | None -> StringSet.empty
-        in
-        let grown =
-          StringSet.fold
-            (fun u acc ->
-              match Hashtbl.find_opt g.vocab (key_of n.nd_module u) with
-              | Some s -> StringSet.union acc s
-              | None -> acc)
-            n.nd_mentions.m_unqual mine
-        in
-        if not (StringSet.equal grown mine) then begin
-          Hashtbl.replace g.vocab k grown;
-          changed := true
-        end)
-      nodes
-  done;
+  Front.fixpoint nodes (fun n ->
+      let mine = vocab_at g (key n) in
+      let grown =
+        StringSet.fold
+          (fun u acc -> StringSet.union acc (vocab_at g (n.file.path, u)))
+          n.mentions.bare mine
+      in
+      (not (StringSet.equal grown mine))
+      && (Hashtbl.replace g.vocab (key n) grown;
+          true));
   g
 
 (* ------------------------------------------------------------------ *)
@@ -536,8 +305,7 @@ let rec callback_body (e : Parsetree.expression) acc =
 
 type env = { in_hot : bool; in_tick_arg : bool }
 
-let collect_loops g fi =
-  let mname = module_of_path fi.fi_path in
+let collect_loops g (fi : ann Front.file) =
   let loops = ref [] in
   let add env ?(what = "loop") loc all bodies =
     if env.in_hot then
@@ -563,7 +331,7 @@ let collect_loops g fi =
         List.iter (walk_vb env) vbs;
         walk env body
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-        let q = qualifier txt and f = last_of txt in
+        let q = Front.qualifier txt and f = Longident.last txt in
         let plain = List.map snd args in
         (match q with
         | Some m when is_iterator m f ->
@@ -593,12 +361,10 @@ let collect_loops g fi =
   and walk_vb env (vb : Parsetree.value_binding) =
     match vb.pvb_pat.ppat_desc with
     | Ppat_var { txt; _ } ->
-        let key = key_of mname txt in
-        let env' = { env with in_hot = env.in_hot || Hashtbl.mem g.hot key } in
-        (match
-           Hashtbl.find_opt g.by_site (fi.fi_path, txt, line_of vb.pvb_loc)
-         with
-        | Some n when StringSet.mem txt n.nd_mentions.m_unqual ->
+        let k = (fi.path, txt) in
+        let env' = { env with in_hot = env.in_hot || Hashtbl.mem g.hot k } in
+        (match List.find_opt (fun (n : node) -> n.vb == vb) (nodes_at g k) with
+        | Some n when StringSet.mem txt n.mentions.bare ->
             (* Self-recursive: the whole body iterates. *)
             add env'
               ~what:(Printf.sprintf "recursive function '%s'" txt)
@@ -616,7 +382,7 @@ let collect_loops g fi =
         List.iter item s
     | _ -> ()
   in
-  List.iter item fi.fi_structure;
+  List.iter item fi.structure;
   !loops
 
 (* The complexity idioms, matched at application heads. *)
@@ -665,7 +431,7 @@ let scan_idioms ~emit expr =
         (fun it e ->
           (match e.Parsetree.pexp_desc with
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, _) -> (
-              match idiom_of (qualifier txt) (last_of txt) with
+              match idiom_of (Front.qualifier txt) (Longident.last txt) with
               | Some (rule, msg) -> emit loc rule msg
               | None -> ())
           | _ -> ());
@@ -698,92 +464,44 @@ let scan_allocs ~emit expr =
   in
   it.expr it expr
 
-let check_file g opts fi =
-  let mname = module_of_path fi.fi_path in
-  let findings = ref [] in
-  let seen = Hashtbl.create 16 in
-  let emit (loc : Location.t) rule msg =
-    let line = line_of loc in
-    let cstart, cend = cols_of loc in
-    let allowed =
-      has_ann fi.fi_anns line (function
-        | Allow r -> String.equal r rule
-        | _ -> false)
-    in
-    let key = (line, cstart, rule) in
-    if Report.rule_enabled opts rule && (not allowed) && not (Hashtbl.mem seen key)
-    then begin
-      Hashtbl.add seen key ();
-      findings :=
-        { Report.file = fi.fi_path; line; cstart; cend; rule; msg } :: !findings
-    end
-  in
+let check_file g ~emit (fi : ann Front.file) =
+  let emit loc rule msg = emit (Report.at fi.path loc rule msg) in
+  let has_ann loc a = List.mem a (Front.anns_at fi loc.Location.loc_start.pos_lnum) in
   let loops = collect_loops g fi in
   (* Same-file loop-context closure: functions a hot loop mentions are
      part of its per-iteration work, so their bodies carry the loop's
      complexity contract too. *)
-  let lc : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let lc = Hashtbl.create 16 in
   let rec mark_lc name =
-    let k = key_of mname name in
+    let k = (fi.path, name) in
     if Hashtbl.mem g.hot k && not (Hashtbl.mem lc k) then begin
       Hashtbl.replace lc k ();
-      List.iter
-        (fun n ->
-          if String.equal n.nd_file fi.fi_path then
-            StringSet.iter mark_lc n.nd_mentions.m_unqual)
-        (match Hashtbl.find_opt g.by_key k with Some l -> l | None -> [])
+      List.iter (fun (n : node) -> StringSet.iter mark_lc n.mentions.bare) (nodes_at g k)
     end
   in
-  List.iter
-    (fun l ->
-      let m = mentions_of l.l_all in
-      StringSet.iter mark_lc m.m_unqual)
-    loops;
+  List.iter (fun l -> StringSet.iter mark_lc (Front.mentions l.l_all).bare) loops;
   (* Complexity rules over loop bodies... *)
   List.iter (fun l -> List.iter (scan_idioms ~emit) l.l_bodies) loops;
   (* ...and over the bodies of same-file functions those loops call. *)
   Hashtbl.iter
-    (fun k () ->
-      List.iter
-        (fun n ->
-          if String.equal n.nd_file fi.fi_path then scan_idioms ~emit n.nd_body)
-        (match Hashtbl.find_opt g.by_key k with Some l -> l | None -> []))
+    (fun k () -> List.iter (fun (n : node) -> scan_idioms ~emit n.vb.pvb_expr) (nodes_at g k))
     lc;
   (* Tight loops: per-iteration allocation checks are opt-in. *)
   List.iter
-    (fun l ->
-      let tight =
-        has_ann fi.fi_anns (line_of l.l_loc) (function
-          | Tight -> true
-          | _ -> false)
-      in
-      if tight then List.iter (scan_allocs ~emit) l.l_bodies)
+    (fun l -> if has_ann l.l_loc Tight then List.iter (scan_allocs ~emit) l.l_bodies)
     loops;
   (* Budget discipline: every hot traversal loop must reach a tick. *)
   List.iter
     (fun l ->
       if not l.l_in_tick_arg then begin
-        let m = mentions_of l.l_all in
-        let stems =
-          List.fold_left
-            (fun acc s -> StringSet.add s acc)
-            StringSet.empty (stems_in m.m_names)
-        in
+        let m = Front.mentions l.l_all in
         let stems =
           StringSet.fold
-            (fun u acc ->
-              match Hashtbl.find_opt g.vocab (key_of mname u) with
-              | Some s -> StringSet.union acc s
-              | None -> acc)
-            m.m_unqual stems
+            (fun u acc -> StringSet.union acc (vocab_at g (fi.path, u)))
+            m.bare (stems_in m)
         in
-        let exempt =
-          has_ann fi.fi_anns (line_of l.l_loc) (function
-            | Unticked -> true
-            | _ -> false)
-        in
-        if (not (StringSet.is_empty stems)) && not exempt then
-          if not (mentions_ticking g m ~in_module:mname) then
+        if (not (StringSet.is_empty stems)) && not (has_ann l.l_loc Unticked) then
+          if not (mentions_ticking g m fi) then
             emit l.l_loc "unticked-loop"
               (Printf.sprintf
                  "hot %s traverses index data (%s) but reaches no \
@@ -793,30 +511,15 @@ let check_file g opts fi =
                  l.l_what
                  (String.concat ", " (StringSet.elements stems)))
       end)
-    loops;
-  !findings
+    loops
 
 (* ------------------------------------------------------------------ *)
-(* Driver (walk, output and exit contract live in Report)             *)
-
-let parse_file path =
-  let src = Report.read_file path in
-  {
-    fi_path = path;
-    fi_anns = scan_annotations path src;
-    fi_structure = Report.parse_implementation ~tool path src;
-  }
+(* Entry point (loading, suppression, output and exit live in Report) *)
 
 let () =
-  let opts = Report.parse_argv_opts ~known_rules:all_rules ~tool Sys.argv in
-  let files =
-    List.concat_map
-      (fun r -> List.rev (Report.walk_dir r []))
-      opts.Report.roots
-  in
-  let infos = List.map parse_file files in
-  let g = build_graph infos in
-  let findings = List.concat_map (check_file g opts) infos in
-  Report.report ~tool ~json:opts.Report.json
-    ~files_scanned:(List.length files)
-    findings
+  Report.main ~tool ~rules:all_rules ~by_position:true
+    ~suppresses:(fun a rule -> a = Allow rule)
+    grammar
+    (fun prog emit ->
+      let g = build_graph prog in
+      List.iter (check_file g ~emit) prog.files)

@@ -6,8 +6,8 @@
    pools in lib/exec, channels in the XKSIDX2 persist path — and their
    release-on-raise discipline was previously enforced only by
    convention (hand-placed [Fun.protect] sites).  xksleak makes that
-   discipline machine-checked, with the same architecture as
-   xkslint/xksrace: a dependency-free scan over the directories on the
+   discipline machine-checked, with the same architecture as the other
+   analyzers: a dependency-free scan over the directories on the
    command line (normally [lib bin]) built on the compiler's front end.
 
    Pass 1 (may-raise fixpoint, cross-module).  Every top-level function
@@ -26,13 +26,12 @@
            unknown closure (a parameter or captured function value —
            the caller cannot bound what it raises).
 
-   Levels propagate through same-file and cross-module calls (modules
-   resolved like xksrace: by filename, through [module X = ...]
-   aliases, last-component qualified names) and through function
-   literals passed as arguments, to a fixpoint.  A [try]/[match ...
-   with exception] is assumed to cover the raises of the expression it
-   guards (possibility, not exception identity — this is a linter);
-   handler bodies still contribute.  The annotation
+   Levels propagate through same-file and cross-module calls (names
+   resolved by the shared front end, [Xks_report.Front]) and through
+   function literals passed as arguments, to a fixpoint.  A
+   [try]/[match ... with exception] is assumed to cover the raises of
+   the expression it guards (possibility, not exception identity — this
+   is a linter); handler bodies still contribute.  The annotation
 
      (* xksleak: noraise *)
 
@@ -104,12 +103,14 @@
    effects inside a [try] scrutinee survive, handler effects do not;
    function values passed as bare identifiers contribute no raises at
    the application that receives them (direct calls of unknowns do);
-   acquisitions buried in larger expressions are not tracked.  Output,
-   the [--json] schema and the 0/1/2 exit contract are the shared
-   analyzer layer ([Xks_report.Report]). *)
+   acquisitions buried in larger expressions are not tracked.  Loading,
+   resolution, the annotation grammar, the fixpoint, output, the
+   [--json] schema and the 0/1/2 exit contract are the shared analyzer
+   layer ([Xks_report.Front] and [Xks_report.Report]). *)
 
-module StringSet = Set.Make (String)
+module Front = Xks_report.Front
 module Report = Xks_report.Report
+module StringSet = Front.StringSet
 
 let tool = "xksleak"
 
@@ -167,261 +168,50 @@ let failpoint_fns = [ "apply"; "read_file"; "trigger" ]
 
 type ann = Noraise | Owns of string | Releases of string | Transfers of string
 
-let ann_marker = "(* xksleak: "
+let grammar =
+  Front.
+    [
+      ("noraise", Flag Noraise);
+      ("owns", Name (fun p -> Owns p));
+      ("releases", Name (fun p -> Releases p));
+      ("transfers", Name (fun p -> Transfers p));
+    ]
 
-let scan_annotations path src =
-  let anns : (int, ann list) Hashtbl.t = Hashtbl.create 16 in
-  let add line a =
-    let prev = match Hashtbl.find_opt anns line with Some l -> l | None -> [] in
-    Hashtbl.replace anns line (a :: prev)
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      match
-        let mlen = String.length ann_marker in
-        let tlen = String.length text in
-        let rec find from =
-          if from + mlen > tlen then None
-          else if String.equal (String.sub text from mlen) ann_marker then
-            Some (from + mlen)
-          else find (from + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start ->
-          let stop =
-            let rec close j =
-              if j + 2 > String.length text then String.length text
-              else if String.equal (String.sub text j 2) "*)" then j
-              else close (j + 1)
-            in
-            close start
-          in
-          let body = String.trim (String.sub text start (stop - start)) in
-          let keyword, arg =
-            match String.index_opt body ' ' with
-            | None -> (body, "")
-            | Some sp ->
-                ( String.sub body 0 sp,
-                  String.trim
-                    (String.sub body (sp + 1) (String.length body - sp - 1)) )
-          in
-          let first_word s =
-            match String.index_opt s ' ' with
-            | None -> s
-            | Some sp -> String.sub s 0 sp
-          in
-          let line = i + 1 in
-          (match keyword with
-          | "noraise" when arg = "" -> add line Noraise
-          | "owns" when arg <> "" -> add line (Owns (first_word arg))
-          | "releases" when arg <> "" -> add line (Releases (first_word arg))
-          | "transfers" when arg <> "" -> add line (Transfers (first_word arg))
-          | _ ->
-              Printf.eprintf
-                "xksleak: %s: line %d: unrecognized annotation %S\n" path line
-                body;
-              exit 2))
-    lines;
-  anns
-
-let anns_at anns line =
-  let at l = match Hashtbl.find_opt anns l with Some l -> l | None -> [] in
-  at line @ at (line - 1)
-
-(* ------------------------------------------------------------------ *)
-(* Locations and paths                                                *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
-
-let last_of (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [] -> ""
-  | l -> List.nth l (List.length l - 1)
-
-let qualifier (lid : Longident.t) =
-  match lid with
-  | Longident.Ldot (path, _) -> (
-      match Longident.flatten path with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)))
-  | Longident.Lident _ | Longident.Lapply _ -> None
-
-(* Last name on an access path: [s.lock] and [done_mutex] name the
-   resource "lock" / "done_mutex" (same convention as xksrace). *)
-let rec path_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> last_of txt
-  | Pexp_field (_, { txt; _ }) -> last_of txt
-  | Pexp_constraint (e, _) -> path_name e
-  | _ -> "?"
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-let rec peel (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> peel e
-  | _ -> e
-
-(* Bare idents mentioned anywhere in an expression (for implicit tail
-   transfer of a returned resource). *)
-let idents_of expr =
-  let acc = ref StringSet.empty in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt = Lident x; _ } -> acc := StringSet.add x !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it expr;
-  !acc
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.Parsetree.ppat_desc with
-          | Ppat_var { txt; _ } -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  List.rev !acc
+(* Last name on an access path ([Front.path_name]): [s.lock] and
+   [done_mutex] name the resource "lock" / "done_mutex" (same
+   convention as xksrace). *)
+let path_name = Front.path_name
+let peel = Front.peel
+let peel_fun = Front.peel_fun
+let pattern_vars = Front.pattern_vars
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: the function table and the may-raise fixpoint              *)
 
 type fn = {
-  fn_file : string;
-  fn_module : string;
-  fn_name : string;
-  fn_params : string list;  (* plain parameter names, in order *)
-  fn_body : Parsetree.expression;  (* after peeling the fun chain *)
-  fn_line : int;
-  fn_cstart : int;
-  fn_cend : int;
+  b : ann Front.binding;  (* name, parameters, peeled body, location *)
   fn_noraise : bool;
   fn_owns : string list;  (* parameter names owned *)
   fn_releases : string list;  (* parameter names released *)
   mutable fn_level : level;  (* fixpoint value, noraise NOT applied *)
 }
 
-type file_info = {
-  fi_path : string;
-  fi_module : string;
-  fi_anns : (int, ann list) Hashtbl.t;
-  fi_aliases : (string, string) Hashtbl.t;  (* local module alias -> target *)
-  fi_structure : Parsetree.structure;
-}
-
-(* Peel the [fun p1 p2 ->] chain off a binding, collecting parameter
-   names ("_" for non-variable patterns, which can never be owned). *)
-let rec peel_fun (e : Parsetree.expression) =
-  match (peel e).pexp_desc with
-  | Pexp_fun (_, _, pat, body) ->
-      let name =
-        match pat.ppat_desc with Ppat_var { txt; _ } -> txt | _ -> "_"
-      in
-      let params, core = peel_fun body in
-      (name :: params, core)
-  | Pexp_newtype (_, body) -> peel_fun body
-  | _ -> ([], peel e)
-
-let functions_of_file fi =
-  let out = ref [] in
-  let binding (vb : Parsetree.value_binding) =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } -> (
-        match peel_fun vb.pvb_expr with
-        | [], _ -> ()  (* not a syntactic function *)
-        | params, core ->
-            let line = line_of vb.pvb_loc in
-            let cstart, cend = cols_of vb.pvb_pat.ppat_loc in
-            let anns = anns_at fi.fi_anns line in
-            let owns =
-              List.filter_map (function Owns p -> Some p | _ -> None) anns
-            in
-            let releases =
-              List.filter_map (function Releases p -> Some p | _ -> None) anns
-            in
-            List.iter
-              (fun p ->
-                if not (List.mem p params) then begin
-                  Printf.eprintf
-                    "xksleak: %s: line %d: annotation names '%s', which is \
-                     not a parameter of '%s'\n"
-                    fi.fi_path line p txt;
-                  exit 2
-                end)
-              (owns @ releases);
-            out :=
-              {
-                fn_file = fi.fi_path;
-                fn_module = fi.fi_module;
-                fn_name = txt;
-                fn_params = params;
-                fn_body = core;
-                fn_line = line;
-                fn_cstart = cstart;
-                fn_cend = cend;
-                fn_noraise = List.exists (function Noraise -> true | _ -> false) anns;
-                fn_owns = owns;
-                fn_releases = releases;
-                fn_level = No;
-              }
-              :: !out)
-    | _ -> ()
-  in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter binding vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
-  !out
-
-let aliases_of_structure structure =
-  let aliases = Hashtbl.create 8 in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-        match pmb_expr.pmod_desc with
-        | Pmod_ident { txt; _ } -> Hashtbl.replace aliases name (last_of txt)
-        | Pmod_structure s -> List.iter item s
-        | _ -> ())
-    | _ -> ()
-  in
-  List.iter item structure;
-  aliases
-
-(* The whole-program view pass 2 also uses. *)
+(* The whole-program view pass 2 also uses: the loaded program and its
+   top-level functions, (file, name) -> first definition. *)
 type program = {
-  table : (string * string, fn) Hashtbl.t;  (* (module, function) -> fn *)
-  modules : (string, string) Hashtbl.t;  (* module name -> file (scanned?) *)
+  front : ann Front.program;
+  table : (string * string, fn) Hashtbl.t;
 }
 
-(* Resolve a qualified head [Q.f] to a scanned function, through the
-   file's module aliases. *)
-let resolve_qualified prog fi q f =
-  let target =
-    match Hashtbl.find_opt fi.fi_aliases q with Some t -> t | None -> q
-  in
-  Hashtbl.find_opt prog.table (target, f)
+(* A scanned function a bare or qualified name written in [fi] denotes. *)
+let lookup prog (fi : ann Front.file) (txt : Longident.t) =
+  match txt with
+  | Lident name -> Hashtbl.find_opt prog.table (fi.path, name)
+  | Ldot (path, f) ->
+      Option.bind
+        (Front.resolve prog.front fi (Longident.flatten path))
+        (fun (m : ann Front.file) -> Hashtbl.find_opt prog.table (m.path, f))
+  | Lapply _ -> None
 
 (* Effective level seen by callers: noraise pins it to No. *)
 let effective fn = if fn.fn_noraise then No else fn.fn_level
@@ -459,14 +249,14 @@ let classify_head prog fi sc (head : Parsetree.expression) =
         match List.assoc_opt name sc.sc_lambdas with
         | Some _ -> (No, "")  (* handled by the caller via lambda levels *)
         | None -> (
-            match Hashtbl.find_opt prog.table (fi.fi_module, name) with
+            match lookup prog fi (Lident name) with
             | Some fn ->
                 ( effective fn,
                   Printf.sprintf "'%s' (may raise, per the fixpoint)" name )
             | None -> (No, "")))
   | Pexp_ident { txt; _ } -> (
-      let f = last_of txt in
-      match qualifier txt with
+      let f = Longident.last txt in
+      match Front.qualifier txt with
       | Some "Unix" -> (Soft, Printf.sprintf "'Unix.%s' (syscall)" f)
       | Some "Failpoint" when List.exists (String.equal f) failpoint_fns ->
           (Soft, Printf.sprintf "'Failpoint.%s' (raises by injection)" f)
@@ -475,7 +265,7 @@ let classify_head prog fi sc (head : Parsetree.expression) =
                       qualified_raising ->
           (Hard, Printf.sprintf "'%s.%s' (partial)" q f)
       | Some q -> (
-          match resolve_qualified prog fi q f with
+          match lookup prog fi txt with
           | Some fn ->
               ( effective fn,
                 Printf.sprintf "'%s.%s' (may raise, per the fixpoint)" q f )
@@ -519,7 +309,7 @@ let rec level_of prog fi sc (e : Parsetree.expression) : level =
                 match List.assoc_opt x sc.sc_lambdas with
                 | Some body -> lambda_level prog fi (scope_without x sc) body
                 | None -> (
-                    match Hashtbl.find_opt prog.table (fi.fi_module, x) with
+                    match lookup prog fi (Lident x) with
                     | Some fn when not (StringSet.mem x sc.sc_opaque) ->
                         effective fn
                     | Some _ | None -> No))
@@ -606,23 +396,13 @@ and lambda_level prog fi sc (e : Parsetree.expression) =
 
 (* Iterate the per-function level to a fixpoint (monotone over a
    3-level lattice: terminates). *)
-let compute_fixpoint prog (files : file_info list) fns_by_file =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fi ->
-        List.iter
-          (fun fn ->
-            let sc = scope_add_opaque fn.fn_params scope_empty in
-            let l = level_of prog fi sc fn.fn_body in
-            if l <> fn.fn_level then begin
-              fn.fn_level <- l;
-              changed := true
-            end)
-          (fns_by_file fi))
-      files
-  done
+let compute_fixpoint prog fns =
+  Front.fixpoint fns (fun fn ->
+      let sc = scope_add_opaque fn.b.params scope_empty in
+      let l = level_of prog fn.b.file sc fn.b.body in
+      l <> fn.fn_level
+      && (fn.fn_level <- l;
+          true))
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: resource regions                                           *)
@@ -641,8 +421,8 @@ let res_kind_name = function
 let acquisition_of (head : Parsetree.expression) =
   match (peel head).pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      let f = last_of txt in
-      match (qualifier txt, f) with
+      let f = Longident.last txt in
+      match (Front.qualifier txt, f) with
       | Some "Unix", ("openfile" | "socket" | "accept" | "socketpair" | "dup")
         -> Some Fd
       | None, ("open_in" | "open_in_bin" | "open_out" | "open_out_bin") ->
@@ -657,8 +437,8 @@ let acquisition_of (head : Parsetree.expression) =
 let release_of (head : Parsetree.expression) =
   match (peel head).pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      let f = last_of txt in
-      match (qualifier txt, f) with
+      let f = Longident.last txt in
+      match (Front.qualifier txt, f) with
       | Some "Unix", "close" -> Some Fd
       | None, ("close_in" | "close_in_noerr" | "close_out" | "close_out_noerr")
         -> Some Channel
@@ -725,25 +505,13 @@ let rec tail_expr (e : Parsetree.expression) =
   | Pexp_constraint (inner, _) | Pexp_open (_, inner) -> tail_expr inner
   | _ -> e
 
-let check_file prog fi fns =
-  let findings = ref [] in
-  let seen = Hashtbl.create 16 in
-  let emit (loc : Location.t) kind msg =
-    let line = line_of loc in
-    let cstart, cend = cols_of loc in
-    let key = (line, cstart, kind_id kind, msg) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      findings :=
-        { Report.file = fi.fi_path; line; cstart; cend; rule = kind_id kind; msg }
-        :: !findings
-    end
-  in
+let check_file prog ~emit (fi : ann Front.file) fns =
+  let emit loc kind msg = emit (Report.at fi.path loc (kind_id kind) msg) in
   (* transfers annotations by line *)
   let transfers_at line =
     List.filter_map
       (function Transfers r -> Some r | _ -> None)
-      (anns_at fi.fi_anns line)
+      (Front.anns_at fi line)
   in
   (* Does [e] syntactically release resource [name] anywhere inside?
      Used to resolve a [Fun.protect] finalizer's release set. *)
@@ -894,7 +662,7 @@ let check_file prog fi fns =
           if find_region env r <> None then close_region ~transfer:true env r
           else env)
         env
-        (transfers_at (line_of e.pexp_loc))
+        (transfers_at (e.pexp_loc.loc_start.pos_lnum))
     in
     match e.pexp_desc with
     | Pexp_sequence (a, b) ->
@@ -950,9 +718,9 @@ let check_file prog fi fns =
               let env_case =
                 match (acq, c.pc_lhs.ppat_desc) with
                 | Some kind, Ppat_var { txt; _ } ->
-                    open_region env_case txt kind (line_of c.pc_lhs.ppat_loc)
+                    open_region env_case txt kind (c.pc_lhs.ppat_loc.loc_start.pos_lnum)
                 | Some kind, Ppat_tuple ({ ppat_desc = Ppat_var { txt; _ }; _ } :: _)
-                  -> open_region env_case txt kind (line_of c.pc_lhs.ppat_loc)
+                  -> open_region env_case txt kind (c.pc_lhs.ppat_loc.loc_start.pos_lnum)
                 | _ -> env_case
               in
               (match c.pc_guard with Some g -> scan env_case g | None -> ());
@@ -1030,12 +798,12 @@ let check_file prog fi fns =
             scan env rhs_core;  (* acquiring may itself raise: flags others *)
             open_region
               { env with scope = scope_add_opaque [ txt ] env.scope }
-              txt kind (line_of vb.pvb_loc)
+              txt kind (vb.pvb_loc.loc_start.pos_lnum)
         | Ppat_tuple ({ ppat_desc = Ppat_var { txt; _ }; _ } :: _), Some kind ->
             scan env rhs_core;
             open_region
               { env with scope = scope_add_opaque [ txt ] env.scope }
-              txt kind (line_of vb.pvb_loc)
+              txt kind (vb.pvb_loc.loc_start.pos_lnum)
         | pat, _ ->
             let env', _ = walk env rhs in
             let names =
@@ -1056,8 +824,8 @@ let check_file prog fi fns =
         flag_raise env loc "an explicit raise";
         (env, true)
     | Pexp_ident { txt; _ }
-      when (match qualifier txt with Some "Fun" -> true | _ -> false)
-           && String.equal (last_of txt) "protect" -> (
+      when (match Front.qualifier txt with Some "Fun" -> true | _ -> false)
+           && String.equal (Longident.last txt) "protect" -> (
         let finally =
           List.find_map
             (function
@@ -1122,7 +890,7 @@ let check_file prog fi fns =
             | Some Lock -> (
                 match plain with
                 | m :: _ ->
-                    ( open_region env (path_name m) Lock (line_of e.pexp_loc),
+                    ( open_region env (path_name m) Lock (e.pexp_loc.loc_start.pos_lnum),
                       false )
                 | [] -> (env, false))
             | Some _ | None ->
@@ -1131,12 +899,9 @@ let check_file prog fi fns =
                 let callee =
                   match (peel head).pexp_desc with
                   | Pexp_ident { txt = Lident name; _ }
-                    when not (StringSet.mem name env.scope.sc_opaque) ->
-                      Hashtbl.find_opt prog.table (fi.fi_module, name)
-                  | Pexp_ident { txt; _ } -> (
-                      match qualifier txt with
-                      | Some q -> resolve_qualified prog fi q (last_of txt)
-                      | None -> None)
+                    when StringSet.mem name env.scope.sc_opaque ->
+                      None
+                  | Pexp_ident { txt; _ } -> lookup prog fi txt
                   | _ -> None
                 in
                 let env =
@@ -1145,7 +910,7 @@ let check_file prog fi fns =
                       List.fold_left
                         (fun env p ->
                           match
-                            List.find_index (String.equal p) fn.fn_params
+                            List.find_index (String.equal p) fn.b.params
                           with
                           | None -> env
                           | Some i -> (
@@ -1170,103 +935,98 @@ let check_file prog fi fns =
         {
           regions = [];
           closed = StringSet.empty;
-          scope = scope_add_opaque fn.fn_params scope_empty;
+          scope = scope_add_opaque fn.b.params scope_empty;
         }
       in
       (* an owns-annotated function starts with its parameter's region
          open: the body must release or hand it off on every path *)
       let env0 =
         List.fold_left
-          (fun env p -> open_region env p Fd fn.fn_line)
+          (fun env p -> open_region env p Fd fn.b.line)
           env0 fn.fn_owns
       in
-      let env_end, terminated = walk env0 fn.fn_body in
+      let env_end, terminated = walk env0 fn.b.body in
       if not terminated then begin
-        let returned = idents_of (tail_expr fn.fn_body) in
+        let returned = (Front.mentions (tail_expr fn.b.body)).bare in
         List.iter
           (fun r ->
             if not (StringSet.mem r.r_name returned) then
-              emit fn.fn_body.pexp_loc Unreleased
+              emit fn.b.body.pexp_loc Unreleased
                 (Printf.sprintf
                    "%s '%s' acquired at line %d in '%s' does not reach a \
                     release, handoff or return on the normal path; close it, \
                     or annotate the handoff ((* xksleak: owns/transfers %s *))"
-                   (res_kind_name r.r_kind) r.r_name r.r_line fn.fn_name
+                   (res_kind_name r.r_kind) r.r_name r.r_line fn.b.name
                    r.r_name))
           env_end.regions
       end)
-    fns;
-  !findings
+    fns
 
 (* ------------------------------------------------------------------ *)
 (* noraise verification                                               *)
 
-let noraise_findings fns =
-  List.filter_map
+let noraise_findings ~emit fns =
+  List.iter
     (fun fn ->
       if fn.fn_noraise && fn.fn_level = Hard then
-        Some
+        emit
           {
-            Report.file = fn.fn_file;
-            line = fn.fn_line;
-            cstart = fn.fn_cstart;
-            cend = fn.fn_cend;
-            rule = kind_id Noraise_violated;
-            msg =
-              Printf.sprintf
-                "'%s' is annotated noraise but its body can raise on its own \
-                 (an explicit raise or a partial call, per the may-raise \
-                 fixpoint); fix the body or drop the annotation"
-                fn.fn_name;
-          }
-      else None)
+            (Report.at fn.b.file.path fn.b.vb.pvb_pat.ppat_loc
+               (kind_id Noraise_violated)
+               (Printf.sprintf
+                  "'%s' is annotated noraise but its body can raise on its own \
+                   (an explicit raise or a partial call, per the may-raise \
+                   fixpoint); fix the body or drop the annotation"
+                  fn.b.name))
+            with
+            line = fn.b.line;
+          })
     fns
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 
-let () =
-  let json, roots = Report.parse_argv ~tool Sys.argv in
-  let files = List.concat_map (fun r -> List.rev (Report.walk_dir r [])) roots in
-  let infos =
-    List.map
-      (fun path ->
-        let src = Report.read_file path in
-        let structure = Report.parse_implementation ~tool path src in
-        {
-          fi_path = path;
-          fi_module = module_of_path path;
-          fi_anns = scan_annotations path src;
-          fi_aliases = aliases_of_structure structure;
-          fi_structure = structure;
-        })
-      files
-  in
-  let prog = { table = Hashtbl.create 256; modules = Hashtbl.create 64 } in
-  let fns_by_file_tbl : (string, fn list) Hashtbl.t = Hashtbl.create 64 in
+(* Every top-level function; an owns/releases annotation must name one
+   of its parameters. *)
+let fn_of (b : ann Front.binding) =
+  let owns = List.filter_map (function Owns p -> Some p | _ -> None) b.anns in
+  let releases = List.filter_map (function Releases p -> Some p | _ -> None) b.anns in
   List.iter
-    (fun fi ->
-      Hashtbl.replace prog.modules fi.fi_module fi.fi_path;
-      let fns = functions_of_file fi in
-      Hashtbl.replace fns_by_file_tbl fi.fi_path fns;
+    (fun p ->
+      if not (List.mem p b.params) then begin
+        Printf.eprintf
+          "xksleak: %s: line %d: annotation names '%s', which is not a \
+           parameter of '%s'\n"
+          b.file.path b.line p b.name;
+        exit 2
+      end)
+    (owns @ releases);
+  {
+    b;
+    fn_noraise = List.mem Noraise b.anns;
+    fn_owns = owns;
+    fn_releases = releases;
+    fn_level = No;
+  }
+
+let () =
+  Report.main ~tool grammar (fun front emit ->
+      let fns =
+        List.filter_map
+          (fun (b : ann Front.binding) ->
+            if b.toplevel && b.params <> [] then Some (fn_of b) else None)
+          front.bindings
+      in
+      let prog = { front; table = Hashtbl.create 256 } in
+      (* first definition wins on duplicate names within a file *)
       List.iter
         (fun fn ->
-          (* first definition wins on duplicate names within a module
-             (shadowing); later files never collide — module names are
-             unique per scan *)
-          if not (Hashtbl.mem prog.table (fn.fn_module, fn.fn_name)) then
-            Hashtbl.replace prog.table (fn.fn_module, fn.fn_name) fn)
-        (List.rev fns))
-    infos;
-  let fns_by_file fi =
-    match Hashtbl.find_opt fns_by_file_tbl fi.fi_path with
-    | Some fns -> fns
-    | None -> []
-  in
-  compute_fixpoint prog infos fns_by_file;
-  let all_fns = List.concat_map fns_by_file infos in
-  let findings =
-    noraise_findings all_fns
-    @ List.concat_map (fun fi -> check_file prog fi (fns_by_file fi)) infos
-  in
-  Report.report ~tool ~json ~files_scanned:(List.length files) findings
+          let key = (fn.b.file.path, fn.b.name) in
+          if not (Hashtbl.mem prog.table key) then Hashtbl.replace prog.table key fn)
+        fns;
+      compute_fixpoint prog fns;
+      noraise_findings ~emit fns;
+      List.iter
+        (fun (fi : ann Front.file) ->
+          check_file prog ~emit fi (List.filter (fun fn -> fn.b.file == fi) fns))
+        front.files)

@@ -7,5 +7,5 @@ let swallow_or f = try f () with Not_found | _ -> None
 (* Specific handlers: not flagged. *)
 let ok f = try f () with Not_found -> None
 
-(* xkslint: allow catch-all *)
+(* xkslint: allow catch-all best-effort probe, any failure means None *)
 let allowed f = try f () with _ -> None

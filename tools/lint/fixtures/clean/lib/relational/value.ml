@@ -13,7 +13,7 @@ let compare a b =
 let equal a b = compare a b = 0
 
 (* The allowlist comment admits a vetted polymorphic comparison. *)
-(* xkslint: allow poly-compare *)
+(* xkslint: allow poly-compare vetted structural equality *)
 let loose_equal (a : t) (b : t) = a = b
 
 let find_first tbl key =

@@ -21,5 +21,5 @@ let ok_fresh () =
 
 let ok_closure () = ref 0
 
-(* xkslint: allow module-state *)
+(* xkslint: allow module-state written once at init, read-only afterwards *)
 let allowed : int list ref = ref []

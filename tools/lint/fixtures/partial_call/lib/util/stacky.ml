@@ -10,5 +10,5 @@ let lookup tbl key = Hashtbl.find tbl key
 let ok_lookup tbl key = Hashtbl.find_opt tbl key
 let ok_first = function x :: _ -> Some x | [] -> None
 
-(* xkslint: allow partial-call *)
+(* xkslint: allow partial-call callers pass a non-empty list *)
 let allowed l = List.hd l

@@ -9,5 +9,5 @@ let bad_string () = print_string "y"
 let ok_fprintf fmt = Format.fprintf fmt "x"
 let ok_stderr () = prerr_endline "err"
 
-(* xkslint: allow stdout-print *)
+(* xkslint: allow stdout-print deliberate console output *)
 let allowed () = print_newline ()

@@ -1,9 +1,11 @@
 (* xkslint — repo-local static analysis for the xks sources.
 
    A dependency-free lint pass built on the compiler's own front end
-   ([Parse.implementation] + [Ast_iterator]): it re-parses every [.ml]
-   under the directories given on the command line and enforces the
-   repo rules documented in DESIGN.md ("Static analysis & invariants"):
+   ([Parse.implementation] + [Ast_iterator]): a per-file walk over every
+   [.ml] under the directories given on the command line, loaded by the
+   front end the four analyzers share ([Xks_report.Front]), enforcing
+   the repo rules documented in DESIGN.md ("Static analysis &
+   invariants"):
 
    R1 [poly-compare]   In modules that define a dedicated comparator
                        (dewey.ml, label.ml, cid.ml, value.ml), the
@@ -47,14 +49,16 @@
    pick them up unchanged ([missing-mli], which has no source span,
    anchors to line 1, characters 0-0).  Output, the [--json] schema
    ({tool, files_scanned, findings: [{file, line, cstart, cend, rule,
-   message}]}) and the exit contract (0 clean, 1 findings, 2 usage or
-   parse errors) are the shared analyzer layer, [Xks_report.Report] —
-   one contract for xkslint, xksrace and xksleak.  A finding is
-   suppressed by the comment [(* xkslint: allow <rule> *)] on the same
-   line or the line directly above. *)
+   message}]}) and the exit contract (0 clean, 1 findings, 2 usage,
+   parse or annotation errors) are the shared analyzer layer,
+   [Xks_report.Report] — one contract for xkslint, xksrace, xksleak and
+   xkscost.  A finding is suppressed by the comment
+   [(* xkslint: allow <rule> <reason> *)] on the same line or the line
+   directly above; the reason is mandatory. *)
 
-module StringSet = Set.Make (String)
+module Front = Xks_report.Front
 module Report = Xks_report.Report
+module StringSet = Front.StringSet
 
 let tool = "xkslint"
 
@@ -115,8 +119,8 @@ let stdout_qualified =
 (* Library files whose module-level state is deliberate (R6): the
    failpoint registry is the fault-injection control surface and the
    trace module owns the global current-trace slot.  Everything else
-   needs an inline [(* xkslint: allow module-state *)] with a safety
-   argument next to the definition. *)
+   needs an inline [(* xkslint: allow module-state <reason> *)] whose
+   reason is the safety argument. *)
 let module_state_allowlist = [ "failpoint.ml"; "trace.ml" ]
 
 (* (module, function) constructors of mutable state flagged by R6 when
@@ -151,59 +155,7 @@ let area_of_path path =
   else Other_area
 
 (* ------------------------------------------------------------------ *)
-(* Allowlist comments                                                 *)
-
-let allow_marker = "xkslint: allow "
-
-(* Line numbers (1-based) carrying an [xkslint: allow <rule>] comment,
-   mapped to the allowed rule ids. *)
-let scan_allows src =
-  let allows = Hashtbl.create 8 in
-  let add_allow line rule =
-    let prev =
-      match Hashtbl.find_opt allows line with
-      | Some s -> s
-      | None -> StringSet.empty
-    in
-    Hashtbl.replace allows line (StringSet.add rule prev)
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      let mlen = String.length allow_marker in
-      let tlen = String.length text in
-      let rec find from =
-        if from + mlen > tlen then ()
-        else if String.equal (String.sub text from mlen) allow_marker then begin
-          let stop = ref (from + mlen) in
-          let word_char c =
-            (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || Char.equal c '-'
-          in
-          while !stop < tlen && word_char text.[!stop] do
-            incr stop
-          done;
-          add_allow (i + 1) (String.sub text (from + mlen) (!stop - (from + mlen)));
-          find !stop
-        end
-        else find (from + 1)
-      in
-      find 0)
-    lines;
-  allows
-
-let allowed allows line rule =
-  let at l =
-    match Hashtbl.find_opt allows l with
-    | Some s -> StringSet.mem (rule_id rule) s
-    | None -> false
-  in
-  at line || at (line - 1)
-
-(* ------------------------------------------------------------------ *)
 (* Per-file AST checks                                                *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
 
 (* Names let-bound anywhere in the file: a module that defines its own
    [compare]/[min]/[max] may use them bare. *)
@@ -237,31 +189,23 @@ let rec pattern_is_catch_all (p : Parsetree.pattern) =
   | Ppat_or (a, b) -> pattern_is_catch_all a || pattern_is_catch_all b
   | _ -> false
 
-let check_file path =
-  let findings = ref [] in
-  let src = Report.read_file path in
-  let allows = scan_allows src in
+let check_file emit (file : _ Front.file) =
+  let path = file.path and structure = file.structure in
   let area = area_of_path path in
-  let emit ~line ~cols:(cstart, cend) rule msg =
-    if not (allowed allows line rule) then
-      findings :=
-        { Report.file = path; line; cstart; cend; rule = rule_id rule; msg }
-        :: !findings
-  in
-  let emit_at loc rule msg =
-    emit ~line:(line_of loc) ~cols:(cols_of loc) rule msg
-  in
+  let emit_at loc rule msg = emit (Report.at path loc (rule_id rule) msg) in
   (* R5: library modules need an interface.  No source span to point
      at, so the finding anchors to the top of the file. *)
   (match area with
   | Lib ->
       if not (Sys.file_exists (path ^ "i")) then
-        emit ~line:1 ~cols:(0, 0) Missing_mli
-          (Printf.sprintf "library module %s has no interface file (%si)"
-             (Filename.basename path)
-             (Filename.basename path))
+        emit
+          { Report.file = path; line = 1; cstart = 0; cend = 0;
+            rule = rule_id Missing_mli;
+            msg =
+              Printf.sprintf "library module %s has no interface file (%si)"
+                (Filename.basename path)
+                (Filename.basename path) }
   | Bin | Bench | Test | Other_area -> ());
-  let structure = Report.parse_implementation ~tool path src in
   (* R6: mutable state created at module level in library code.  A
      dedicated iterator that never descends into function bodies —
      state allocated per call is fine; state allocated when the module
@@ -390,14 +334,17 @@ let check_file path =
     Ast_iterator.default_iterator.expr it e
   in
   let it = { Ast_iterator.default_iterator with expr = expr_hook } in
-  it.structure it structure;
-  !findings
+  it.structure it structure
 
 (* ------------------------------------------------------------------ *)
-(* Driver (walk, output and exit contract live in Report)             *)
+(* Entry point (loading, suppression, output and exit live in Report) *)
+
+type allow = Allow of string
 
 let () =
-  let json, roots = Report.parse_argv ~tool Sys.argv in
-  let files = List.concat_map (fun r -> List.rev (Report.walk_dir r [])) roots in
-  let findings = List.concat_map check_file files in
-  Report.report ~tool ~json ~files_scanned:(List.length files) findings
+  Report.main ~tool
+    ~rules:(List.map rule_id
+       [ Poly_compare; Partial_call; Catch_all; Stdout_print; Missing_mli; Module_state ])
+    ~suppresses:(fun (Allow r) rule -> String.equal r rule)
+    [ ("allow", Front.Rule (fun r -> Allow r)) ]
+    (fun prog emit -> List.iter (check_file emit) prog.files)

@@ -80,11 +80,16 @@
    locks are matched by name, not aliasing; cross-module call
    propagation into domain closures stops at module boundaries; arrays
    are exempt; a closure built under a lock is assumed not to outlive
-   it.  Output, the [--json] schema and the 0/1/2 exit contract are
-   the shared analyzer layer ([Xks_report.Report]). *)
+   it.  Loading, name resolution, the annotation grammar, the fixpoint,
+   output, the [--json] schema and the 0/1/2 exit contract are the
+   shared analyzer layer ([Xks_report.Front] and [Xks_report.Report]);
+   record fields stay resolved by name (same file first, else the
+   globally unique declaration), because a syntactic analyzer cannot
+   type a field access. *)
 
-module StringSet = Set.Make (String)
+module Front = Xks_report.Front
 module Report = Xks_report.Report
+module StringSet = Front.StringSet
 
 let tool = "xksrace"
 
@@ -129,107 +134,23 @@ let sync_ctors =
 
 type ann =
   | Guarded_by of string
-  | Domain_safe of string
+  | Domain_safe
   | Requires of string
   | Locks of string
 
-(* The full comment-opening form: a looser match (say, on "xksrace: "
-   alone) would fire on prose that merely mentions the tool. *)
-let ann_marker = "(* xksrace: "
+let grammar =
+  Front.
+    [
+      ("guarded_by", Name (fun m -> Guarded_by m));
+      ("domain_safe", Reason Domain_safe);
+      ("requires_lock", Name (fun m -> Requires m));
+      ("locks", Name (fun m -> Locks m));
+    ]
 
-(* Line number (1-based) -> annotations written on that line. *)
-let scan_annotations path src =
-  let anns : (int, ann list) Hashtbl.t = Hashtbl.create 16 in
-  let add line a =
-    let prev = match Hashtbl.find_opt anns line with Some l -> l | None -> [] in
-    Hashtbl.replace anns line (a :: prev)
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      match
-        let mlen = String.length ann_marker in
-        let tlen = String.length text in
-        let rec find from =
-          if from + mlen > tlen then None
-          else if String.equal (String.sub text from mlen) ann_marker then
-            Some (from + mlen)
-          else find (from + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start ->
-          let stop =
-            let rec close j =
-              if j + 2 > String.length text then String.length text
-              else if String.equal (String.sub text j 2) "*)" then j
-              else close (j + 1)
-            in
-            close start
-          in
-          let body = String.trim (String.sub text start (stop - start)) in
-          let keyword, arg =
-            match String.index_opt body ' ' with
-            | None -> (body, "")
-            | Some sp ->
-                ( String.sub body 0 sp,
-                  String.trim
-                    (String.sub body (sp + 1) (String.length body - sp - 1)) )
-          in
-          let first_word s =
-            match String.index_opt s ' ' with
-            | None -> s
-            | Some sp -> String.sub s 0 sp
-          in
-          let line = i + 1 in
-          (match keyword with
-          | "guarded_by" when arg <> "" -> add line (Guarded_by (first_word arg))
-          | "domain_safe" -> add line (Domain_safe arg)
-          | "requires_lock" when arg <> "" -> add line (Requires (first_word arg))
-          | "locks" when arg <> "" -> add line (Locks (first_word arg))
-          | _ ->
-              Printf.eprintf
-                "xksrace: %s: line %d: unrecognized annotation %S\n" path line
-                body;
-              exit 2))
-    lines;
-  anns
-
-(* Annotations attached to a declaration at [line]: same line or the
-   line directly above. *)
-let anns_at anns line =
-  let at l = match Hashtbl.find_opt anns l with Some l -> l | None -> [] in
-  at line @ at (line - 1)
-
-let binding_ann anns line =
+let binding_ann anns =
   List.find_map
-    (function (Guarded_by _ | Domain_safe _) as a -> Some a | _ -> None)
-    (anns_at anns line)
-
-let suppressed anns line =
-  List.exists (function Domain_safe _ -> true | _ -> false) (anns_at anns line)
-
-(* ------------------------------------------------------------------ *)
-(* Locations                                                          *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
-
-let last_of (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [] -> ""
-  | l -> List.nth l (List.length l - 1)
-
-(* Module component directly qualifying a name: [Xks_util.Int_vec.t]
-   -> Some "Int_vec", [Hashtbl.t] -> Some "Hashtbl", [t] -> None. *)
-let qualifier (lid : Longident.t) =
-  match lid with
-  | Longident.Ldot (path, _) -> (
-      match Longident.flatten path with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)))
-  | Longident.Lident _ | Longident.Lapply _ -> None
+    (function (Guarded_by _ | Domain_safe) as a -> Some a | _ -> None)
+    anns
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: inventory                                                  *)
@@ -239,12 +160,10 @@ type fld = {
   fl_module : string;  (* declaring module, capitalized *)
   fl_ty : string;  (* declaring type *)
   fl_name : string;
-  fl_line : int;
-  fl_cstart : int;
-  fl_cend : int;
+  fl_loc : Location.t;
   fl_mutable : bool;
   fl_container : string option;
-  fl_refs : (string * string) list;  (* (Module, type) mentioned in the type *)
+  fl_refs : (string * string) list;  (* (file, type) mentioned in the type *)
   fl_ann : ann option;
 }
 
@@ -264,15 +183,15 @@ let scan_core_type ct =
   let containers = ref [] and refs = ref [] in
   let rec go (ct : Parsetree.core_type) =
     match ct.ptyp_desc with
-    | Ptyp_constr (lid, args) -> (
-        match qualifier lid.txt with
-        | Some m when List.mem m sync_modules -> ()
-        | Some m when List.mem m container_modules ->
+    | Ptyp_constr ({ txt; _ }, args) -> (
+        match (txt, Front.qualifier txt) with
+        | _, Some m when List.mem m sync_modules -> ()
+        | _, Some m when List.mem m container_modules ->
             containers := m :: !containers
-        | Some m ->
-            refs := (m, last_of lid.txt) :: !refs;
+        | Ldot (path, t), Some _ ->
+            refs := (Longident.flatten path, t) :: !refs;
             List.iter go args
-        | None -> List.iter go args)
+        | _ -> List.iter go args)
     | Ptyp_tuple cts -> List.iter go cts
     | Ptyp_alias (ct, _) | Ptyp_poly (_, ct) -> go ct
     | _ -> ()
@@ -280,17 +199,7 @@ let scan_core_type ct =
   go ct;
   (!containers, !refs)
 
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-type file_info = {
-  fi_path : string;
-  fi_anns : (int, ann list) Hashtbl.t;
-  fi_structure : Parsetree.structure;
-}
-
-let fields_of_file fi =
-  let mname = module_of_path fi.fi_path in
+let fields_of_file prog (fi : ann Front.file) =
   let out = ref [] in
   let add_field ty name (loc : Location.t) is_mutable core_types =
     let containers, refs =
@@ -300,20 +209,20 @@ let fields_of_file fi =
           (c @ cs, r @ rs))
         ([], []) core_types
     in
-    let cstart, cend = cols_of loc in
+    let resolved (path, t) =
+      Option.map (fun (f : _ Front.file) -> (f.path, t)) (Front.resolve prog fi path)
+    in
     out :=
       {
-        fl_file = fi.fi_path;
-        fl_module = mname;
+        fl_file = fi.path;
+        fl_module = fi.modname;
         fl_ty = ty;
         fl_name = name;
-        fl_line = line_of loc;
-        fl_cstart = cstart;
-        fl_cend = cend;
+        fl_loc = loc;
         fl_mutable = is_mutable;
         fl_container = (match containers with [] -> None | c :: _ -> Some c);
-        fl_refs = refs;
-        fl_ann = binding_ann fi.fi_anns (line_of loc);
+        fl_refs = List.filter_map resolved refs;
+        fl_ann = binding_ann (Front.anns_at fi loc.loc_start.pos_lnum);
       }
       :: !out
   in
@@ -355,17 +264,11 @@ let fields_of_file fi =
         List.iter item s
     | _ -> ()
   in
-  List.iter item fi.fi_structure;
+  List.iter item fi.structure;
   !out
 
-(* Peel syntactic wrappers off a binding's right-hand side. *)
-let rec peel (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> peel e
-  | _ -> e
-
 let state_ctor_of (e : Parsetree.expression) =
-  match (peel e).pexp_desc with
+  match (Front.peel e).pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
       match txt with
       | Lident "ref" -> Some ("ref", false)
@@ -382,75 +285,41 @@ let state_ctor_of (e : Parsetree.expression) =
       | _ -> None)
   | _ -> None
 
-let toplevels_of_file fi =
-  let out = ref [] in
-  let binding (vb : Parsetree.value_binding) =
-    match (vb.pvb_pat.ppat_desc, state_ctor_of vb.pvb_expr) with
-    | Ppat_var { txt; _ }, Some (what, sync) ->
-        out :=
-          {
-            ts_file = fi.fi_path;
-            ts_name = txt;
-            ts_line = line_of vb.pvb_loc;
-            ts_what = what;
-            ts_sync = sync;
-            ts_ann = binding_ann fi.fi_anns (line_of vb.pvb_loc);
-          }
-          :: !out
-    | _ -> ()
-  in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter binding vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
-  !out
+let toplevels (prog : ann Front.program) =
+  List.filter_map
+    (fun (b : ann Front.binding) ->
+      match state_ctor_of b.vb.pvb_expr with
+      | Some (what, sync) when b.toplevel ->
+          Some
+            {
+              ts_file = b.file.path;
+              ts_name = b.name;
+              ts_line = b.line;
+              ts_what = what;
+              ts_sync = sync;
+              ts_ann = binding_ann b.anns;
+            }
+      | Some _ | None -> None)
+    prog.bindings
 
-(* Fixpoint: (Module, type) is unsafe when its declaration carries an
+(* Fixpoint: (file, type) is unsafe when its declaration carries an
    unannotated mutable/container field, or an unannotated field whose
-   type mentions an unsafe (Module, type).  Annotations stop
+   type mentions an unsafe (file, type).  Annotations stop
    propagation: a guarded or argued field is managed state. *)
 let compute_unsafe fields =
-  let unsafe : (string * string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let is_unsafe key =
-    match Hashtbl.find_opt unsafe key with Some b -> b | None -> false
-  in
-  let fld_unsafe f =
-    f.fl_ann = None
-    && (f.fl_mutable
-       || f.fl_container <> None
-       || List.exists is_unsafe f.fl_refs)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if fld_unsafe f then begin
-          let key = (f.fl_module, f.fl_ty) in
-          if not (is_unsafe key) then begin
-            Hashtbl.replace unsafe key true;
-            changed := true
-          end
-        end)
-      fields
-  done;
+  let unsafe : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let is_unsafe key = Hashtbl.mem unsafe key in
+  Front.fixpoint fields (fun f ->
+      let key = (f.fl_file, f.fl_ty) in
+      f.fl_ann = None
+      && (f.fl_mutable || f.fl_container <> None || List.exists is_unsafe f.fl_refs)
+      && (not (is_unsafe key))
+      && (Hashtbl.replace unsafe key ();
+          true));
   is_unsafe
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: enforcement                                                *)
-
-(* The last name on an access path, used to identify mutexes:
-   [s.mutex] and [done_mutex] -> "mutex" / "done_mutex". *)
-let rec path_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> last_of txt
-  | Pexp_field (_, { txt; _ }) -> last_of txt
-  | Pexp_constraint (e, _) -> path_name e
-  | _ -> "?"
 
 let mutex_call (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -458,49 +327,29 @@ let mutex_call (e : Parsetree.expression) =
       ( { pexp_desc = Pexp_ident { txt = Ldot (Lident "Mutex", f); _ }; _ },
         (_, m) :: _ )
     when String.equal f "lock" || String.equal f "unlock" ->
-      Some (f, path_name m)
+      Some (f, Front.path_name m)
   | _ -> None
-
-(* Bare idents mentioned in an expression (for spawn-argument
-   propagation through same-file bindings). *)
-let idents_of expr =
-  let acc = ref StringSet.empty in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt = Lident x; _ } -> acc := StringSet.add x !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it expr;
-  !acc
 
 (* Closure arguments of a spawn point, or [None].  [Domain.spawn f]
    runs [f] on a new domain; [Pool.submit]/[Pool.run_all] hand their
    last argument to worker domains (bare [submit]/[run_all] count
    inside the file defining them — the pool implementation itself). *)
-let spawn_args ~local_names head (args : (Asttypes.arg_label * _) list) =
+let spawn_args ~is_local head (args : (Asttypes.arg_label * _) list) =
   match (head : Parsetree.expression).pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      let name = last_of txt in
+      let name = Longident.last txt in
       let qualified_pool =
-        match qualifier txt with Some "Pool" -> true | Some _ -> false | None -> false
+        match Front.qualifier txt with Some "Pool" -> true | Some _ -> false | None -> false
       in
       let plain = List.filter_map
           (function (Asttypes.Nolabel, a) -> Some a | _ -> None) args
       in
       match name with
-      | "spawn" when (match qualifier txt with Some "Domain" -> true | _ -> false)
+      | "spawn" when (match Front.qualifier txt with Some "Domain" -> true | _ -> false)
         -> (match plain with a :: _ -> Some [ a ] | [] -> None)
       | "submit" | "run_all"
         when qualified_pool
-             || (match txt with
-                | Lident n -> StringSet.mem n local_names
-                | _ -> false) -> (
+             || (match txt with Lident n -> is_local n | _ -> false) -> (
           match List.rev plain with last :: _ -> Some [ last ] | [] -> None)
       | _ -> None)
   | _ -> None
@@ -514,22 +363,12 @@ type env = { held : StringSet.t; bare_held : StringSet.t; in_domain : bool }
 
 (* Where a lock-relevant finding points at a declaration, remind the
    reader where that declaration lives. *)
-let declared_at (f : fld) = Printf.sprintf "%s:%d" f.fl_file f.fl_line
+let declared_at (f : fld) =
+  Printf.sprintf "%s:%d" f.fl_file f.fl_loc.loc_start.pos_lnum
 
-let check_file ~fields_by_name ~toplevels ~interesting fi =
-  let findings = ref [] in
-  let seen = Hashtbl.create 16 in
-  let emit (loc : Location.t) kind msg =
-    let line = line_of loc in
-    let cstart, cend = cols_of loc in
-    let key = (line, cstart, kind_id kind) in
-    if (not (suppressed fi.fi_anns line)) && not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      findings :=
-        { Report.file = fi.fi_path; line; cstart; cend; rule = kind_id kind; msg }
-        :: !findings
-    end
-  in
+let check_file (prog : ann Front.program) ~emit ~fields_by_name ~toplevels ~interesting
+    (fi : ann Front.file) =
+  let emit loc kind msg = emit (Report.at fi.path loc (kind_id kind) msg) in
   (* Same-file lock-discipline annotations on functions, and mutable
      local bindings: name -> created inside a domain closure? *)
   let requires_fns : (string, string) Hashtbl.t = Hashtbl.create 8 in
@@ -537,28 +376,18 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
   let local_state : (string, bool * ann option) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun ts ->
-      if String.equal ts.ts_file fi.fi_path && not ts.ts_sync then
+      if String.equal ts.ts_file fi.path && not ts.ts_sync then
         Hashtbl.replace local_state ts.ts_name (false, ts.ts_ann))
     toplevels;
   (* Domain-reachability seeds: names mentioned in spawn-point closure
      arguments, propagated through same-file binding bodies. *)
-  let bindings : (string, Parsetree.expression) Hashtbl.t = Hashtbl.create 32 in
-  let local_names = ref StringSet.empty in
+  let bindings : (string, StringSet.t) Hashtbl.t = Hashtbl.create 32 in
+  List.iter
+    (fun (b : ann Front.binding) ->
+      if b.file == fi then Hashtbl.replace bindings b.name b.mentions.bare)
+    prog.bindings;
+  let is_local = Hashtbl.mem bindings in
   let seeds = ref StringSet.empty in
-  let pre =
-    {
-      Ast_iterator.default_iterator with
-      value_binding =
-        (fun it vb ->
-          (match vb.Parsetree.pvb_pat.ppat_desc with
-          | Ppat_var { txt; _ } ->
-              Hashtbl.replace bindings txt vb.pvb_expr;
-              local_names := StringSet.add txt !local_names
-          | _ -> ());
-          Ast_iterator.default_iterator.value_binding it vb);
-    }
-  in
-  pre.structure pre fi.fi_structure;
   let seed_it =
     {
       Ast_iterator.default_iterator with
@@ -566,23 +395,24 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
         (fun it e ->
           (match e.Parsetree.pexp_desc with
           | Pexp_apply (head, args) -> (
-              match spawn_args ~local_names:!local_names head args with
+              match spawn_args ~is_local head args with
               | Some closures ->
                   List.iter
-                    (fun c -> seeds := StringSet.union (idents_of c) !seeds)
+                    (fun c -> seeds := StringSet.union (Front.mentions c).bare !seeds)
                     closures
               | None -> ())
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
     }
   in
-  seed_it.structure seed_it fi.fi_structure;
+  seed_it.structure seed_it fi.structure;
   let marked = ref StringSet.empty in
   let rec propagate name =
-    if (not (StringSet.mem name !marked)) && Hashtbl.mem bindings name then begin
-      marked := StringSet.add name !marked;
-      StringSet.iter propagate (idents_of (Hashtbl.find bindings name))
-    end
+    match Hashtbl.find_opt bindings name with
+    | Some bare when not (StringSet.mem name !marked) ->
+        marked := StringSet.add name !marked;
+        StringSet.iter propagate bare
+    | Some _ | None -> ()
   in
   StringSet.iter propagate !seeds;
   (* Field-access resolution: prefer a same-file declaration; otherwise
@@ -592,20 +422,20 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
     | None -> None
     | Some candidates -> (
         match
-          List.filter (fun f -> String.equal f.fl_file fi.fi_path) candidates
+          List.filter (fun f -> String.equal f.fl_file fi.path) candidates
         with
         | [ f ] -> Some f
         | _ :: _ -> None
         | [] -> ( match candidates with [ f ] -> Some f | _ -> None))
   in
   let check_field env (lid : Longident.t Location.loc) ~write =
-    let name = last_of lid.txt in
+    let name = Longident.last lid.txt in
     match resolve_field name with
     | None -> ()
     | Some f when not (interesting f) -> ()
     | Some f -> (
         match f.fl_ann with
-        | Some (Domain_safe _) -> ()
+        | Some Domain_safe -> ()
         | Some (Guarded_by m) ->
             if not (StringSet.mem m env.held) then
               emit lid.loc Unlocked_access
@@ -629,7 +459,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
   let check_ident env name (loc : Location.t) =
     match Hashtbl.find_opt local_state name with
     | None -> ()
-    | Some (_, Some (Domain_safe _)) -> ()
+    | Some (_, Some Domain_safe) -> ()
     | Some (_, Some (Guarded_by m)) ->
         if not (StringSet.mem m env.held) then
           emit loc Unlocked_access
@@ -700,7 +530,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
     walk env c.pc_rhs
   and walk_apply env e head args =
     let plain_args = List.map snd args in
-    match spawn_args ~local_names:!local_names head args with
+    match spawn_args ~is_local head args with
     | Some closures ->
         walk env head;
         List.iter
@@ -713,10 +543,10 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
            the matching unlock is skipped on the injected path. *)
         (match head.pexp_desc with
         | Pexp_ident { txt; loc }
-          when (match qualifier txt with
+          when (match Front.qualifier txt with
                | Some "Failpoint" -> true
                | Some _ | None -> false)
-               && List.exists (String.equal (last_of txt))
+               && List.exists (String.equal (Longident.last txt))
                     [ "apply"; "read_file"; "trigger" ] ->
             StringSet.iter
               (fun m ->
@@ -726,7 +556,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
                       '%s' is held via bare Mutex.lock — an injected fault \
                       skips the unlock and leaks the lock; use Mutex.protect \
                       or release-and-reraise around the failpoint site"
-                     (last_of txt) m))
+                     (Longident.last txt) m))
               env.bare_held
         | _ -> ());
         match head.pexp_desc with
@@ -735,7 +565,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
             | m :: rest ->
                 walk env m;
                 let env' =
-                  { env with held = StringSet.add (path_name m) env.held }
+                  { env with held = StringSet.add (Front.path_name m) env.held }
                 in
                 List.iter (walk env') rest
             | [] -> ())
@@ -779,8 +609,8 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
           (function
             | Requires m -> Hashtbl.replace requires_fns txt m
             | Locks m -> Hashtbl.replace locks_fns txt m
-            | Guarded_by _ | Domain_safe _ -> ())
-          (anns_at fi.fi_anns (line_of vb.pvb_loc))
+            | Guarded_by _ | Domain_safe -> ())
+          (Front.anns_at fi vb.pvb_loc.loc_start.pos_lnum)
     | _ -> ()
   and walk_binding env (vb : Parsetree.value_binding) =
     let env =
@@ -789,8 +619,9 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
           (match state_ctor_of vb.pvb_expr with
           | Some (_, true) -> ()
           | Some (_, false) ->
+              let line = vb.pvb_loc.loc_start.pos_lnum in
               Hashtbl.replace local_state txt
-                (env.in_domain, binding_ann fi.fi_anns (line_of vb.pvb_loc))
+                (env.in_domain, binding_ann (Front.anns_at fi line))
           | None -> ());
           let env =
             if StringSet.mem txt !marked then { env with in_domain = true }
@@ -816,31 +647,23 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
         List.iter item s
     | _ -> ()
   in
-  List.iter item fi.fi_structure;
-  !findings
+  List.iter item fi.structure
 
 (* E4: every mutable member of a frozen-builder module carries its
    safety argument. *)
-let frozen_findings ~interesting fields toplevels =
+let frozen_findings ~emit ~interesting fields toplevels =
   let frozen file =
     List.exists (String.equal (Filename.basename file)) frozen_modules
   in
   let of_field f =
     if frozen f.fl_file && interesting f && f.fl_ann = None then
       Some
-        {
-          Report.file = f.fl_file;
-          line = f.fl_line;
-          cstart = f.fl_cstart;
-          cend = f.fl_cend;
-          rule = kind_id Frozen_mutable;
-          msg =
-            Printf.sprintf
+        (Report.at f.fl_file f.fl_loc (kind_id Frozen_mutable)
+           (Printf.sprintf
               "mutable member '%s' of frozen-builder module %s has no safety \
                argument; values of this module are shared read-only across \
                domains — annotate it guarded_by or domain_safe"
-              f.fl_name f.fl_module;
-        }
+              f.fl_name f.fl_module))
     else None
   in
   let of_toplevel ts =
@@ -861,47 +684,37 @@ let frozen_findings ~interesting fields toplevels =
         }
     else None
   in
-  List.filter_map of_field fields @ List.filter_map of_toplevel toplevels
+  List.iter emit (List.filter_map of_field fields @ List.filter_map of_toplevel toplevels)
 
 (* ------------------------------------------------------------------ *)
-(* Driver (walk, output and exit contract live in Report)             *)
-
-let parse_file path =
-  let src = Report.read_file path in
-  {
-    fi_path = path;
-    fi_anns = scan_annotations path src;
-    fi_structure = Report.parse_implementation ~tool path src;
-  }
+(* Entry point (loading, output and exit live in Front and Report)   *)
 
 let () =
-  let json, roots = Report.parse_argv ~tool Sys.argv in
-  let files = List.concat_map (fun r -> List.rev (Report.walk_dir r [])) roots in
-  let infos = List.map parse_file files in
-  let fields = List.concat_map fields_of_file infos in
-  let toplevels = List.concat_map toplevels_of_file infos in
-  let unsafe = compute_unsafe fields in
-  let interesting f =
-    f.fl_mutable
-    || f.fl_container <> None
-    || List.exists unsafe f.fl_refs
-    || (match f.fl_ann with Some (Guarded_by _) -> true | _ -> false)
-  in
-  let fields_by_name : (string, fld list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      if interesting f then
-        let prev =
-          match Hashtbl.find_opt fields_by_name f.fl_name with
-          | Some l -> l
-          | None -> []
-        in
-        Hashtbl.replace fields_by_name f.fl_name (f :: prev))
-    fields;
-  let findings =
-    frozen_findings ~interesting fields toplevels
-    @ List.concat_map
-        (fun fi -> check_file ~fields_by_name ~toplevels ~interesting fi)
-        infos
-  in
-  Report.report ~tool ~json ~files_scanned:(List.length files) findings
+  Report.main ~tool ~by_position:true
+    ~suppresses:(fun a _ -> a = Domain_safe)
+    grammar
+    (fun prog emit ->
+      let fields = List.concat_map (fields_of_file prog) prog.files in
+      let toplevels = toplevels prog in
+      let unsafe = compute_unsafe fields in
+      let interesting f =
+        f.fl_mutable
+        || f.fl_container <> None
+        || List.exists unsafe f.fl_refs
+        || (match f.fl_ann with Some (Guarded_by _) -> true | _ -> false)
+      in
+      let fields_by_name : (string, fld list) Hashtbl.t = Hashtbl.create 64 in
+      List.iter
+        (fun f ->
+          if interesting f then
+            let prev =
+              match Hashtbl.find_opt fields_by_name f.fl_name with
+              | Some l -> l
+              | None -> []
+            in
+            Hashtbl.replace fields_by_name f.fl_name (f :: prev))
+        fields;
+      frozen_findings ~emit ~interesting fields toplevels;
+      List.iter
+        (check_file prog ~emit ~fields_by_name ~toplevels ~interesting)
+        prog.files)
