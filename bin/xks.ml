@@ -611,19 +611,34 @@ let sql_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"KEYWORD" ~doc:"Keyword to look up in the value table.")
   in
+  (* [select id, dewey, label, attribute from value where keyword = w]:
+     the shredder emits one value row per (node, keyword) in document
+     order, so the rows come out distinct and ordered by id. *)
   let run file keyword =
     let doc = Xks_xml.Parser.parse_file file in
-    let store = Xks_index.Rel_store.of_doc doc in
-    let result =
-      Xks_relational.Plan.select ~distinct:true ~order_by:[ "id" ]
-        ~columns:[ "id"; "dewey"; "label"; "attribute" ]
-        ~where:
-          (Xks_relational.Plan.Eq
-             ( "keyword",
-               Xks_relational.Value.text (Xks_xml.Tokenizer.normalize keyword) ))
-        (Xks_index.Rel_store.value_table store)
+    let header = [ "id"; "dewey"; "label"; "attribute" ] in
+    let rows =
+      List.map
+        (fun (r : Xks_index.Shredder.value_row) ->
+          [
+            string_of_int r.v_id;
+            Xks_xml.Dewey.to_string r.v_dewey;
+            r.v_label;
+            r.v_attribute;
+          ])
+        (Xks_index.Shredder.find_values (Xks_index.Shredder.shred doc) keyword)
     in
-    Format.printf "%a" Xks_relational.Plan.pp_result result
+    let widths =
+      List.fold_left
+        (List.map2 (fun w cell -> max w (String.length cell)))
+        (List.map String.length header)
+        rows
+    in
+    let print_row cells =
+      print_endline
+        (String.concat " | " (List.map2 (Printf.sprintf "%-*s") widths cells))
+    in
+    List.iter print_row (header :: rows)
   in
   Cmd.v
     (Cmd.info "sql" ~exits

@@ -1,5 +1,5 @@
 (* Extension showcase: labeled query terms, query-biased snippets,
-   ElemRank-weighted ranking and index persistence working together on a
+   did-you-mean suggestions and index persistence working together on a
    small catalogue.
 
      dune exec examples/snippet_search.exe
@@ -8,7 +8,6 @@
 module Engine = Xks_core.Engine
 module Labeled = Xks_core.Labeled
 module Snippet = Xks_core.Snippet
-module Elemrank = Xks_core.Elemrank
 
 let catalogue =
   "<catalog>\
@@ -46,34 +45,6 @@ let () =
       print_string (Engine.render engine hit))
     (Labeled.search engine terms);
 
-  (* Structural prior: which elements does ElemRank consider central? *)
-  print_newline ();
-  let prior = Elemrank.compute (Engine.doc engine) in
-  print_endline "most central elements (ElemRank):";
-  List.iter
-    (fun (id, score) ->
-      let node = Xks_xml.Tree.node (Engine.doc engine) id in
-      Printf.printf "  %-10s %.4f\n"
-        (Xks_xml.Tree.label_name (Engine.doc engine) node)
-        score)
-    (Elemrank.top prior 3);
-
-  (* Phrase search: quoted terms must be consecutive. *)
-  print_newline ();
-  let pidx = Xks_index.Positional.build (Engine.doc engine) in
-  let phrase = [ "\"keyword search\"" ] in
-  Printf.printf "phrase query: %s\n" (String.concat " " phrase);
-  List.iter
-    (fun (hit : Engine.hit) -> print_string (Engine.render engine hit))
-    (Xks_core.Phrase.search engine pidx phrase);
-
-  (* Path-scoped search: keywords restricted to a structural scope. *)
-  print_newline ();
-  Printf.printf "scoped query: //book + [xml]\n";
-  List.iter
-    (fun (hit : Engine.hit) -> print_string (Engine.render engine hit))
-    (Xks_core.Scoped.search engine ~path:"//book" [ "xml" ]);
-
   (* Suggestions when a keyword is misspelled. *)
   print_newline ();
   List.iter
@@ -92,7 +63,6 @@ let () =
       Xks_index.Persist.save path (Engine.index engine);
       let reopened = Xks_index.Persist.load path (Engine.doc engine) in
       let again = Xks_core.Validrtf.run reopened query in
-      Printf.printf "\nreloaded index from %s: %d result(s), identical to %d\n"
-        (Filename.basename path)
+      Printf.printf "\nreloaded index: %d result(s), identical to %d\n"
         (List.length again.Xks_core.Pipeline.fragments)
         (List.length result.Xks_core.Pipeline.fragments))

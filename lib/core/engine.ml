@@ -68,24 +68,12 @@ let check_k = function
 let truncate k l =
   match k with None -> l | Some k -> List.filteri (fun i _ -> i < k) l
 
-(* Full-enumeration BM25: score every RTF from posting statistics and
-   sort (score desc, LCA id asc) — the order the streaming top-k driver
-   must agree with. *)
+(* Full-enumeration BM25: score every RTF from posting statistics, in
+   {!Ranking.rank_by}'s (score desc, LCA id asc) order — the order the
+   streaming top-k driver must agree with. *)
 let bm25_scored (result : Pipeline.result) =
   let w = Rank.weights result.query in
-  let scored =
-    (* xkscost: unticked pre-charged: scores the already-budgeted pipeline result; tf reads were charged by get_rtfs *)
-    List.map2
-      (fun rtf fragment ->
-        { Ranking.fragment; rtf; score = Rank.score_rtf w result.query rtf })
-      result.rtfs result.fragments
-  in
-  (* xkscost: unticked pre-charged: sorts the already-materialised scored list, |rtfs| bounded by the ticked LCA sweep *)
-  List.sort
-    (fun (a : Ranking.scored) b ->
-      let c = Float.compare b.score a.score in
-      if c <> 0 then c else Int.compare a.rtf.lca b.rtf.lca)
-    scored
+  Ranking.rank_by (fun q rtf _ -> Rank.score_rtf w q rtf) result
 
 let hits_of_result ?(rank = (`Heuristic : rank_mode)) ?k (_ : t) result =
   check_k k;

@@ -70,7 +70,7 @@ let make ?(order = `Given) idx ws =
     avg_df = (Xks_index.Inverted.stats idx).avg_posting_len;
   }
 
-let of_postings ?(approx_cids = [||]) doc ~keywords postings =
+let of_postings doc ~keywords postings =
   if keywords = [] then invalid_arg "Query.of_postings: empty query";
   if List.length keywords <> Array.length postings then
     invalid_arg "Query.of_postings: arity mismatch";
@@ -89,9 +89,6 @@ let of_postings ?(approx_cids = [||]) doc ~keywords postings =
             invalid_arg "Query.of_postings: posting not sorted")
         posting)
     postings;
-  if Array.length approx_cids <> 0
-     && Array.length approx_cids <> Xks_xml.Tree.size doc
-  then invalid_arg "Query.of_postings: approx_cids size mismatch";
   let dfs = dfs_of postings in
   (* No index in sight: fall back to the mean of the query's own
      posting lengths as the corpus pivot. *)
@@ -101,7 +98,14 @@ let of_postings ?(approx_cids = [||]) doc ~keywords postings =
       float_of_int (Array.fold_left ( + ) 0 dfs)
       /. float_of_int (Array.length dfs)
   in
-  { doc; keywords = Array.of_list keywords; postings; approx_cids; dfs; avg_df }
+  {
+    doc;
+    keywords = Array.of_list keywords;
+    postings;
+    approx_cids = [||];
+    dfs;
+    avg_df;
+  }
 
 let k q = Array.length q.keywords
 let df q i = q.dfs.(i)

@@ -43,19 +43,15 @@ val make :
     distinct keywords. *)
 
 val of_postings :
-  ?approx_cids:Xks_index.Cid.t array ->
   Xks_xml.Tree.t -> keywords:string list -> int array array -> t
 (** [of_postings doc ~keywords postings] builds a query whose posting
     lists were computed elsewhere (e.g. filtered by {!Labeled} conditions
-    or fetched via {!Xks_index.Rel_store}).  Keywords must be distinct and
-    non-empty; each posting list must be sorted, duplicate-free and
-    reference ids of [doc].  [approx_cids] (default [[||]], meaning
-    unavailable) forwards a precomputed per-node feature table — pass the
-    source index's {!Xks_index.Inverted.approx_cids} when postings were
-    merely filtered, as {!Scoped} does.
-    @raise Invalid_argument when those conditions fail, the arities
-    differ, or [approx_cids] is non-empty with a length other than the
-    document size. *)
+    or read from {!Xks_index.Shredder}'s value rows).  Keywords must be
+    distinct and non-empty; each posting list must be sorted,
+    duplicate-free and reference ids of [doc].  The query carries no
+    per-node feature table ([approx_cids = [||]]).
+    @raise Invalid_argument when those conditions fail or the arities
+    differ. *)
 
 val k : t -> int
 (** Number of (distinct) keywords. *)

@@ -34,11 +34,3 @@ let rank_by scorer (result : Pipeline.result) =
   |> sort_scored
 
 let rank result = rank_by score result
-
-let score_with_prior prior (q : Query.t) (rtf : Rtf.t) frag =
-  let structural =
-    Elemrank.score prior rtf.lca *. float_of_int (Tree.size q.doc)
-  in
-  score q rtf frag *. structural
-
-let rank_with_prior prior result = rank_by (score_with_prior prior) result

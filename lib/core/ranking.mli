@@ -14,14 +14,11 @@ type scored = { fragment : Fragment.t; rtf : Rtf.t; score : float }
 val score : Query.t -> Rtf.t -> Fragment.t -> float
 (** Deterministic score in [(0, +inf)]; higher is better. *)
 
+val rank_by :
+  (Query.t -> Rtf.t -> Fragment.t -> float) -> Pipeline.result -> scored list
+(** Fragments of a result scored by the given function, sorted by
+    decreasing score; ties broken by document order of the fragment
+    root. *)
+
 val rank : Pipeline.result -> scored list
-(** Fragments of a result, sorted by decreasing score; ties broken by
-    document order of the fragment root. *)
-
-val score_with_prior : Elemrank.t -> Query.t -> Rtf.t -> Fragment.t -> float
-(** {!score} multiplied by the fragment root's {!Elemrank} structural
-    importance (scaled by the document size so the factor is ~1 for an
-    average node). *)
-
-val rank_with_prior : Elemrank.t -> Pipeline.result -> scored list
-(** As {!rank} under {!score_with_prior}. *)
+(** {!rank_by} under {!score}. *)

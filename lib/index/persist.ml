@@ -184,11 +184,41 @@ let decode data =
   else if has_magic data magic_v1 then decode_v1 data
   else failwith "Persist: not an xks index file"
 
-let save path idx =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (encode (dump idx)))
+(* The bytes go to a temporary file beside [path], are fsynced, and only
+   then renamed over it, so a crash at any point leaves either the old
+   file or the new one.  The new file takes an existing [path]'s
+   permissions, as an in-place rewrite would keep them.  On failure the
+   temporary file is removed and the error re-raised, a [Unix_error] as
+   [Sys_error]. *)
+let save_table path rows =
+  let bytes = encode rows in
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  match
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let fd = Unix.descr_of_out_channel oc in
+        (match Unix.stat path with
+        | st -> Unix.fchmod fd st.st_perm
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+        output_string oc bytes;
+        flush oc;
+        Unix.fsync fd);
+    Unix.rename tmp path
+  with
+  | () -> ()
+  | exception e -> (
+      let bt = Printexc.get_raw_backtrace () in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      match e with
+      | Unix.Unix_error (err, _, _) ->
+          raise (Sys_error (path ^ ": " ^ Unix.error_message err))
+      | e -> Printexc.raise_with_backtrace e bt)
+
+let save path idx = save_table path (dump idx)
 
 let load path doc =
   of_table doc (decode (Failpoint.read_file ~site:read_site path))

@@ -24,7 +24,16 @@ type table = (string * int * int array) list
 (** [(word, occurrences, posting)] rows, sorted by word. *)
 
 val save : string -> Inverted.t -> unit
-(** [save path idx] writes the index.
+(** [save path idx] writes the index with {!save_table}.
+    @raise Sys_error on I/O failure. *)
+
+val save_table : string -> table -> unit
+(** [save_table path rows] writes [encode rows] to a temporary file in
+    [path]'s directory, fsyncs it and renames it over [path]: a crash at
+    any point leaves either the previous file or the complete new one,
+    and other links to the previous file keep its bytes.  The new file
+    keeps an existing [path]'s permissions.  On failure the
+    temporary file is removed and [path] is untouched.
     @raise Sys_error on I/O failure. *)
 
 val load : string -> Xks_xml.Tree.t -> Inverted.t

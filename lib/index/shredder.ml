@@ -16,6 +16,7 @@ type element_row = {
 type value_row = {
   v_label : string;
   v_dewey : Dewey.t;
+  v_id : int;
   v_attribute : string;
   v_keyword : string;
 }
@@ -54,7 +55,13 @@ let shred ?(cid_mode = Cid.Approx) doc =
     let name = Tree.label_name doc n in
     let add_value attribute w =
       values :=
-        { v_label = name; v_dewey = n.dewey; v_attribute = attribute; v_keyword = w }
+        {
+          v_label = name;
+          v_dewey = n.dewey;
+          v_id = n.id;
+          v_attribute = attribute;
+          v_keyword = w;
+        }
         :: !values
     in
     let seen = Hashtbl.create 8 in

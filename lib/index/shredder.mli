@@ -13,7 +13,9 @@
       from an attribute value ([""] for label/text words).
 
     We reproduce the same tables in memory; {!Inverted} is the index that
-    answers the keyword lookups the paper issues over the [value] table. *)
+    answers the keyword lookups the paper issues over the [value] table,
+    and [xks sql] answers the same lookup from the value rows
+    ({!find_values}). *)
 
 type label_row = { label_name : string; label_id : int }
 
@@ -30,6 +32,7 @@ type element_row = {
 type value_row = {
   v_label : string;
   v_dewey : Xks_xml.Dewey.t;
+  v_id : int;  (** the node's preorder id, as in {!Inverted} postings *)
   v_attribute : string;  (** attribute name, [""] for label/text words *)
   v_keyword : string;
 }
@@ -43,8 +46,9 @@ type tables = {
 val shred : ?cid_mode:Cid.mode -> Xks_xml.Tree.t -> tables
 
 val find_values : tables -> string -> value_row list
-(** All [value] rows whose keyword equals the given (normalised) word —
-    the SQL lookup of the paper's Section 5.2. *)
+(** All [value] rows whose keyword equals the given word (normalised
+    here), in document order — the SQL lookup of the paper's Section
+    5.2.  Rows are distinct and their [v_id]s ascending. *)
 
 val row_count : tables -> int * int * int
 (** [(labels, elements, values)] cardinalities. *)

@@ -64,9 +64,5 @@ let rows_of_file ?limits path = rows_of (fun h -> Sax.parse_file ?limits h path)
 
 let save_file ?limits ~input ~output () =
   let rows = rows_of_file ?limits input in
-  let oc = open_out_bin output in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Persist.encode rows);
-      List.length rows)
+  Persist.save_table output rows;
+  List.length rows

@@ -34,5 +34,6 @@ val rows_of_file :
 
 val save_file :
   ?limits:Xks_robust.Limits.t -> input:string -> output:string -> unit -> int
-(** Stream-index [input] and write the rows in {!Persist} format to
-    [output]; returns the number of distinct words. *)
+(** Stream-index [input] and write the rows to [output] with
+    {!Persist.save_table} (crash-safe replace); returns the number of
+    distinct words. *)

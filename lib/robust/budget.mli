@@ -13,9 +13,8 @@
     A budget is {e single-domain} state: its counters are plain mutable
     fields, so a [t] must only ever be ticked by one domain.  Parallel
     execution layers create one budget per query on the domain that runs
-    it ({!Xks_exec.Exec.search_batch} does exactly this), and
-    {!Xks_core.Pipeline} forces striped pruning back to one domain when
-    a budget is present. *)
+    it ({!Xks_exec.Exec.search_batch} does exactly this); the pipeline
+    itself runs every stage of a query on the calling domain. *)
 
 type reason =
   | Deadline  (** the wall-clock deadline passed *)

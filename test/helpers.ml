@@ -112,3 +112,47 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   at 0
+
+(* Untrusted input for a parser: mostly [valid] inputs with one to three
+   random edits (a byte overwritten, one of [tokens] inserted, a range
+   deleted), the rest a soup of random bytes and [tokens], so that
+   inputs reach the parser's deeper states and not only its first
+   check. *)
+let gen_untrusted ~tokens valid =
+  let open QCheck2.Gen in
+  let splice s p del ins =
+    let p = p mod (String.length s + 1) in
+    let del = min del (String.length s - p) in
+    String.sub s 0 p ^ ins ^ String.sub s (p + del) (String.length s - p - del)
+  in
+  let pos = int_bound 1_000_000 (* uniform, unlike [nat] *) in
+  let edit =
+    oneof
+      [
+        map2 (fun p c s -> splice s p 1 (String.make 1 c)) pos char;
+        map2 (fun p t s -> splice s p 0 t) pos (oneofl tokens);
+        map2 (fun p n s -> splice s p n "") pos (int_range 1 8);
+      ]
+  in
+  let soup =
+    map (String.concat "")
+      (list_size (int_range 0 24)
+         (frequency
+            [ (1, string_size ~gen:char (int_range 1 4)); (3, oneofl tokens) ]))
+  in
+  frequency
+    [
+      (1, soup);
+      ( 3,
+        map2 (List.fold_left (fun s e -> e s)) valid
+          (list_size (int_range 1 3) edit) );
+    ]
+
+(* A property body: [f ()] returns, or raises an exception [documented]
+   accepts; any other exception fails the property, naming it. *)
+let raises_only documented f =
+  match f () with
+  | _ -> true
+  | exception e when documented e -> true
+  | exception e ->
+      QCheck2.Test.fail_reportf "undocumented exception %s" (Printexc.to_string e)

@@ -7,14 +7,11 @@ let () =
       ("parser", Test_parser.tests);
       ("writer", Test_writer.tests);
       ("sax", Test_sax.tests);
-      ("path", Test_path.tests);
       ("tree", Test_tree.tests);
       ("index", Test_index.tests);
       ("persist", Test_persist.tests);
       ("robust", Test_robust.tests);
-      ("relational", Test_relational.tests);
       ("stream_index", Test_stream_index.tests);
-      ("phrase", Test_phrase.tests);
       ("gdmct", Test_gdmct.tests);
       ("lca", Test_lca.tests);
       ("rtf", Test_rtf.tests);

@@ -66,11 +66,16 @@ let run_case rng max_nodes =
     doc query;
   check "tree-scan elca = indexed stack" (Xks_lca.Tree_scan.elca doc ps = elca_is)
     doc query;
-  (* SQL path agrees with the inverted index. *)
-  let store = Xks_index.Rel_store.of_doc doc in
+  (* The shredded value-table lookup agrees with the inverted index. *)
+  let tables = Xks_index.Shredder.shred doc in
   check "sql postings"
-    (Xks_index.Rel_store.postings_via_sql store
-       (Array.to_list q.Xks_core.Query.keywords)
+    (Array.map
+       (fun w ->
+         Array.of_list
+           (List.map
+              (fun (r : Xks_index.Shredder.value_row) -> r.v_id)
+              (Xks_index.Shredder.find_values tables w)))
+       q.Xks_core.Query.keywords
     = ps)
     doc query;
   (* Streaming index agrees with the tree index. *)

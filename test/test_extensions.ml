@@ -1,12 +1,8 @@
-(* Extensions beyond the paper: snippets, labeled terms, ElemRank
-   structural ranking. *)
+(* Extensions beyond the paper: snippets and labeled terms. *)
 
 module Engine = Xks_core.Engine
-module Query = Xks_core.Query
 module Snippet = Xks_core.Snippet
 module Labeled = Xks_core.Labeled
-module Elemrank = Xks_core.Elemrank
-module Tree = Xks_xml.Tree
 
 let engine_of = Engine.of_string
 
@@ -115,55 +111,6 @@ let test_labeled_no_results () =
   Alcotest.(check int) "no hit" 0
     (List.length (Labeled.search engine [ "title:recipes" ]))
 
-(* --- ElemRank --- *)
-
-let test_elemrank_sums_to_one () =
-  let doc = Xks_datagen.Paper_fixtures.publications () in
-  let pr = Elemrank.compute doc in
-  let total =
-    Tree.fold (fun acc n -> acc +. Elemrank.score pr n.Tree.id) 0.0 doc
-  in
-  Alcotest.(check (float 1e-6)) "normalised" 1.0 total
-
-let test_elemrank_hub_beats_leaf () =
-  let doc =
-    Xks_xml.Parser.parse_string
-      "<r><hub><a/><b/><c/><d/><e/></hub><leaf/></r>"
-  in
-  let pr = Elemrank.compute doc in
-  let hub = Elemrank.score pr (Helpers.id_at doc "0.0") in
-  let leaf = Elemrank.score pr (Helpers.id_at doc "0.1") in
-  Alcotest.(check bool) "hub scores higher" true (hub > leaf)
-
-let test_elemrank_top () =
-  let doc = Xks_xml.Parser.parse_string "<r><hub><a/><b/><c/></hub></r>" in
-  let pr = Elemrank.compute doc in
-  match Elemrank.top pr 1 with
-  | [ (id, _) ] -> Alcotest.(check int) "hub on top" (Helpers.id_at doc "0.0") id
-  | _ -> Alcotest.fail "expected one row"
-
-let test_rank_with_prior () =
-  let engine =
-    engine_of
-      "<db><item><name>w1 w2</name></item><other>w1</other><misc>w2</misc></db>"
-  in
-  let result = Engine.run engine [ "w1"; "w2" ] in
-  let prior = Elemrank.compute (Engine.doc engine) in
-  let ranked = Xks_core.Ranking.rank_with_prior prior result in
-  Alcotest.(check int) "same cardinality"
-    (List.length result.Xks_core.Pipeline.fragments)
-    (List.length ranked);
-  List.iter
-    (fun (s : Xks_core.Ranking.scored) ->
-      Alcotest.(check bool) "positive scores" true (s.Xks_core.Ranking.score > 0.0))
-    ranked
-
-let test_singleton_document () =
-  let doc = Xks_xml.Parser.parse_string "<only/>" in
-  let pr = Elemrank.compute doc in
-  Alcotest.(check (float 1e-9)) "lone node keeps all mass" 1.0
-    (Elemrank.score pr 0)
-
 let tests =
   [
     Alcotest.test_case "snippet: window and highlight" `Quick test_snippet_basic;
@@ -175,9 +122,4 @@ let tests =
     Alcotest.test_case "labeled: postings" `Quick test_labeled_posting;
     Alcotest.test_case "labeled: search narrows" `Quick test_labeled_search_narrows;
     Alcotest.test_case "labeled: no results" `Quick test_labeled_no_results;
-    Alcotest.test_case "elemrank: normalisation" `Quick test_elemrank_sums_to_one;
-    Alcotest.test_case "elemrank: hubs beat leaves" `Quick test_elemrank_hub_beats_leaf;
-    Alcotest.test_case "elemrank: top" `Quick test_elemrank_top;
-    Alcotest.test_case "elemrank: singleton document" `Quick test_singleton_document;
-    Alcotest.test_case "ranking with structural prior" `Quick test_rank_with_prior;
   ]

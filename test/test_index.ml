@@ -275,6 +275,45 @@ let test_shredder_label_paths () =
   Alcotest.(check (list int)) "label path root..self" [ 0; 1 ]
     row.Shredder.e_label_path
 
+(* getKeywordNodes over the value table (the paper's Section 5.2 SQL
+   lookup): the ids of the rows whose keyword is [w]. *)
+let shredded_posting tables w =
+  Array.of_list
+    (List.map (fun r -> r.Shredder.v_id) (Shredder.find_values tables w))
+
+let test_sql_postings_match_inverted () =
+  let doc = Xks_datagen.Paper_fixtures.publications () in
+  let tables = Shredder.shred doc in
+  let idx = Inverted.build doc in
+  List.iter
+    (fun w ->
+      Alcotest.(check (list int))
+        ("postings of " ^ w)
+        (Array.to_list (Inverted.posting idx w))
+        (Array.to_list (shredded_posting tables w)))
+    [ "liu"; "keyword"; "xml"; "title"; "vldb"; "skyline"; "nosuchword" ]
+
+let test_full_pipeline_via_sql () =
+  (* Algorithm 1 with getKeywordNodes served by the value table. *)
+  let doc = Xks_datagen.Paper_fixtures.publications () in
+  let tables = Shredder.shred doc in
+  let postings =
+    Array.of_list
+      (List.map (shredded_posting tables) Xks_datagen.Paper_fixtures.q2)
+  in
+  let lcas = Xks_lca.Indexed_stack.elca doc postings in
+  Helpers.check_ids doc "same LCAs as the inverted-index path"
+    [ "0.2.0"; "0.2.0.3.0" ] lcas
+
+let prop_sql_postings_agree =
+  QCheck2.Test.make ~name:"SQL postings = inverted index on random docs"
+    ~count:100 ~print:Helpers.print_doc Helpers.gen_doc (fun doc ->
+      let tables = Shredder.shred doc in
+      let idx = Inverted.build doc in
+      Array.for_all
+        (fun w -> shredded_posting tables w = Inverted.posting idx w)
+        Helpers.words)
+
 let tests =
   [
     Alcotest.test_case "klist key numbers (fig 4)" `Quick test_klist_key_numbers;
@@ -298,4 +337,8 @@ let tests =
     Alcotest.test_case "query correction" `Quick test_correct_query;
     Alcotest.test_case "shredder tables" `Quick test_shredder_tables;
     Alcotest.test_case "shredder label paths" `Quick test_shredder_label_paths;
+    Alcotest.test_case "SQL postings = inverted index" `Quick
+      test_sql_postings_match_inverted;
+    Alcotest.test_case "pipeline via the SQL path" `Quick test_full_pipeline_via_sql;
+    Helpers.qtest prop_sql_postings_agree;
   ]

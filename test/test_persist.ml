@@ -178,12 +178,76 @@ let prop_any_prefix_fails_cleanly =
       done;
       !ok)
 
+let prop_decode_errors_documented =
+  (* Valid inputs in both formats: encoded random documents, and the
+     hand-assembled XKSIDX1 file of the legacy test (no checksums, so
+     edits reach the block parser). *)
+  let valid =
+    QCheck2.Gen.oneof
+      [
+        QCheck2.Gen.map
+          (fun doc -> Persist.encode (Persist.dump (Inverted.build doc)))
+          Helpers.gen_doc;
+        QCheck2.Gen.return "XKSIDX1\n\x01\x01w\x01\x01\x03";
+      ]
+  in
+  QCheck2.Test.make ~name:"random bytes fail decode only with Failure"
+    ~count:2000 ~print:(Printf.sprintf "%S")
+    (Helpers.gen_untrusted valid
+       ~tokens:
+         [ "XKSIDX2\n"; "XKSIDX1\n"; "\x00"; "\x7f"; "\x80"; "\xff";
+           String.make 10 '\xff' ])
+    (fun bytes ->
+      Helpers.raises_only
+        (function Failure _ -> true | _ -> false)
+        (fun () -> Persist.decode bytes))
+
 let prop_roundtrip_random =
   QCheck2.Test.make ~name:"persistence round-trip on random documents"
     ~count:100 ~print:Helpers.print_doc Helpers.gen_doc (fun doc ->
       let idx = Inverted.build doc in
       let idx' = Persist.of_table doc (Persist.dump idx) in
       Persist.dump idx = Persist.dump idx')
+
+(* Saving over an index replaces the file rather than rewriting it in
+   place: a hard link to the old file keeps the old bytes, the path loads
+   as the new index, and no temporary file is left in the directory. *)
+let check_save_replaces save () =
+  let dir = Filename.temp_dir "xks_persist" "" in
+  let path = Filename.concat dir "c.idx" in
+  let link = Filename.concat dir "old.idx" in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let doc_a = sample_doc () and doc_b = Xks_datagen.Paper_fixtures.team () in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      save path doc_a;
+      let bytes_a = read path in
+      Unix.link path link;
+      Unix.chmod path 0o600;
+      save path doc_b;
+      Alcotest.(check int) "permissions kept" 0o600 (Unix.stat path).st_perm;
+      Alcotest.(check bool) "path loads as the new index" true
+        (Persist.dump (Persist.load path doc_b)
+        = Persist.dump (Inverted.build doc_b));
+      Alcotest.(check string) "the link keeps the old bytes" bytes_a (read link);
+      Alcotest.(check bool) "the link still decodes" true
+        (Persist.decode (read link) = Persist.dump (Inverted.build doc_a));
+      Alcotest.(check (list string)) "no temporary file left"
+        [ "c.idx"; "old.idx" ]
+        (List.sort String.compare (Array.to_list (Sys.readdir dir))))
+
+let save_index path doc = Persist.save path (Inverted.build doc)
+
+let stream_index path doc =
+  let xml = Filename.temp_file "xks_persist" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove xml)
+    (fun () ->
+      Xks_xml.Writer.to_file xml doc;
+      ignore (Xks_index.Stream_index.save_file ~input:xml ~output:path () : int))
 
 let tests =
   [
@@ -208,8 +272,13 @@ let tests =
       test_legacy_v1_still_readable;
     Alcotest.test_case "load_or_rebuild recovers" `Quick
       test_load_or_rebuild_recovers;
+    Alcotest.test_case "save replaces the file, not its bytes" `Quick
+      (check_save_replaces save_index);
+    Alcotest.test_case "save_file replaces the file, not its bytes" `Quick
+      (check_save_replaces stream_index);
     Alcotest.test_case "load under injected truncation" `Quick
       test_load_failpoint_truncation;
     Helpers.qtest prop_roundtrip_random;
     Helpers.qtest prop_any_prefix_fails_cleanly;
+    Helpers.qtest prop_decode_errors_documented;
   ]

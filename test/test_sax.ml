@@ -88,6 +88,34 @@ let test_errors_positioned () =
   Alcotest.(check bool) "other exceptions ignored" true
     (Sax.error_to_string Exit = None)
 
+let prop_errors_documented =
+  let small =
+    {
+      Xks_robust.Limits.max_depth = 4;
+      max_attrs = 2;
+      max_text_bytes = 64;
+      max_nodes = 8;
+    }
+  in
+  QCheck2.Test.make ~name:"random bytes raise only Error or Limit_exceeded"
+    ~count:3000 ~print:(fun (_, s) -> Printf.sprintf "%S" s)
+    QCheck2.Gen.(
+      pair bool
+        (Helpers.gen_untrusted
+           (map Xks_xml.Writer.to_string Helpers.gen_doc)
+           ~tokens:
+             [ "<a>"; "</a>"; "<b x='1' y=\"2\">"; "</b>"; "<c/>"; "<"; ">";
+               "/>"; "&amp;"; "&#x41;"; "&#65;"; "&#99999999;"; "&bogus;";
+               "<!--"; "-->"; "<![CDATA["; "]]>"; "<?xml version='1.0'?>";
+               "<!DOCTYPE a>"; "="; "'"; "\"" ]))
+    (fun (use_small, bytes) ->
+      let limits = if use_small then small else Xks_robust.Limits.default in
+      Helpers.raises_only
+        (function
+          | Sax.Error _ | Xks_robust.Limits.Limit_exceeded _ -> true
+          | _ -> false)
+        (fun () -> Sax.parse_string ~limits (Sax.handler ()) bytes))
+
 let tests =
   [
     Alcotest.test_case "event order" `Quick test_event_order;
@@ -96,4 +124,5 @@ let tests =
     Helpers.qtest test_balanced_on_random_docs;
     Alcotest.test_case "streaming word count" `Quick test_streaming_word_count;
     Alcotest.test_case "errors carry positions" `Quick test_errors_positioned;
+    Helpers.qtest prop_errors_documented;
   ]

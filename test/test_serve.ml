@@ -329,6 +329,107 @@ let test_create_failure_leaks_nothing () =
     Alcotest.(check int) "no fd leaked by failed create" before (count_fds ())
   end
 
+(* --- untrusted bytes --- *)
+
+let drain r =
+  let rec go acc =
+    match Http.next r with Some req -> go (req :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* One to three valid pipelined requests, with their count. *)
+let gen_requests =
+  let open QCheck2.Gen in
+  let word = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
+  let request =
+    let* meth = oneofl [ "GET"; "POST"; "HEAD" ]
+    and* segments = list_size (int_range 0 3) word
+    and* params =
+      list_size (int_range 0 3)
+        (pair word (oneofl [ "xml"; "a+b"; "%41%20c"; "" ]))
+    and* headers = list_size (int_range 0 4) (pair word word)
+    and* body = oneof [ return ""; word ]
+    and* version = oneofl [ "HTTP/1.1"; "HTTP/1.0" ]
+    and* eol = oneofl [ "\r\n"; "\n" ] in
+    let query =
+      if params = [] then ""
+      else "?" ^ String.concat "&" (List.map (fun (k, v) -> k ^ "=" ^ v) params)
+    in
+    let headers =
+      if body = "" then headers
+      else headers @ [ ("content-length", string_of_int (String.length body)) ]
+    in
+    return
+      (String.concat ""
+         ([ meth; " /"; String.concat "/" segments; query; " "; version; eol ]
+         @ List.map (fun (k, v) -> k ^ ": " ^ v ^ eol) headers
+         @ [ eol; body ]))
+  in
+  map
+    (fun rs -> (List.length rs, String.concat "" rs))
+    (list_size (int_range 1 3) request)
+
+let prop_any_chunking =
+  QCheck2.Test.make ~name:"http: any chunking parses as the whole" ~count:1000
+    ~print:(fun ((_, raw), cuts) ->
+      Printf.sprintf "%S cut at %s" raw
+        (String.concat "," (List.map string_of_int cuts)))
+    QCheck2.Gen.(
+      pair gen_requests (list_size (int_range 0 8) (int_bound 1_000_000)))
+    (fun ((n, raw), cuts) ->
+      let whole = Http.reader Http.default_limits in
+      Http.feed whole raw;
+      let expected = drain whole in
+      let len = String.length raw in
+      let cuts =
+        List.sort_uniq Int.compare
+          (len :: List.map (fun c -> c mod (len + 1)) cuts)
+      in
+      let r = Http.reader Http.default_limits in
+      let got, _ =
+        List.fold_left
+          (fun (acc, from) cut ->
+            Http.feed r (String.sub raw from (cut - from));
+            (acc @ drain r, cut))
+          ([], 0) cuts
+      in
+      List.length expected = n
+      && got = expected
+      && Http.pending_bytes r = Http.pending_bytes whole)
+
+let prop_http_errors_documented =
+  let small =
+    {
+      Http.max_request_line_bytes = 32;
+      max_header_bytes = 96;
+      max_headers = 3;
+      max_body_bytes = 16;
+    }
+  in
+  QCheck2.Test.make
+    ~name:"http: random bytes raise only Bad_request or Limit_exceeded"
+    ~count:3000 ~print:(fun (_, s) -> Printf.sprintf "%S" s)
+    QCheck2.Gen.(
+      pair bool
+        (Helpers.gen_untrusted (map snd gen_requests)
+           ~tokens:
+             [ "GET "; "POST "; "/a?b=%"; "%zz"; " HTTP/1.1"; " HTTP/1.0";
+               " HTTP/2"; "\r\n"; "\n"; ": "; "host: x"; "content-length: ";
+               "99999999999999999999"; "-1"; "transfer-encoding: chunked";
+               " \t" ]))
+    (fun (use_small, bytes) ->
+      let r = Http.reader (if use_small then small else Http.default_limits) in
+      Http.feed r bytes;
+      (* Each request consumes at least one byte. *)
+      let rec go n =
+        n <= String.length bytes
+        && match Http.next r with None -> true | Some _ -> go (n + 1)
+      in
+      Helpers.raises_only
+        (function
+          | Http.Bad_request _ | Limits.Limit_exceeded _ -> true | _ -> false)
+        (fun () -> go 0))
+
 let tests =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -343,6 +444,8 @@ let tests =
     Alcotest.test_case "http: header-count cap" `Quick test_cap_header_count;
     Alcotest.test_case "http: body cap" `Quick test_cap_body_bytes;
     Alcotest.test_case "http: malformed syntax" `Quick test_bad_requests;
+    Helpers.qtest prop_any_chunking;
+    Helpers.qtest prop_http_errors_documented;
     Alcotest.test_case "http: percent decoding" `Quick test_percent_decoding;
     Alcotest.test_case "http: keep-alive defaults" `Quick
       test_keep_alive_defaults;
