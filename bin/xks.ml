@@ -626,7 +626,7 @@ let sql_cmd =
             r.v_label;
             r.v_attribute;
           ])
-        (Xks_index.Shredder.find_values (Xks_index.Shredder.shred doc) keyword)
+        (Xks_index.Shredder.find_values (Xks_index.Shredder.values doc) keyword)
     in
     let widths =
       List.fold_left

@@ -187,11 +187,11 @@ let node_info ?(cid_mode = Cid.Approx) (q : Query.t) (r : Rtf.t)
       push
         (v "node-info-klist" "RTF at %d: member %d has key number %d, not %d"
            r.lca info.id info.klist !klist);
-    if not (Cid.equal info.cid !cid) then
+    if not (Cid.equal (Node_info.cid t info) !cid) then
       push
         (v "node-info-cid" "RTF at %d: member %d has cID %s, not %s" r.lca
            info.id
-           (Format.asprintf "%a" Cid.pp info.cid)
+           (Format.asprintf "%a" Cid.pp (Node_info.cid t info))
            (Format.asprintf "%a" Cid.pp !cid));
     let _ : int =
       List.fold_left

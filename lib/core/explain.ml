@@ -1,5 +1,4 @@
 module Klist = Xks_index.Klist
-module Cid = Xks_index.Cid
 module Dewey = Xks_xml.Dewey
 module Tree = Xks_xml.Tree
 
@@ -30,7 +29,7 @@ let group_decisions (g : Node_info.label_group) =
       (fun (ch : Node_info.info) -> (ch, Kept_unique_label))
       g.group_children
   else begin
-    (* knum -> (cid, owner id) list for the kept children so far *)
+    (* knum -> (feature, owner id) list for the kept children so far *)
     let used = Hashtbl.create 4 in
     let covering_sibling (ch : Node_info.info) =
       List.find_opt
@@ -43,11 +42,11 @@ let group_decisions (g : Node_info.label_group) =
         match Hashtbl.find_opt used ch.klist with
         | Some owners -> (
             match
-              List.find_opt (fun (cid, _) -> Cid.equal cid ch.cid) !owners
+              List.find_opt (fun (f, _) -> Int.equal f ch.feature) !owners
             with
             | Some (_, owner) -> (ch, Discarded_duplicate owner)
             | None ->
-                owners := (ch.cid, ch.id) :: !owners;
+                owners := (ch.feature, ch.id) :: !owners;
                 (ch, Kept_distinct_content))
         | None ->
             if Klist.covered_by_any ch.klist g.chklist then
@@ -55,7 +54,7 @@ let group_decisions (g : Node_info.label_group) =
               | Some sib -> (ch, Discarded_covered sib.id)
               | None -> assert false (* chklist is built from the group *)
             else begin
-              Hashtbl.add used ch.klist (ref [ (ch.cid, ch.id) ]);
+              Hashtbl.add used ch.klist (ref [ (ch.feature, ch.id) ]);
               (ch, Kept_maximal)
             end)
       g.group_children

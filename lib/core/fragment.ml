@@ -3,13 +3,24 @@ module Dewey = Xks_xml.Dewey
 
 type t = { root : int; members : int array }
 
+(* Sorted in a scratch buffer, in place: the member array is the only
+   allocation. *)
 let make ~root ~members =
-  let members = List.sort_uniq Int.compare (root :: members) in
-  { root; members = Array.of_list members }
+  Xks_util.Scratch.with_ints (fun buf ->
+      Xks_util.Int_vec.push buf root;
+      List.iter (Xks_util.Int_vec.push buf) members;
+      Xks_util.Int_vec.sort_uniq buf;
+      { root; members = Xks_util.Int_vec.to_array buf })
 
 let size t = Array.length t.members
 let mem t id = Xks_util.Bsearch.mem t.members id
-let equal a b = a.root = b.root && a.members = b.members
+let equal a b =
+  let n = Array.length a.members in
+  a.root = b.root
+  && n = Array.length b.members
+  &&
+  let rec same i = i = n || (a.members.(i) = b.members.(i) && same (i + 1)) in
+  same 0
 let members_list t = Array.to_list t.members
 
 let diff_count a b =

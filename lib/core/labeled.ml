@@ -48,7 +48,9 @@ let query idx terms =
   let parsed = List.map parse_term terms in
   let keywords = List.map term_to_string parsed in
   let postings = Array.of_list (List.map (posting idx) parsed) in
-  Query.of_postings (Xks_index.Inverted.doc idx) ~keywords postings
+  Query.of_postings
+    ~features:(Xks_index.Inverted.features idx)
+    (Xks_index.Inverted.doc idx) ~keywords postings
 
 let search ?algorithm engine terms =
   let q = query (Engine.index engine) terms in

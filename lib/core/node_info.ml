@@ -6,12 +6,46 @@ type info = {
   id : int;
   label : Xks_xml.Label.t;
   mutable klist : Klist.t;
-  mutable cid : Cid.t;
+  mutable feature : int;
   mutable rtf_children : info list;
 }
 
-(* The tree is its root; every other member hangs off [rtf_children]. *)
-type t = info
+type t = { root : info; cid_of : int -> Cid.t }
+
+module Feature_ids = Hashtbl.Make (struct
+  type t = Cid.t
+
+  let equal = Cid.equal
+  let hash = Cid.hash
+end)
+
+(* Features without an index table (Exact mode, or a query built
+   without one): re-tokenised [Cid.t] values, numbered per construct so
+   that equal features get equal numbers.  0 is the empty feature.
+   Returns (feature of a keyword node, merge, decode). *)
+let numbered cid_mode doc =
+  let ids = Feature_ids.create 16 and values = ref [| Cid.empty |] in
+  Feature_ids.add ids Cid.empty 0;
+  let intern c =
+    match Feature_ids.find_opt ids c with
+    | Some i -> i
+    | None ->
+        let i = Feature_ids.length ids in
+        if i = Array.length !values then
+          values := Array.append !values (Array.make i Cid.empty);
+        !values.(i) <- c;
+        Feature_ids.add ids c i;
+        i
+  in
+  let of_node kn =
+    intern (Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn)))
+  in
+  let merge a b =
+    if a = 0 || a = b then b
+    else if b = 0 then a
+    else intern (Cid.merge !values.(a) !values.(b))
+  in
+  (of_node, merge, fun i -> !values.(i))
 
 (* The constructing step in one sweep over the keyword nodes in reverse
    document order.  [stack] is the open path from the RTF root to the
@@ -24,16 +58,32 @@ type t = info
    Folding on close gives every member the union of its subtree's
    keyword-node information, exactly what Algorithm 1's push to every
    ancestor computes, because [Klist.union] and [Cid.merge] are
-   associative, commutative and idempotent. *)
+   associative, commutative and idempotent.  Parents, labels and the
+   root's end come from the tree's flat arrays. *)
 let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
   let doc = q.doc in
-  let root_end = (Tree.node doc rtf.lca).subtree_end in
+  let parents = Tree.parents doc and labels = Tree.label_ids doc in
+  let root_end = (Tree.subtree_ends doc).(rtf.lca) in
+  (* Keyword-node features are the index's packed rank pairs when the
+     query carries its table (Approx mode only — the table stores
+     (min, max) pairs): folding them is an integer min and max.  The
+     fallback re-tokenises the node; it covers Exact mode and queries
+     built by [of_postings] without a table. *)
+  let empty, of_node, merge, cid_of =
+    match (cid_mode, q.features) with
+    | Cid.Approx, Some tbl ->
+        let nodes = tbl.nodes in
+        (Cid.packed_empty, (fun kn -> nodes.(kn)), Cid.merge_packed, Cid.decode tbl)
+    | (Cid.Approx | Cid.Exact), _ ->
+        let of_node, merge, cid_of = numbered cid_mode doc in
+        (0, of_node, merge, cid_of)
+  in
   let fresh id =
     {
       id;
-      label = (Tree.node doc id).label;
+      label = labels.(id);
       klist = Klist.empty;
-      cid = Cid.empty;
+      feature = empty;
       rtf_children = [];
     }
   in
@@ -44,7 +94,7 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     match !stack with
     | info :: (parent :: _ as rest) when info.id > id ->
         parent.klist <- Klist.union parent.klist info.klist;
-        parent.cid <- Cid.merge parent.cid info.cid;
+        parent.feature <- merge parent.feature info.feature;
         stack := rest;
         close_above id
     | _ -> ()
@@ -57,7 +107,7 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     match !stack with
     | top :: _ when top.id = id -> top
     | _ ->
-        let parent = open_path (Tree.node doc id).parent in
+        let parent = open_path parents.(id) in
         let info = fresh id in
         parent.rtf_children <- info :: parent.rtf_children;
         stack := info :: !stack;
@@ -85,16 +135,6 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     done;
     !mask
   in
-  (* Keyword-node features come from the index's precomputed table when
-     it is available (Approx mode only — the table stores (min, max)
-     pairs).  The fallback re-tokenises the node; it covers Exact mode
-     and queries built by [of_postings] without a table. *)
-  let feature kn =
-    match cid_mode with
-    | Cid.Approx when Array.length q.approx_cids > 0 -> q.approx_cids.(kn)
-    | Cid.Approx | Cid.Exact ->
-        Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn))
-  in
   let knodes = rtf.knodes in
   (* xkscost: unticked pre-charged: one step per keyword node; every caller ticks 1+|knodes| per RTF before construct *)
   for j = Array.length knodes - 1 downto 0 do
@@ -114,12 +154,13 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     close_above kn;
     let info = open_path kn in
     info.klist <- Klist.union info.klist (klist_of kn);
-    info.cid <- Cid.merge info.cid (feature kn)
+    info.feature <- merge info.feature (of_node kn)
   done;
   close_above rtf.lca;
-  root
+  { root; cid_of }
 
-let root t = t
+let root t = t.root
+let cid t (info : info) = t.cid_of info.feature
 
 type label_group = {
   group_label : Xks_xml.Label.t;
@@ -128,37 +169,59 @@ type label_group = {
   group_children : info list;
 }
 
+(* [chklist] sorts the group's key numbers in a scratch buffer, in
+   place: only the distinct ones are copied out. *)
+let group label members =
+  let counter = ref 0 in
+  let chklist =
+    Xks_util.Scratch.with_ints (fun buf ->
+        (* xkscost: unticked pre-charged: one key number per child of the group, inside the pruning walk prune_all charged for *)
+        List.iter
+          (fun (i : info) ->
+            incr counter;
+            Xks_util.Int_vec.push buf i.klist)
+          members;
+        Xks_util.Int_vec.sort_uniq buf;
+        Xks_util.Int_vec.to_array buf)
+  in
+  { group_label = label; counter = !counter; chklist; group_children = members }
+
+(* Per-domain scratch for [label_groups]: [by_label.(l)] collects the
+   children labelled [l] of the member being grouped, most recent
+   first, and is emptied again before [label_groups] returns (nothing
+   in between can raise). *)
+let by_label : info list array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
 let label_groups info =
-  let order = ref [] in
-  let groups = Hashtbl.create 8 in
-  (* xkscost: unticked pre-charged: one grouping pass over a node's RTF children, inside the pruning walk prune_all charged for *)
-  List.iter
-    (fun (child : info) ->
-      match Hashtbl.find_opt groups child.label with
-      | Some members -> members := child :: !members
-      | None ->
-          Hashtbl.add groups child.label (ref [ child ]);
-          order := child.label :: !order)
-    info.rtf_children;
-  List.rev_map
-    (fun label ->
-      let members =
-        (* [order] only records labels inserted into [groups] above. *)
-        match Hashtbl.find_opt groups label with
-        | Some members -> List.rev !members
-        | None -> assert false
+  match info.rtf_children with
+  | [] -> []
+  | [ only ] -> [ group only.label [ only ] ]
+  | children ->
+      let slots = Domain.DLS.get by_label in
+      (* Labels in reverse order of first appearance. *)
+      let order =
+        (* xkscost: unticked pre-charged: one pass over a node's RTF children, inside the pruning walk prune_all charged for *)
+        List.fold_left
+          (fun firsts (c : info) ->
+            let l = c.label in
+            if l >= Array.length !slots then begin
+              let grown = Array.make (max (l + 1) (2 * Array.length !slots)) [] in
+              Array.blit !slots 0 grown 0 (Array.length !slots);
+              slots := grown
+            end;
+            let prev = !slots.(l) in
+            !slots.(l) <- c :: prev;
+            match prev with [] -> l :: firsts | _ :: _ -> firsts)
+          [] children
       in
-      let chklist =
-        List.map (fun (i : info) -> i.klist) members
-        |> List.sort_uniq Int.compare |> Array.of_list
-      in
-      {
-        group_label = label;
-        counter = List.length members;
-        chklist;
-        group_children = members;
-      })
-    !order
+      (* xkscost: unticked pre-charged: one step per distinct child label, inside the same pass *)
+      List.fold_left
+        (fun groups l ->
+          let members = List.rev !slots.(l) in
+          !slots.(l) <- [];
+          group l members :: groups)
+        [] order
 
 (* Children are in ascending id order and their subtrees are disjoint id
    ranges, so member [id], if any, lies under the last child whose id
@@ -175,4 +238,4 @@ let info_of t id =
       | Some child -> descend child
       | None -> None
   in
-  descend t
+  descend t.root

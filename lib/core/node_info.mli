@@ -19,7 +19,13 @@ type info = private {
   id : int;
   label : Xks_xml.Label.t;
   mutable klist : Xks_index.Klist.t;  (** tree keyword set (key number) *)
-  mutable cid : Xks_index.Cid.t;  (** feature of the tree content set *)
+  mutable feature : int;
+      (** feature of the tree content set, as an integer key: two
+          members of one info tree have equal keys iff their cIDs are
+          equal ({!cid} decodes it).  A packed pair of lexical word
+          ranks when the query carries its index's feature table
+          ({!Xks_index.Cid.table}, Approx mode); a number assigned per
+          construct otherwise. *)
   mutable rtf_children : info list;  (** children within the RTF, document order *)
 }
 
@@ -31,7 +37,9 @@ val construct : ?cid_mode:Xks_index.Cid.mode -> Query.t -> Rtf.t -> t
     nodes and connecting path nodes), with [klist]/[cid] aggregated bottom
     up.  Keyword-node contents are read from the document; path nodes
     contribute no content of their own (the paper's tree content set only
-    unions {e keyword} nodes).
+    unions {e keyword} nodes).  With the query's feature table
+    ([Approx] mode) the features are folded as integers; without one,
+    or in [Exact] mode, each keyword node is re-tokenised.
 
     [rtf.knodes] must be in document order, as {!Rtf.get_rtfs} gives them,
     and inside the subtree of [rtf.lca].  Cost: O(members) plus, per
@@ -43,6 +51,12 @@ val construct : ?cid_mode:Xks_index.Cid.mode -> Query.t -> Rtf.t -> t
 
 val root : t -> info
 
+val cid : t -> info -> Xks_index.Cid.t
+(** [cid t info] is the cID of [info]'s tree content set, decoded from
+    its integer [feature] (through the index's ranked vocabulary, or the
+    construct's own numbering).  For explanations and checks; pruning
+    compares the integers. *)
+
 type label_group = {
   group_label : Xks_xml.Label.t;
   counter : int;  (** number of children with this label *)
@@ -52,7 +66,8 @@ type label_group = {
 
 val label_groups : info -> label_group list
 (** The "Children Info" of a node: its RTF children grouped by label, in
-    order of first appearance. *)
+    order of first appearance.  A member with zero or one child needs no
+    grouping; otherwise a stable sort by label finds the groups. *)
 
 val info_of : t -> int -> info option
 (** Look up the info of an RTF member by node id ([None] for any other

@@ -1,11 +1,14 @@
 module Klist = Xks_index.Klist
-module Cid = Xks_index.Cid
 
+(* Kept (kList, feature) pairs of one label group. *)
 module Kept = Hashtbl.Make (struct
-  type t = Klist.t * Cid.t
+  type t = Klist.t * int
 
-  let equal (k, c) (k', c') = Int.equal k k' && Cid.equal c c'
-  let hash (k, c) = (31 * Hashtbl.hash k) + Cid.hash c
+  let equal ((k : int), (c : int)) (k', c') = k = k' && c = c'
+
+  (* A packed feature keeps its low rank in the high bits: fold them
+     down before mixing in the key number. *)
+  let hash (k, c) = (((c lxor (c lsr 31)) * 31) + k) land max_int
 end)
 
 (* Children of [info] surviving Definition 4, document order preserved
@@ -22,25 +25,26 @@ let valid_children (info : Node_info.info) =
   let keep_of_group (g : Node_info.label_group) =
     if g.counter = 1 then g.group_children
     else begin
-      (* The kLists with a kept child, and the kept (kList, cID) pairs:
-         a hash probe per child keeps a wide label group linear. *)
-      let kept_klists = Hashtbl.create 4 and kept = Kept.create 16 in
+      (* A child survives rule 2(a) iff no sibling's keyword set strictly
+         covers its own, and rule 2(b) iff no kept sibling has its
+         (kList, cID) pair: a hash probe per child keeps a wide label
+         group linear. *)
+      let kept = Kept.create 8 in
       List.filter
         (fun (ch : Node_info.info) ->
-          let keep =
-            if Hashtbl.mem kept_klists ch.klist then
-              not (Kept.mem kept (ch.klist, ch.cid))
-            else not (Klist.covered_by_any ch.klist g.chklist)
-          in
-          if keep then begin
-            Hashtbl.replace kept_klists ch.klist ();
-            Kept.add kept (ch.klist, ch.cid) ()
-          end;
-          keep)
+          let key = (ch.klist, ch.feature) in
+          if Klist.covered_by_any ch.klist g.chklist || Kept.mem kept key then
+            false
+          else begin
+            Kept.add kept key ();
+            true
+          end)
         g.group_children
     end
   in
-  List.concat_map keep_of_group (Node_info.label_groups info)
+  match info.rtf_children with
+  | ([] | [ _ ]) as children -> children
+  | _ :: _ :: _ -> List.concat_map keep_of_group (Node_info.label_groups info)
 
 (* Children surviving MaxMatch's contributor test: no sibling (any label)
    with a strictly larger keyword set. *)

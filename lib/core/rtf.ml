@@ -39,7 +39,7 @@ let keyword_node_ids ?budget (q : Query.t) =
       Xks_util.Int_vec.to_array out)
 
 let get_rtfs ?budget (q : Query.t) lcas =
-  let doc = q.doc in
+  let ends = Xks_xml.Tree.subtree_ends q.doc in
   let knodes = keyword_node_ids ?budget q in
   let buckets = List.map (fun a -> (a, Xks_util.Int_vec.create ())) lcas in
   (* Sweep keyword nodes in document order, keeping a stack of the LCA
@@ -64,7 +64,7 @@ let get_rtfs ?budget (q : Query.t) lcas =
     (* xkscost: unticked amortised: each open interval is closed exactly once across the sweep; dispatch ticks per keyword node *)
     let rec close_intervals () =
       match !stack with
-      | (a, _) :: rest when (Tree.node doc a).subtree_end < id ->
+      | (a, _) :: rest when ends.(a) < id ->
           stack := rest;
           close_intervals ()
       | _ -> ()

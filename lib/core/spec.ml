@@ -58,6 +58,11 @@ let rtf_partitions (q : Query.t) =
     in
     let k = Query.k q in
     let indices = List.init k Fun.id in
+    let deepest_full_container id =
+      match Xks_lca.Probe.fc q.doc q.postings (Xks_lca.Probe.cursors q.postings) id with
+      | -1 -> None
+      | f -> Some (Tree.node q.doc f)
+    in
     (* Every way to pick one non-empty subset of [parts.(i)] per keyword,
        as unions. *)
     let sub_combination_unions parts =
@@ -88,7 +93,7 @@ let rtf_partitions (q : Query.t) =
            lies below this LCA) do not count. *)
         let cond2 =
           let claimed_deeper id =
-            match Xks_lca.Probe.fc q.doc q.postings (Tree.node q.doc id) with
+            match deepest_full_container id with
             | Some f -> Dewey.is_ancestor (Tree.node q.doc l).dewey f.dewey
             | None -> false
           in
@@ -118,7 +123,7 @@ let rtf_partitions (q : Query.t) =
         let cond3 =
           Iset.for_all
             (fun id ->
-              match Xks_lca.Probe.fc q.doc q.postings (Tree.node q.doc id) with
+              match deepest_full_container id with
               | Some f ->
                   not (Dewey.is_ancestor (Tree.node q.doc l).dewey f.dewey)
               | None -> true)

@@ -71,3 +71,48 @@ let pp fmt = function
            ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
            Format.pp_print_string)
         ws
+
+(* Ranked approximate features.  A pair of lexical ranks packs into one
+   int, [lo] in the high bits and [hi] in the low 31; the empty feature
+   is (max, 0), so merging is a min on [lo] and a max on [hi] with no
+   case for it, and it decodes to [Empty] because its [lo > hi]. *)
+let rank_bits = 31
+let rank_mask = (1 lsl rank_bits) - 1
+let packed_empty = rank_mask lsl rank_bits
+let pack lo hi = (lo lsl rank_bits) lor hi
+
+let merge_packed a b =
+  let alo = a lsr rank_bits and blo = b lsr rank_bits in
+  let ahi = a land rank_mask and bhi = b land rank_mask in
+  pack (Int.min alo blo) (Int.max ahi bhi)
+
+type table = { words : string array; nodes : int array }
+
+let table ~words ~postings ~nodes =
+  let v = Array.length words in
+  if not (Int.equal v (Array.length postings)) then
+    invalid_arg "Cid.table: arity";
+  if Int.compare v rank_mask >= 0 then
+    invalid_arg "Cid.table: vocabulary too large";
+  for r = 1 to v - 1 do
+    if String.compare words.(r - 1) words.(r) >= 0 then
+      invalid_arg "Cid.table: words not strictly ascending"
+  done;
+  (* One pass in rank order: a node first meets its smallest word and
+     last meets its largest. *)
+  let feats = Array.make nodes packed_empty in
+  Array.iteri
+    (fun r posting ->
+      Array.iter
+        (fun id ->
+          let f = feats.(id) in
+          feats.(id) <-
+            (if Int.equal f packed_empty then pack r r
+             else pack (f lsr rank_bits) r))
+        posting)
+    postings;
+  { words; nodes = feats }
+
+let decode tbl p =
+  let lo = p lsr rank_bits and hi = p land rank_mask in
+  if Int.compare lo hi > 0 then Empty else Minmax (tbl.words.(lo), tbl.words.(hi))

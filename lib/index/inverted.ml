@@ -1,16 +1,8 @@
 module Tree = Xks_xml.Tree
 module Tokenizer = Xks_xml.Tokenizer
 
-(* Both members are only written while [build] runs; the frozen copies
-   below are what the query path reads. *)
-(* xksrace: domain_safe written only during build, before the index is shared *)
-type entry = { ids : Xks_util.Int_vec.t; mutable occurrences : int }
+module Words = Hashtbl.Make (String)
 
-(* Immutable once constructed: [build]/[of_rows] freeze the growable
-   posting vectors into plain arrays before returning, so a [t] can be
-   shared read-only across domains (the [Xks_exec] pool relies on this —
-   no lock guards the index on the query path).  [entry.occurrences] is
-   only written while [build] runs. *)
 type stats = {
   nodes : int;
   vocabulary : int;
@@ -19,50 +11,35 @@ type stats = {
   max_posting_len : int;
 }
 
+(* Immutable once constructed: [build]/[of_rows] collect the postings in
+   a temporary table and freeze them into the arrays below before
+   returning, so a [t] can be shared read-only across domains (the
+   [Xks_exec] pool relies on this — no lock guards the index on the
+   query path).  Every array is indexed by a word's lexical rank, so
+   each posting list is held once. *)
 type t = {
   doc : Tree.t;  (* xksrace: domain_safe label table frozen once the tree is built *)
   (* xksrace: domain_safe populated by build/of_rows, read-only afterwards *)
-  entries : (string, entry) Hashtbl.t;
-  (* xksrace: domain_safe populated by build/of_rows, read-only afterwards *)
-  frozen : (string, int array) Hashtbl.t;
-  approx_cids : Cid.t array;  (* per node id; filled at build, never written *)
+  ranks : int Words.t;  (* word -> rank *)
+  postings : int array array;  (* rank -> sorted node ids *)
+  occurrences : int array;  (* rank -> occurrences, repeats counted *)
+  features : Cid.table;  (* ranked words and per-node approx cIDs *)
   stats : stats;  (* corpus-level aggregates; computed at freeze time *)
 }
 
 let empty_posting = [||]
 
-(* Per-node approximate content features, one document pass at build
-   time.  [Node_info.construct] used to recompute this per keyword node
-   on {e every} query — re-tokenising the node's label, text and
-   attributes ([Tree.content_words]) just to take a (min, max) pair.
-   That re-tokenisation was the single largest allocation source on the
-   cold query path, and under several domains the resulting minor-GC
-   stop-the-world barriers were the multicore scaling bottleneck.  The
-   word stream here is exactly [Tree.content_words]'s (label name, text,
-   attribute keys and values, stop words dropped), so the features are
-   identical to the ones previously computed per query. *)
-let compute_approx_cids doc =
-  Array.init (Tree.size doc) (fun id ->
-      Cid.of_words Cid.Approx (Tree.content_words doc (Tree.node doc id)))
-
-let freeze entries =
-  let f = Hashtbl.create (Hashtbl.length entries) in
-  Hashtbl.iter
-    (fun w e -> Hashtbl.add f w (Xks_util.Int_vec.to_array e.ids))
-    entries;
-  f
-
 (* Corpus aggregates over the frozen postings — paid once per build so
    idf and length-pivot lookups cost nothing per query. *)
-let compute_stats doc frozen =
-  let vocabulary = Hashtbl.length frozen in
+let compute_stats doc postings =
+  let vocabulary = Array.length postings in
   let total = ref 0 and longest = ref 0 in
-  Hashtbl.iter
-    (fun _ p ->
+  Array.iter
+    (fun p ->
       let len = Array.length p in
       total := !total + len;
       if len > !longest then longest := len)
-    frozen;
+    postings;
   {
     nodes = Tree.size doc;
     vocabulary;
@@ -73,6 +50,30 @@ let compute_stats doc frozen =
     max_posting_len = !longest;
   }
 
+(* Rank the vocabulary lexically, so word ranks sort like the words and
+   each node's approximate cID is a pair of ranks ([Cid.table], one pass
+   over the postings in rank order instead of re-tokenising every
+   node). *)
+let freeze doc (rows : (string, int * int array) Hashtbl.t) =
+  let rows = Array.of_seq (Hashtbl.to_seq rows) in
+  Array.sort (fun (a, _) (b, _) -> String.compare a b) rows;
+  let words = Array.map fst rows in
+  let postings = Array.map (fun (_, (_, p)) -> p) rows in
+  let ranks = Words.create (Array.length words) in
+  Array.iteri (fun r w -> Words.add ranks w r) words;
+  {
+    doc;
+    ranks;
+    postings;
+    occurrences = Array.map (fun (_, (o, _)) -> o) rows;
+    features = Cid.table ~words ~postings ~nodes:(Tree.size doc);
+    stats = compute_stats doc postings;
+  }
+
+(* The growable posting of one word while [build] runs. *)
+(* xksrace: domain_safe written only during build, before the index is shared *)
+type entry = { ids : Xks_util.Int_vec.t; mutable count : int }
+
 let build doc =
   let entries = Hashtbl.create 4096 in
   let index_node (n : Tree.node) =
@@ -81,11 +82,11 @@ let build doc =
         match Hashtbl.find_opt entries w with
         | Some e -> e
         | None ->
-            let e = { ids = Xks_util.Int_vec.create (); occurrences = 0 } in
+            let e = { ids = Xks_util.Int_vec.create (); count = 0 } in
             Hashtbl.add entries w e;
             e
       in
-      e.occurrences <- e.occurrences + 1;
+      e.count <- e.count + 1;
       (* Postings are per node: skip the id if this node was just added
          (tokens of one node arrive consecutively). *)
       let v = e.ids in
@@ -102,29 +103,27 @@ let build doc =
       n.attrs
   in
   Tree.iter index_node doc;
-  let frozen = freeze entries in
-  {
-    doc;
+  let rows = Hashtbl.create (Hashtbl.length entries) in
+  Hashtbl.iter
+    (fun w e -> Hashtbl.add rows w (e.count, Xks_util.Int_vec.to_array e.ids))
     entries;
-    frozen;
-    approx_cids = compute_approx_cids doc;
-    stats = compute_stats doc frozen;
-  }
+  freeze doc rows
 
 let doc t = t.doc
-let approx_cids t = t.approx_cids
+let features t = t.features
 let stats t = t.stats
+
+let rank t w = Words.find_opt t.ranks (Tokenizer.normalize w)
 
 (* O(1) document frequency: posting length without fetching the list,
    so the ranking layer's idf lookups never tick [Postings_scanned]. *)
 let df t w =
-  match Hashtbl.find_opt t.frozen (Tokenizer.normalize w) with
-  | Some a -> Array.length a
-  | None -> 0
+  match rank t w with Some r -> Array.length t.postings.(r) | None -> 0
 
 let posting t w =
-  match Hashtbl.find_opt t.frozen (Tokenizer.normalize w) with
-  | Some a ->
+  match rank t w with
+  | Some r ->
+      let a = t.postings.(r) in
       Xks_trace.Trace.add Xks_trace.Trace.Postings_scanned (Array.length a);
       a
   | None -> empty_posting
@@ -133,32 +132,18 @@ let postings t ws = Array.of_list (List.map (posting t) ws)
 let node_count t w = Array.length (posting t w)
 
 let occurrence_count t w =
-  match Hashtbl.find_opt t.entries (Tokenizer.normalize w) with
-  | Some e -> e.occurrences
-  | None -> 0
+  match rank t w with Some r -> t.occurrences.(r) | None -> 0
 
-let vocabulary t =
-  Hashtbl.fold (fun w _ acc -> w :: acc) t.entries []
-  |> List.sort String.compare
-
-let vocabulary_size t = Hashtbl.length t.entries
+let vocabulary t = Array.to_list t.features.words
+let vocabulary_size t = Array.length t.postings
 
 let to_rows t =
-  Hashtbl.fold
-    (fun w e acc ->
-      let posting =
-        match Hashtbl.find_opt t.frozen w with
-        | Some p -> p
-        | None -> assert false
-      in
-      (w, e.occurrences, posting) :: acc)
-    t.entries []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  List.init (Array.length t.postings) (fun r ->
+      (t.features.words.(r), t.occurrences.(r), t.postings.(r)))
 
 let of_rows doc rows =
   let n = Xks_xml.Tree.size doc in
-  let entries = Hashtbl.create (List.length rows) in
-  let frozen = Hashtbl.create (List.length rows) in
+  let table = Hashtbl.create (List.length rows) in
   List.iter
     (fun (w, occurrences, posting) ->
       if occurrences < Array.length posting then
@@ -169,23 +154,12 @@ let of_rows doc rows =
           if i > 0 && posting.(i - 1) >= id then
             failwith "Inverted.of_rows: posting not strictly increasing")
         posting;
-      let ids = Xks_util.Int_vec.create ~capacity:(Array.length posting) () in
-      Array.iter (Xks_util.Int_vec.push ids) posting;
-      Hashtbl.replace entries w { ids; occurrences };
-      Hashtbl.replace frozen w posting)
+      Hashtbl.replace table w (occurrences, posting))
     rows;
-  {
-    doc;
-    entries;
-    frozen;
-    approx_cids = compute_approx_cids doc;
-    stats = compute_stats doc frozen;
-  }
+  freeze doc table
 
 let top_words t n =
-  let all =
-    Hashtbl.fold (fun w e acc -> (w, e.occurrences) :: acc) t.entries []
-  in
+  let all = List.mapi (fun r w -> (w, t.occurrences.(r))) (vocabulary t) in
   let sorted =
     List.sort
       (fun (wa, ca) (wb, cb) ->

@@ -9,7 +9,8 @@
     given a query, it returns the Dewey-ordered keyword-node lists.
 
     A {!t} is {e immutable once built}: {!build} and {!of_rows} freeze
-    every posting into its final array before returning, and no query
+    every posting into its final array before returning (one array per
+    word, held once, beside the word's occurrence count), and no query
     operation writes to the index.  {!Xks_exec} relies on this to share
     one index (and its document tree) across all pool domains without
     copies or locks; the sharing audit in [test/test_index.ml] pins the
@@ -24,14 +25,14 @@ val build : Xks_xml.Tree.t -> t
 
 val doc : t -> Xks_xml.Tree.t
 
-val approx_cids : t -> Cid.t array
-(** Per-node approximate content features ([Cid.of_words Approx] over
-    {!Xks_xml.Tree.content_words}), indexed by preorder node id and
-    computed once at {!build}/{!of_rows} time.  The pruning stage reads
-    keyword-node features from this table instead of re-tokenising the
-    document on every query — the dominant allocation source on the cold
-    path before precomputation.  Owned by the index: callers must not
-    mutate it. *)
+val features : t -> Cid.table
+(** The vocabulary ranked lexically ([words.(r)] is the word of rank
+    [r]), and every node's approximate content feature as a packed pair
+    of ranks ([Cid.of_words Approx] over
+    {!Xks_xml.Tree.content_words}, computed once at {!build}/{!of_rows}
+    time in one pass over the postings).  The pruning stage folds and
+    compares these ints instead of re-tokenising the document on every
+    query.  Owned by the index: callers must not mutate it. *)
 
 val posting : t -> string -> int array
 (** [posting idx w] is the sorted id array for word [w] ([w] is normalised

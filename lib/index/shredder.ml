@@ -27,22 +27,42 @@ type tables = {
   values : value_row list;
 }
 
+(* One row per distinct (node, keyword), in document order: label and
+   text words first, then each attribute's name and value words. *)
+let node_values doc (n : Tree.node) acc =
+  let name = Tree.label_name doc n in
+  let acc = ref acc and seen = Hashtbl.create 8 in
+  let add_once attribute w =
+    if not (Hashtbl.mem seen w) then begin
+      Hashtbl.add seen w ();
+      acc :=
+        {
+          v_label = name;
+          v_dewey = n.dewey;
+          v_id = n.id;
+          v_attribute = attribute;
+          v_keyword = w;
+        }
+        :: !acc
+    end
+  in
+  Tokenizer.iter_words (add_once "") name;
+  Tokenizer.iter_words (add_once "") n.text;
+  List.iter
+    (fun (k, v) ->
+      Tokenizer.iter_words (add_once "") k;
+      Tokenizer.iter_words (add_once k) v)
+    n.attrs;
+  !acc
+
+let values doc =
+  List.rev (Tree.fold (fun acc n -> node_values doc n acc) [] doc)
+
 let shred ?(cid_mode = Cid.Approx) doc =
   let ltable = Tree.labels doc in
   let labels =
     List.init (Label.count ltable) (fun id ->
         { label_name = Label.name ltable id; label_id = id })
-  in
-  let values = ref [] in
-  let elements =
-    Array.make (Tree.size doc)
-      {
-        e_label = "";
-        e_dewey = Dewey.root;
-        e_level = 0;
-        e_label_path = [];
-        e_content_feature = Cid.empty;
-      }
   in
   let label_path (n : Tree.node) =
     let rec up (n : Tree.node) acc =
@@ -51,48 +71,24 @@ let shred ?(cid_mode = Cid.Approx) doc =
     in
     up n []
   in
-  let shred_node (n : Tree.node) =
-    let name = Tree.label_name doc n in
-    let add_value attribute w =
-      values :=
-        {
-          v_label = name;
-          v_dewey = n.dewey;
-          v_id = n.id;
-          v_attribute = attribute;
-          v_keyword = w;
-        }
-        :: !values
-    in
-    let seen = Hashtbl.create 8 in
-    let add_once attribute w =
-      if not (Hashtbl.mem seen w) then begin
-        Hashtbl.add seen w ();
-        add_value attribute w
-      end
-    in
-    Tokenizer.iter_words (add_once "") name;
-    Tokenizer.iter_words (add_once "") n.text;
-    List.iter
-      (fun (k, v) ->
-        Tokenizer.iter_words (add_once "") k;
-        Tokenizer.iter_words (add_once k) v)
-      n.attrs;
-    elements.(n.id) <-
-      {
-        e_label = name;
-        e_dewey = n.dewey;
-        e_level = Dewey.depth n.dewey;
-        e_label_path = label_path n;
-        e_content_feature = Cid.of_words cid_mode (Tree.content_words doc n);
-      }
+  let element (n : Tree.node) =
+    {
+      e_label = Tree.label_name doc n;
+      e_dewey = n.dewey;
+      e_level = Dewey.depth n.dewey;
+      e_label_path = label_path n;
+      e_content_feature = Cid.of_words cid_mode (Tree.content_words doc n);
+    }
   in
-  Tree.iter shred_node doc;
-  { labels; elements; values = List.rev !values }
+  {
+    labels;
+    elements = Array.init (Tree.size doc) (fun id -> element (Tree.node doc id));
+    values = values doc;
+  }
 
-let find_values tables w =
+let find_values values w =
   let w = Tokenizer.normalize w in
-  List.filter (fun r -> String.equal r.v_keyword w) tables.values
+  List.filter (fun r -> String.equal r.v_keyword w) values
 
 let row_count t =
   (List.length t.labels, Array.length t.elements, List.length t.values)

@@ -14,8 +14,8 @@
 
     We reproduce the same tables in memory; {!Inverted} is the index that
     answers the keyword lookups the paper issues over the [value] table,
-    and [xks sql] answers the same lookup from the value rows
-    ({!find_values}). *)
+    and [xks sql] answers the same lookup from the value rows alone
+    ({!values}, {!find_values}). *)
 
 type label_row = { label_name : string; label_id : int }
 
@@ -45,7 +45,12 @@ type tables = {
 
 val shred : ?cid_mode:Cid.mode -> Xks_xml.Tree.t -> tables
 
-val find_values : tables -> string -> value_row list
+val values : Xks_xml.Tree.t -> value_row list
+(** The [value] table alone ([(shred doc).values]), without the label
+    paths and content features of the [element] rows — all that a
+    keyword lookup reads. *)
+
+val find_values : value_row list -> string -> value_row list
 (** All [value] rows whose keyword equals the given word (normalised
     here), in document order — the SQL lookup of the paper's Section
     5.2.  Rows are distinct and their [v_id]s ascending. *)

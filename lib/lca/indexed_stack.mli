@@ -20,16 +20,20 @@
 val is_elca :
   ?budget:Xks_robust.Budget.t ->
   Xks_xml.Tree.t ->
-  int array array -> Xks_xml.Tree.node -> (int * int) list -> bool
-(** [is_elca doc postings u child_ranges] is the pop-time witness check:
-    does [u]'s subtree hold, for every keyword, an occurrence outside
-    every full container strictly below [u]?  [child_ranges] are the
-    preorder ranges of [u]'s already-determined candidate children
-    (most recent first) — they only accelerate the probe scan; passing
-    [[]] is correct but slower.  [budget] is ticked once per witness
-    probe, so a deadline interrupts even a root-sized scan.  Shared
-    with {!Topk}, whose streaming driver must agree with {!elca}
-    exactly. *)
+  int array array -> int array -> int -> (int * int) list -> bool
+(** [is_elca doc postings cursors u child_ranges] is the pop-time
+    witness check: does node [u]'s subtree hold, for every keyword, an
+    occurrence outside every full container strictly below [u]?
+    [child_ranges] are the preorder ranges of [u]'s already-determined
+    candidate children (most recent first) — they only accelerate the
+    probe scan; passing [[]] is correct but slower.  [cursors] is a
+    {!Probe.cursors} array the check reuses as scratch for its probes
+    (any positions are correct; a scan passes the same array to every
+    pop so that each check starts near the last one).  Per keyword the
+    probes and their {!Probe.fc} validations gallop forward through
+    [u]'s range.  [budget] is ticked once per witness probe, so a
+    deadline interrupts even a root-sized scan.  Shared with {!Topk},
+    whose streaming driver must agree with {!elca} exactly. *)
 
 val elca :
   ?budget:Xks_robust.Budget.t -> Xks_xml.Tree.t -> int array array -> int list

@@ -7,6 +7,8 @@ let slca doc postings =
   if k = 0 || Array.exists (fun s -> Array.length s = 0) postings then []
   else begin
     let candidates = ref [] in
+    (* Anchors ascend, so one cursor array serves every probe. *)
+    let cursors = Probe.cursors postings in
     (* xkscost: unticked baseline: SLCA cross-check for tests/stress; serving uses Slca.indexed_lookup_eager, which ticks per driver occurrence *)
     let rec step pos =
       (* Heads: the first occurrence of each keyword at or past [pos];
@@ -22,9 +24,8 @@ let slca doc postings =
       match heads 0 (-1) with
       | None -> ()
       | Some anchor ->
-          (match Probe.fc doc postings (Tree.node doc anchor) with
-          | Some c -> candidates := c.id :: !candidates
-          | None -> assert false (* no list is empty *));
+          (* Never -1: no list is empty. *)
+          candidates := Probe.fc doc postings cursors anchor :: !candidates;
           step (anchor + 1)
     in
     step 0;

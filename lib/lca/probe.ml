@@ -12,34 +12,40 @@ let ancestor_at doc (n : Tree.node) d =
   done;
   !cur
 
+let cursors postings = Array.make (Array.length postings) 0
+
 (* Interval form of the closest-occurrence probe: with [l] the last
    occurrence at or before [x] and [r] the first after it, an
-   ancestor-or-self [a] of [x] holds the list iff [l >= a.id] or
-   [r <= a.subtree_end].  The sentinels [-1] and [max_int] stand for a
-   missing neighbour and never satisfy their test.  Ancestors holding
-   list i form a chain from the root, so walking up from where list
-   i - 1 stopped reaches the deepest ancestor holding lists 0..i; the
-   root holds every non-empty list, so the walk always stops. *)
-let fc doc postings (x : Tree.node) =
+   ancestor-or-self [a] of [x] holds the list iff [l >= a] or
+   [r <= end a].  The sentinels [-1] and [max_int] stand for a missing
+   neighbour and never satisfy their test.  Ancestors holding list i
+   form a chain from the root, so walking up from where list i - 1
+   stopped reaches the deepest ancestor holding lists 0..i; the root
+   holds every non-empty list, so the walk always stops.  The walk reads
+   the tree's flat parent and subtree-end arrays, not its node
+   records. *)
+let fc doc postings cursors x =
+  let parents = Tree.parents doc and ends = Tree.subtree_ends doc in
   let k = Array.length postings in
-  let cur = ref x and i = ref 0 and empty = ref false in
-  (* xkscost: unticked k-bounded: one binary search per keyword list; every caller ticks per candidate before probing *)
-  while !i < k && not !empty do
+  let cur = ref x and i = ref 0 in
+  (* xkscost: unticked k-bounded: one galloping search per keyword list; every caller ticks per candidate before probing *)
+  while !i < k && !cur >= 0 do
     let p = postings.(!i) in
     let n = Array.length p in
-    if n = 0 then empty := true
+    if n = 0 then cur := -1
     else begin
-      let j = Bsearch.upper_bound p x.id in
+      let j = Bsearch.upper_bound_from p ~lo:cursors.(!i) x in
+      cursors.(!i) <- j;
       let l = if j > 0 then p.(j - 1) else -1 in
       let r = if j < n then p.(j) else max_int in
       (* xkscost: unticked depth-bounded: parent steps above x, at most depth x over all lists; the caller ticks per candidate *)
-      while l < !cur.id && r > !cur.subtree_end do
-        cur := Tree.node doc !cur.parent
+      while l < !cur && r > ends.(!cur) do
+        cur := parents.(!cur)
       done
     end;
     incr i
   done;
-  if !empty then None else Some !cur
+  !cur
 
 let smallest_list_index postings =
   if Array.length postings = 0 then invalid_arg "Probe.smallest_list_index";

@@ -14,21 +14,32 @@ val ancestor_at : Xks_xml.Tree.t -> Xks_xml.Tree.node -> int -> Xks_xml.Tree.nod
     @raise Invalid_argument if [d] is negative or exceeds the depth of
     [n]. *)
 
-val fc :
-  Xks_xml.Tree.t -> int array array -> Xks_xml.Tree.node ->
-  Xks_xml.Tree.node option
-(** [fc doc postings x] is the deepest full container of [x]: the deepest
-    ancestor-or-self of [x] whose subtree contains at least one occurrence
-    of every keyword.  [None] when some posting list is empty (then no
-    full container exists at all).
+val cursors : int array array -> int array
+(** [cursors postings] is a fresh cursor array for {!fc}: one position
+    per posting list, all at 0. *)
 
-    One binary search per list finds the occurrences [l <= x.id < r]
-    adjacent to [x]; an ancestor-or-self [a] of [x] holds the list iff
-    [l >= a.id] or [r <= a.subtree_end].  The ancestors holding a list
-    form a chain from the root, so a single walk up the parent ids,
-    resumed list after list, stops at the answer.  Cost
-    [O(k log |S| + depth x)]; the only allocation is the result's
-    [Some]. *)
+val fc : Xks_xml.Tree.t -> int array array -> int array -> int -> int
+(** [fc doc postings cursors x] is the id of the deepest full container
+    of node [x]: the deepest ancestor-or-self of [x] whose subtree
+    contains at least one occurrence of every keyword.  [-1] when some
+    posting list is empty (then no full container exists at all).
+
+    One search per list finds the occurrences [l <= x < r] adjacent to
+    [x]; an ancestor-or-self [a] of [x] holds the list iff [l >= a] or
+    [r <= end a].  The ancestors holding a list form a chain from the
+    root, so a single walk up the tree's flat parent array
+    ({!Xks_xml.Tree.parents}), resumed list after list, stops at the
+    answer.
+
+    [cursors.(i)] is a position in [postings.(i)] (any value in
+    [0 .. length]) where the search for [x] starts; [fc] leaves it at
+    [Bsearch.upper_bound postings.(i) x].  A scan that probes ascending
+    nodes and carries one cursor array along pays
+    [O(k log d + depth x)] per call, where [d] is the distance each
+    cursor moves: amortised over the scan, about one step per posting
+    entry passed over.  A cursor behind or ahead of the answer is still
+    correct ({!Xks_util.Bsearch.upper_bound_from}), at worst about two
+    binary searches.  Allocation-free. *)
 
 val smallest_list_index : int array array -> int
 (** Index of the shortest posting list (ties broken by lower index).

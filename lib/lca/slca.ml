@@ -16,34 +16,29 @@ let indexed_lookup_eager ?budget doc postings =
   if k = 0 || Array.exists (fun s -> Array.length s = 0) postings then []
   else begin
     let s1 = postings.(Probe.smallest_list_index postings) in
-    (* Candidate per occurrence of the rarest keyword: its deepest full
-       container.  [fc] cannot return [None] here since no list is
-       empty. *)
-    let candidate v =
-      Xks_trace.Trace.incr Xks_trace.Trace.Nodes_visited;
-      Xks_robust.Budget.tick_opt budget 1;
-      match Probe.fc doc postings (Tree.node doc v) with
-      | Some n -> n.id
-      | None -> assert false
-    in
-    (* Collect candidates in a per-domain scratch buffer and sort in
-       place: the intermediate array + list of the old
-       [Array.map |> to_list |> sort_uniq] chain was per-query minor-GC
-       churn, which under multiple domains means stop-the-world
-       barriers.  Minimality filtering reads straight from the sorted
-       buffer (same test as [filter_minimal]: a candidate survives iff
-       its successor is outside its subtree). *)
-    Xks_util.Scratch.with_ints (fun buf ->
-        Array.iter (fun v -> Xks_util.Int_vec.push buf (candidate v)) s1;
-        Xks_util.Int_vec.sort_uniq buf;
-        let n = Xks_util.Int_vec.length buf in
-        let acc = ref [] in
-        for i = n - 1 downto 0 do
-          let x = Xks_util.Int_vec.get buf i in
-          if
-            i = n - 1
-            || Xks_util.Int_vec.get buf (i + 1) > (Tree.node doc x).subtree_end
-          then acc := x :: !acc
-        done;
-        !acc)
+    let ends = Tree.subtree_ends doc in
+    let cursors = Probe.cursors postings in
+    (* The eager step: candidates arrive in driver order, and each new
+       candidate [c] (the deepest full container of an occurrence past
+       every earlier one) is an ancestor-or-self of the last kept
+       candidate, a proper descendant of it, or after its subtree —
+       [c]'s range reaches past every earlier occurrence, so it cannot
+       end inside [last] without lying in it.  So [last] is final once
+       a candidate lands after its subtree, and one pass keeps the
+       minimal candidates in document order, with no buffer and no
+       sort.  [fc] cannot return -1 here since no list is empty. *)
+    let acc = ref [] and last = ref (-1) in
+    Array.iter
+      (fun v ->
+        Xks_trace.Trace.incr Xks_trace.Trace.Nodes_visited;
+        Xks_robust.Budget.tick_opt budget 1;
+        let c = Probe.fc doc postings cursors v in
+        if !last < 0 then last := c
+        else if c > ends.(!last) then begin
+          acc := !last :: !acc;
+          last := c
+        end
+        else if c > !last then last := c (* [c] lies strictly inside [last] *))
+      s1;
+    List.rev (!last :: !acc)
   end

@@ -3,10 +3,16 @@
     The Indexed Lookup Eager algorithm of Xu & Papakonstantinou (SIGMOD
     2005): for each occurrence [v] of the rarest keyword, the candidate
     [slca_can v] is the deepest full container of [v] ({!Probe.fc}: the
-    paper's [lm]/[rm] probes on the other lists, read as one binary
-    search per list); the SLCAs are the candidates that are not
-    ancestors of other candidates.  Time [O(|S1| (k log |S| + d))]
-    where [S1] is the smallest list and [d] the document depth.
+    paper's [lm]/[rm] probes on the other lists, read as one galloping
+    search per list from a cursor the sweep carries forward); the SLCAs
+    are the candidates that are not ancestors of other candidates.  The
+    eager step keeps them in the same pass: each candidate is an
+    ancestor-or-self of the last one kept, strictly inside it, or after
+    its subtree, so no candidate is buffered or sorted.  Time
+    [O(|S1| (k log (|S| / |S1| + 1) + d))], where [S1] is the smallest
+    list, [S] the largest and [d] the document depth: the cursors only
+    move forward, so each list's gallops sum to that logarithm at most.
+    No allocation beyond the result list and one cursor array.
 
     This powers the {e original} MaxMatch baseline, which works on SLCA
     fragments only. *)

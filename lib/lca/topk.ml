@@ -58,7 +58,8 @@ type candidate = {
 type outcome = { top : candidate list; early_exit : bool; scanned : int }
 
 type entry = {
-  node : Tree.node;
+  node : int;
+  node_end : int;
   mutable child_ranges : (int * int) list;
   mutable passed : (int * int) list;
       (* maximal emitted-ELCA ranges inside [node], disjoint *)
@@ -85,6 +86,9 @@ let run ?budget ~k ~score ~bound doc postings =
   else begin
     let s1 = postings.(Probe.smallest_list_index postings) in
     let n1 = Array.length s1 in
+    let ends = Tree.subtree_ends doc in
+    let cursors = Probe.cursors postings
+    and witness = Probe.cursors postings in
     let heap = Topheap.create ~capacity:k in
     let consumed = Array.make nk 0 in
     let stack = ref [] in
@@ -99,12 +103,12 @@ let run ?budget ~k ~score ~bound doc postings =
     (* [orphans] and every [passed] list stay sorted descending by
        range start: ranges are handed up / orphaned in document order,
        so prepending preserves the order, and the ranges a new entry
-       [x] contains are exactly the prefix with [lo >= x.id] (closed
+       [x] contains are exactly the prefix with [lo >= x] (closed
        ranges end before the scan position inside [x], so they cannot
-       start after [x.subtree_end]).  That makes claiming them a
+       start after [x]'s subtree ends).  That makes claiming them a
        prefix take — amortised O(1) per push, where a predicate
        partition over the whole list is quadratic across the scan. *)
-    let split_inside cutoff ranges =
+    let split_inside (cutoff : int) ranges =
       (* xkscost: unticked amortised prefix take: each range is claimed at most once per handoff, and every handoff happens under a ticked pop/push *)
       let rec go acc = function
         | ((lo, _) as r) :: rest when lo >= cutoff -> go (r :: acc) rest
@@ -115,19 +119,19 @@ let run ?budget ~k ~score ~bound doc postings =
     (* One tf vector per run: [score] only reads it during the call, and
        it is copied only for a fragment the heap admits. *)
     let tf = Array.make nk 0 in
-    let emit (u : Tree.node) passed =
+    let emit u u_end passed =
       for j = 0 to nk - 1 do
         let c =
           count_dispatched ?budget postings.(j)
-            (Bsearch.count_in_range postings.(j) ~lo:u.id ~hi:u.subtree_end)
+            (Bsearch.count_in_range postings.(j) ~lo:u ~hi:u_end)
             passed
         in
         tf.(j) <- c;
         consumed.(j) <- consumed.(j) + c
       done;
-      let s = score ~lca:u.id ~tf in
-      if Topheap.admits heap ~score:s ~id:u.id then
-        ignore (Topheap.insert heap ~score:s ~id:u.id (Array.copy tf, passed) : bool)
+      let s = score ~lca:u ~tf in
+      if Topheap.admits heap ~score:s ~id:u then
+        ignore (Topheap.insert heap ~score:s ~id:u (Array.copy tf, passed) : bool)
     in
     (* Pop [e]; emit it if it passes the check; hand its range (and the
        emitted ranges it accounts for) to the entry below. *)
@@ -140,11 +144,13 @@ let run ?budget ~k ~score ~bound doc postings =
              under the deadline even when no new occurrence arrives. *)
           Xks_robust.Budget.tick_opt budget 1;
           stack := rest;
-          let range = (e.node.id, e.node.subtree_end) in
+          let range = (e.node, e.node_end) in
           let passed_up =
-            if Indexed_stack.is_elca ?budget doc postings e.node e.child_ranges
+            if
+              Indexed_stack.is_elca ?budget doc postings witness e.node
+                e.child_ranges
             then begin
-              emit e.node e.passed;
+              emit e.node e.node_end e.passed;
               [ range ]
             end
             else e.passed
@@ -161,31 +167,29 @@ let run ?budget ~k ~score ~bound doc postings =
     let process v =
       Trace.incr Trace.Nodes_visited;
       Xks_robust.Budget.tick_opt budget 1;
-      let x =
-        match Probe.fc doc postings (Tree.node doc v) with
-        | Some n -> n
-        | None -> assert false
-      in
+      (* Never -1: no list is empty. *)
+      let x = Probe.fc doc postings cursors v in
+      let x_end = ends.(x) in
       let pending = ref [] in
       let rec unwind () =
         match !stack with
-        | e :: _ when not (Tree.in_subtree ~root:e.node x) ->
+        | e :: _ when not (e.node <= x && x <= e.node_end) ->
             let range = pop_and_check () in
-            if !stack = [] && Tree.in_subtree ~root:x e.node then
+            if !stack = [] && x <= e.node && e.node <= x_end then
               pending := range :: !pending;
             unwind ()
         | _ -> ()
       in
       unwind ();
       match !stack with
-      | e :: _ when e.node.id = x.id -> ()
+      | e :: _ when e.node = x -> ()
       | _ ->
           Trace.incr Trace.Elca_pushed;
           (* Absorb the orphaned emitted ranges that [x] contains: [x]
              is the first open entry to contain them (any lower entry
              pushed since they were orphaned would have absorbed them
              already, and entries below [x] are its ancestors). *)
-          let absorbed, outside = split_inside x.id !orphans in
+          let absorbed, outside = split_inside x !orphans in
           orphans := outside;
           (* Steal from the nearest open ancestor the emitted ranges
              [x] contains: they popped before [x] opened, so they were
@@ -198,23 +202,27 @@ let run ?budget ~k ~score ~bound doc postings =
           let inside =
             match !stack with
             | parent :: _ ->
-                let mine, theirs = split_inside x.id parent.passed in
+                let mine, theirs = split_inside x parent.passed in
                 parent.passed <- theirs;
                 (* xkscost: allow list-append mine and absorbed are both prefix takes claimed exactly once per range *)
                 mine @ absorbed
             | [] -> absorbed
           in
-          stack := { node = x; child_ranges = !pending; passed = inside } :: !stack
+          stack :=
+            { node = x; node_end = x_end; child_ranges = !pending; passed = inside }
+            :: !stack
     in
     let early = ref false in
     (* Work remains (driver tail or un-popped stack entries): see
-       whether the bound already rules every future fragment out. *)
+       whether the bound already rules every future fragment out.  Like
+       [tf], [avail] is one scratch vector per run. *)
+    let avail = Array.make nk 0 in
     let try_exit () =
       if Topheap.is_full heap then begin
-        let avail =
-          (* xkscost: unticked k-bounded: one length/counter read per keyword *)
-          Array.mapi (fun j p -> Array.length p - consumed.(j)) postings
-        in
+        (* xkscost: unticked k-bounded: one length/counter read per keyword *)
+        for j = 0 to nk - 1 do
+          avail.(j) <- Array.length postings.(j) - consumed.(j)
+        done;
         if bound ~avail < Topheap.min_score heap then begin
           early := true;
           Trace.incr Trace.Topk_early_exit;
@@ -241,15 +249,14 @@ let run ?budget ~k ~score ~bound doc postings =
        them once lets each posting be filtered in a single merge sweep
        (postings are ascending). *)
     let knodes_of lca_id passed =
-      let u = Tree.node doc lca_id in
       let passed =
         List.sort (fun (a, _) (b, _) -> Int.compare a b) passed
       in
       Xks_util.Scratch.with_ints (fun out ->
           Array.iter
             (fun posting ->
-              let lo = Bsearch.lower_bound posting u.id in
-              let hi = Bsearch.upper_bound posting u.subtree_end in
+              let lo = Bsearch.lower_bound posting lca_id in
+              let hi = Bsearch.upper_bound posting ends.(lca_id) in
               let remaining = ref passed in
               for j = lo to hi - 1 do
                 (* One posting entry per iteration: ticked so

@@ -48,7 +48,8 @@ val run :
     termination is unsound otherwise.  The [tf] array passed to [score]
     is a scratch buffer the scan refills for every emitted fragment: it
     is valid only during the call, so [score] must read it and not keep
-    it (the [tf] of each returned {!candidate} is its own copy).
+    it (the [tf] of each returned {!candidate} is its own copy).  The
+    same holds for the [avail] array passed to [bound].
     [budget] ticks once per occurrence of the rarest keyword, as
     {!Indexed_stack.elca} does.  Ticks the [topk.early_exit] /
     [topk.pruned_postings] trace counters when the bound fires.

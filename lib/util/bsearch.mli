@@ -22,6 +22,16 @@ val upper_bound_back : int array -> hi:int -> int -> int
     pays for the entries it skips, and never more than a binary search.
     @raise Invalid_argument if [hi] is out of range. *)
 
+val upper_bound_from : int array -> lo:int -> int -> int
+(** [upper_bound_from a ~lo x] is [upper_bound a x] for
+    [0 <= lo <= Array.length a], found from the cursor [lo]: it gallops
+    forward when every element before [lo] is [<= x], and back
+    ({!upper_bound_back}) otherwise.  It makes O(log d) probes, where [d]
+    is the distance from [lo] to the answer, so a scan that carries [lo]
+    along ascending [x] pays for the entries it passes over, and never
+    more than about two binary searches.
+    @raise Invalid_argument if [lo] is out of range. *)
+
 val right_match : int array -> int -> int option
 (** [right_match a x] is the smallest element [>= x], if any — the
     paper's [rm] probe. *)

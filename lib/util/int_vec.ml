@@ -18,11 +18,6 @@ let set v i x = check v i; v.data.(i) <- x
 let clear v = v.len <- 0
 let to_array v = Array.sub v.data 0 v.len
 
-let iter f v =
-  for i = 0 to v.len - 1 do
-    f v.data.(i)
-  done
-
 let last v = if v.len = 0 then invalid_arg "Int_vec.last: empty" else v.data.(v.len - 1)
 
 let pop v =

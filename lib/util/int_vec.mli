@@ -21,7 +21,6 @@ val clear : t -> unit
 val to_array : t -> int array
 (** A fresh array of the current contents. *)
 
-val iter : (int -> unit) -> t -> unit
 val last : t -> int
 (** @raise Invalid_argument when empty. *)
 

@@ -9,7 +9,18 @@ type node = {
   subtree_end : int;
 }
 
-type t = { root_node : node; nodes : node array; label_table : Label.table }
+(* [parents], [ends] and [label_ids] repeat three fields of every node
+   record as flat arrays indexed by id: the LCA probes and node-info
+   construction walk them on every query, and an int array keeps
+   eight ids per cache line where the 72-byte records keep one. *)
+type t = {
+  root_node : node;
+  nodes : node array;
+  label_table : Label.table;
+  parents : int array;
+  ends : int array;
+  label_ids : int array;
+}
 
 type builder = {
   b_label : string;
@@ -60,7 +71,14 @@ let build b =
       (function Some n -> n | None -> assert false (* all slots filled *))
       nodes
   in
-  { root_node; nodes; label_table }
+  {
+    root_node;
+    nodes;
+    label_table;
+    parents = Array.map (fun n -> n.parent) nodes;
+    ends = Array.map (fun n -> n.subtree_end) nodes;
+    label_ids = Array.map (fun n -> n.label) nodes;
+  }
 
 let root t = t.root_node
 let size t = Array.length t.nodes
@@ -70,6 +88,9 @@ let node t id =
   t.nodes.(id)
 
 let labels t = t.label_table
+let parents t = t.parents
+let subtree_ends t = t.ends
+let label_ids t = t.label_ids
 let label_name t n = Label.name t.label_table n.label
 
 let find_by_dewey t d =
@@ -156,6 +177,3 @@ let delete_subtree t ~id =
     }
   in
   build (go t.root_node)
-
-let pp_node t fmt n =
-  Format.fprintf fmt "%s (%s)" (Dewey.to_string n.dewey) (label_name t n)

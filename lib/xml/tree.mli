@@ -51,6 +51,25 @@ val node : t -> int -> node
 val labels : t -> Label.table
 val label_name : t -> node -> string
 
+(** {1 Flat intervals}
+
+    Three fields of every node as arrays indexed by node id, built once
+    by {!build}: the hot query paths (closest-occurrence probes,
+    node-info construction, RTF dispatch) walk these instead of the node
+    records.  The arrays are owned by the tree: callers must not mutate
+    them. *)
+
+val parents : t -> int array
+(** [(parents t).(id)] is [(node t id).parent]: [-1] for the root. *)
+
+val subtree_ends : t -> int array
+(** [(subtree_ends t).(id)] is [(node t id).subtree_end]. *)
+
+val label_ids : t -> int array
+(** [(label_ids t).(id)] is [(node t id).label]. *)
+
+(** {1 Navigation} *)
+
 val find_by_dewey : t -> Dewey.t -> node option
 (** Navigate from the root by child ranks. *)
 
@@ -90,8 +109,3 @@ val delete_subtree : t -> id:int -> t
 
 val to_builder : t -> builder
 (** Recover a builder from a document (for round-trips and edits). *)
-
-(** {1 Pretty-printing} *)
-
-val pp_node : t -> Format.formatter -> node -> unit
-(** One-line ["dewey (label)"] rendering as used in the paper's prose. *)

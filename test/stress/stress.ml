@@ -67,14 +67,14 @@ let run_case rng max_nodes =
   check "tree-scan elca = indexed stack" (Xks_lca.Tree_scan.elca doc ps = elca_is)
     doc query;
   (* The shredded value-table lookup agrees with the inverted index. *)
-  let tables = Xks_index.Shredder.shred doc in
+  let values = Xks_index.Shredder.values doc in
   check "sql postings"
     (Array.map
        (fun w ->
          Array.of_list
            (List.map
               (fun (r : Xks_index.Shredder.value_row) -> r.v_id)
-              (Xks_index.Shredder.find_values tables w)))
+              (Xks_index.Shredder.find_values values w)))
        q.Xks_core.Query.keywords
     = ps)
     doc query;

@@ -258,7 +258,7 @@ let test_shredder_tables () =
     List.map (fun r -> Xks_xml.Dewey.to_string r.Shredder.v_dewey) rows
   in
   Alcotest.(check (list string)) "value lookup" [ "0.0"; "0.1" ]
-    (deweys_of_rows (Shredder.find_values tables "xml"));
+    (deweys_of_rows (Shredder.find_values tables.Shredder.values "xml"));
   (* Attribute words carry the attribute name. *)
   let attr_row =
     List.find
@@ -279,7 +279,9 @@ let test_shredder_label_paths () =
    lookup): the ids of the rows whose keyword is [w]. *)
 let shredded_posting tables w =
   Array.of_list
-    (List.map (fun r -> r.Shredder.v_id) (Shredder.find_values tables w))
+    (List.map
+       (fun r -> r.Shredder.v_id)
+       (Shredder.find_values tables.Shredder.values w))
 
 let test_sql_postings_match_inverted () =
   let doc = Xks_datagen.Paper_fixtures.publications () in
@@ -314,6 +316,51 @@ let prop_sql_postings_agree =
         (fun w -> shredded_posting tables w = Inverted.posting idx w)
         Helpers.words)
 
+(* Documents whose content exercises the tokenizer: mixed case,
+   punctuation, stop words (also as labels and attribute names) and
+   attribute values. *)
+let gen_content_doc =
+  let open QCheck2.Gen in
+  let word =
+    oneofa
+      [| "xml"; "XML"; "Search"; "the"; "of"; "data-base"; "b2"; "zeta"; "alpha"; "x"; "42" |]
+  in
+  let text = map (String.concat " ") (list_size (int_range 0 3) word) in
+  let attrs =
+    list_size (int_range 0 2) (pair (oneofa [| "key"; "lang"; "the"; "Id" |]) text)
+  in
+  let label = oneofa [| "item"; "Title"; "of"; "a"; "zeta" |] in
+  let node =
+    sized_size (int_range 1 30) @@ fix (fun self n ->
+        if n <= 1 then
+          map3 (fun l t a -> Tree.elem ~attrs:a ~text:t l []) label text attrs
+        else
+          bind (int_range 1 (min 4 n)) (fun c ->
+              map
+                (fun (l, t, a, children) -> Tree.elem ~attrs:a ~text:t l children)
+                (quad label text attrs (list_size (return c) (self ((n - 1) / c))))))
+  in
+  map Tree.build node
+
+(* The index's integer features decode to the re-tokenised feature of
+   every node, whether the index was built from the document or rebuilt
+   from its rows. *)
+let prop_ranked_features_decode =
+  QCheck2.Test.make ~name:"ranked features = re-tokenised approx cIDs"
+    ~count:300 ~print:Helpers.print_doc gen_content_doc (fun doc ->
+      let agree idx =
+        let tbl = Inverted.features idx in
+        Tree.fold
+          (fun ok (n : Tree.node) ->
+            ok
+            && Cid.equal
+                 (Cid.decode tbl tbl.nodes.(n.id))
+                 (Cid.of_words Cid.Approx (Tree.content_words doc n)))
+          true doc
+      in
+      let idx = Inverted.build doc in
+      agree idx && agree (Inverted.of_rows doc (Inverted.to_rows idx)))
+
 let tests =
   [
     Alcotest.test_case "klist key numbers (fig 4)" `Quick test_klist_key_numbers;
@@ -324,6 +371,7 @@ let tests =
     Helpers.qtest prop_cid_merge_laws;
     Helpers.qtest prop_cid_of_union_is_merge;
     Helpers.qtest prop_klist_union_laws;
+    Helpers.qtest prop_ranked_features_decode;
     Alcotest.test_case "cid approx (min,max)" `Quick test_cid_approx;
     Alcotest.test_case "cid exact" `Quick test_cid_exact;
     Alcotest.test_case "cid collision behaviour" `Quick test_cid_collision;

@@ -68,9 +68,9 @@ let test_keyword_on_inner_node () =
 let test_probe_fc () =
   let doc, ps = doc_and_postings nested_xml [ "w1"; "w2" ] in
   let fc_of dewey =
-    match Probe.fc doc ps (Tree.node doc (Helpers.id_at doc dewey)) with
-    | Some n -> Xks_xml.Dewey.to_string n.Tree.dewey
-    | None -> "none"
+    match Probe.fc doc ps (Probe.cursors ps) (Helpers.id_at doc dewey) with
+    | -1 -> "none"
+    | n -> Xks_xml.Dewey.to_string (Tree.node doc n).Tree.dewey
   in
   Alcotest.(check string) "fc of c is c" "0.0.0" (fc_of "0.0.0");
   Alcotest.(check string) "fc of t is m" "0.0" (fc_of "0.0.1");
@@ -84,9 +84,9 @@ let fc_xml =
 let test_fc_edges () =
   let doc, ps = doc_and_postings fc_xml [ "w1"; "w2" ] in
   let fc_of ps dewey =
-    match Probe.fc doc ps (Tree.node doc (Helpers.id_at doc dewey)) with
-    | Some n -> Xks_xml.Dewey.to_string n.Tree.dewey
-    | None -> "none"
+    match Probe.fc doc ps (Probe.cursors ps) (Helpers.id_at doc dewey) with
+    | -1 -> "none"
+    | n -> Xks_xml.Dewey.to_string (Tree.node doc n).Tree.dewey
   in
   let check msg expected dewey =
     Alcotest.(check string) msg expected (fc_of ps dewey)
@@ -104,24 +104,25 @@ let test_fc_edges () =
   Alcotest.(check string) "no lists: x is its own full container" "0.1.1"
     (fc_of [||] "0.1.1")
 
-(* The kernel's allocation contract: [fc]'s only allocation is its
-   [Some] (two words).  Native only: bytecode boxes what native code
-   keeps in registers. *)
+(* The kernel's allocation contract: [fc] allocates nothing, whether
+   its cursors move forward, back or stay.  Native only: bytecode boxes
+   what native code keeps in registers. *)
 let test_fc_allocation () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> ()
   | Sys.Native ->
       let doc, ps = doc_and_postings fc_xml [ "w1"; "w2"; "z" ] in
       let n = Tree.size doc and reps = 1000 in
+      let cursors = Probe.cursors ps in
       let before = Gc.minor_words () in
       for _ = 1 to reps do
         for id = 0 to n - 1 do
-          ignore (Sys.opaque_identity (Probe.fc doc ps (Tree.node doc id)))
+          ignore (Sys.opaque_identity (Probe.fc doc ps cursors id))
         done
       done;
       let per_call = (Gc.minor_words () -. before) /. float_of_int (reps * n) in
-      if per_call > 2.0 then
-        Alcotest.failf "Probe.fc allocates %.2f minor words per call (> 2)"
+      if per_call > 0.01 then
+        Alcotest.failf "Probe.fc allocates %.2f minor words per call (> 0)"
           per_call
 
 let test_probe_ancestor_at () =
@@ -208,6 +209,9 @@ let prop_fc_is_deepest_full_container =
   prop 300 "fc is the deepest full container of a node" (fun (doc, q) ->
       let ps = Helpers.postings_for doc q in
       let fcs = Naive.full_containers doc ps in
+      (* One cursor array carried along the preorder fold (the scans'
+         use) and fresh cursors per call must both find it. *)
+      let carried = Probe.cursors ps in
       Tree.fold
         (fun acc n ->
           acc
@@ -221,10 +225,13 @@ let prop_fc_is_deepest_full_container =
               fcs
             |> List.fold_left (fun _ f -> Some f) None
           in
-          match (Probe.fc doc ps n, expected) with
-          | None, None -> true
-          | Some f, Some e -> f.Tree.id = e
-          | Some _, None | None, Some _ -> false)
+          let fresh = Probe.fc doc ps (Probe.cursors ps) n.Tree.id in
+          fresh = Probe.fc doc ps carried n.Tree.id
+          &&
+          match (fresh, expected) with
+          | -1, None -> true
+          | f, Some e -> f = e
+          | _, None -> false)
         true doc)
 
 let prop_wide_documents =
@@ -234,6 +241,42 @@ let prop_wide_documents =
       Printf.sprintf "k=%d query=%s doc=%s" k (String.concat "," q)
         (Helpers.print_doc doc))
     QCheck2.Gen.(triple Helpers.gen_wide_doc Helpers.gen_query (int_range 1 5))
+    (fun (doc, q, k) ->
+      let ps = Helpers.postings_for doc q in
+      let engine = Xks_core.Engine.of_doc doc in
+      let full = Xks_core.Engine.search ~rank:`Bm25 engine q in
+      Indexed_stack.elca doc ps = Naive.elca doc ps
+      && Slca.indexed_lookup_eager doc ps = Naive.slca doc ps
+      && Xks_core.Engine.search ~rank:`Bm25 ~k engine q
+         = List.filteri (fun i _ -> i < k) full)
+
+(* Deep, chain-shaped documents: a root-to-leaf spine of 20-150 nodes,
+   each holding up to two leaves before or after the next spine node.
+   Full containers nest deeply, and the one-pass SLCA filter sees its
+   candidates arrive as ancestors, descendants and successors of the
+   last one kept. *)
+let gen_chain_doc =
+  QCheck2.Gen.(
+    map
+      (fun spine ->
+        Tree.build
+          (List.fold_left
+             (fun child (l, t, (leaves, before)) ->
+               Tree.elem ~text:t l
+                 (if before then leaves @ [ child ] else child :: leaves))
+             (Tree.elem ~text:"w0 w1" "d" [])
+             spine))
+      (list_size (int_range 20 150)
+         (triple (oneofa Helpers.labels) Helpers.gen_text
+            (pair (list_size (int_range 0 2) Helpers.gen_leaf) bool))))
+
+let prop_chain_documents =
+  QCheck2.Test.make ~name:"chain documents: scans agree with the references"
+    ~count:100
+    ~print:(fun (doc, q, k) ->
+      Printf.sprintf "k=%d query=%s doc=%s" k (String.concat "," q)
+        (Helpers.print_doc doc))
+    QCheck2.Gen.(triple gen_chain_doc Helpers.gen_query (int_range 1 5))
     (fun (doc, q, k) ->
       let ps = Helpers.postings_for doc q in
       let engine = Xks_core.Engine.of_doc doc in
@@ -265,4 +308,5 @@ let tests =
     Helpers.qtest prop_elca_subset_lca_closure;
     Helpers.qtest prop_fc_is_deepest_full_container;
     Helpers.qtest prop_wide_documents;
+    Helpers.qtest prop_chain_documents;
   ]

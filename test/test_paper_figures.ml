@@ -144,7 +144,8 @@ let test_q3_node_info () =
   in
   Alcotest.(check string)
     "cID of 0.2.0.1" "(keyword, xml)"
-    (Format.asprintf "%a" Xks_index.Cid.pp title_info.Xks_core.Node_info.cid)
+    (Format.asprintf "%a" Xks_index.Cid.pp
+       (Xks_core.Node_info.cid info_tree title_info))
 
 (* --- Q1: the false positive problem (Figures 3(b), 3(c)). --- *)
 

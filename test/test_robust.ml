@@ -206,7 +206,8 @@ let test_budget_interrupts_elca_witness () =
   let doc, ps = doc_and_postings (wide_xml 4) [ "w1"; "w2" ] in
   let b = Budget.create ~max_nodes:0 () in
   match
-    Xks_lca.Indexed_stack.is_elca ~budget:b doc ps (Xks_xml.Tree.node doc 0) []
+    Xks_lca.Indexed_stack.is_elca ~budget:b doc ps (Xks_lca.Probe.cursors ps) 0
+      []
   with
   | exception Budget.Exhausted Budget.Node_budget -> ()
   | _ -> Alcotest.fail "witness probe ran past the node budget"

@@ -48,9 +48,8 @@ let agree (q : Query.t) =
   let spec = Spec.rtf_partitions q in
   let lcas = Xks_lca.Indexed_stack.elca q.doc q.postings in
   let fc_is id lca =
-    match Xks_lca.Probe.fc q.doc q.postings (Xks_xml.Tree.node q.doc id) with
-    | Some f -> f.Xks_xml.Tree.id = lca
-    | None -> false
+    Xks_lca.Probe.fc q.doc q.postings (Xks_lca.Probe.cursors q.postings) id
+    = lca
   in
   let rtfs =
     Rtf.get_rtfs q lcas

@@ -123,6 +123,39 @@ let prop_parent_pointers =
               | None -> false))
         true doc)
 
+(* The flat arrays repeat the node records' parent, subtree end and
+   label, on built documents and after each functional edit. *)
+let flat_arrays_agree doc =
+  let n = Tree.size doc in
+  let parents = Tree.parents doc
+  and ends = Tree.subtree_ends doc
+  and labels = Tree.label_ids doc in
+  Array.length parents = n
+  && Array.length ends = n
+  && Array.length labels = n
+  && Tree.fold
+       (fun ok (node : Tree.node) ->
+         ok
+         && parents.(node.id) = node.parent
+         && ends.(node.id) = node.subtree_end
+         && labels.(node.id) = node.label)
+       true doc
+
+let prop_flat_arrays_agree =
+  QCheck2.Test.make ~name:"flat arrays agree with the node records"
+    ~count:300
+    ~print:(fun (doc, _, _, _) -> Helpers.print_doc doc)
+    QCheck2.Gen.(
+      quad Helpers.gen_doc Helpers.gen_doc_sized (int_range 0 1000)
+        (int_range 0 1000))
+    (fun (doc, b, r1, r2) ->
+      let n = Tree.size doc in
+      let parent_id = r1 mod n in
+      let pos = r2 mod (Array.length (Tree.node doc parent_id).children + 1) in
+      flat_arrays_agree doc
+      && flat_arrays_agree (Tree.insert_subtree doc ~parent_id ~pos b)
+      && (n = 1 || flat_arrays_agree (Tree.delete_subtree doc ~id:(1 + (r1 mod (n - 1))))))
+
 let tests =
   [
     Alcotest.test_case "preorder ids and dewey lookup" `Quick test_ids_are_preorder;
@@ -136,4 +169,5 @@ let tests =
     Helpers.qtest prop_subtree_end_matches_range;
     Helpers.qtest prop_dewey_order_is_id_order;
     Helpers.qtest prop_parent_pointers;
+    Helpers.qtest prop_flat_arrays_agree;
   ]

@@ -36,8 +36,10 @@ let test_int_vec_to_array_iter () =
   Alcotest.(check (list int)) "to_array" [ 3; 1; 4; 1; 5 ]
     (Array.to_list (Int_vec.to_array v));
   let acc = ref [] in
-  Int_vec.iter (fun x -> acc := x :: !acc) v;
-  Alcotest.(check (list int)) "iter order" [ 5; 1; 4; 1; 3 ] !acc
+  for i = 0 to Int_vec.length v - 1 do
+    acc := Int_vec.get v i :: !acc
+  done;
+  Alcotest.(check (list int)) "get order" [ 5; 1; 4; 1; 3 ] !acc
 
 let test_int_vec_sort_uniq () =
   let v = Int_vec.create () in
@@ -199,6 +201,21 @@ let prop_upper_bound_back =
       Xks_util.Bsearch.upper_bound_back a ~hi x
       = min hi (Xks_util.Bsearch.upper_bound a x))
 
+(* The galloping search the LCA scans carry their cursors with: from
+   any start, before or after the answer, it finds [upper_bound]. *)
+let prop_upper_bound_from =
+  QCheck2.Test.make ~name:"upper_bound_from = upper_bound from every start"
+    ~count:500
+    QCheck2.Gen.(pair gen_sorted (int_range (-1) 51))
+    ~print:(fun (a, x) ->
+      Printf.sprintf "x=%d a=[%s]" x
+        (String.concat ";" (Array.to_list (Array.map string_of_int a))))
+    (fun (a, x) ->
+      let expected = Bsearch.upper_bound a x in
+      List.for_all
+        (fun lo -> Bsearch.upper_bound_from a ~lo x = expected)
+        (List.init (Array.length a + 1) Fun.id))
+
 let tests =
   [
     Alcotest.test_case "int_vec basics" `Quick test_int_vec_basics;
@@ -218,4 +235,5 @@ let tests =
     Helpers.qtest prop_bounds_consistent;
     Helpers.qtest prop_matches_agree_with_spec;
     Helpers.qtest prop_upper_bound_back;
+    Helpers.qtest prop_upper_bound_from;
   ]
