@@ -19,11 +19,10 @@ module Feature_ids = Hashtbl.Make (struct
   let hash = Cid.hash
 end)
 
-(* Features without an index table (Exact mode, or a query built
-   without one): re-tokenised [Cid.t] values, numbered per construct so
-   that equal features get equal numbers.  0 is the empty feature.
-   Returns (feature of a keyword node, merge, decode). *)
-let numbered cid_mode doc =
+(* Exact-mode features: re-tokenised [Cid.t] word sets, numbered per
+   construct so that equal features get equal numbers.  0 is the empty
+   feature.  Returns (feature of a keyword node, merge, decode). *)
+let numbered doc =
   let ids = Feature_ids.create 16 and values = ref [| Cid.empty |] in
   Feature_ids.add ids Cid.empty 0;
   let intern c =
@@ -38,7 +37,7 @@ let numbered cid_mode doc =
         i
   in
   let of_node kn =
-    intern (Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn)))
+    intern (Cid.of_words Cid.Exact (Tree.content_words doc (Tree.node doc kn)))
   in
   let merge a b =
     if a = 0 || a = b then b
@@ -64,18 +63,19 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
   let doc = q.doc in
   let parents = Tree.parents doc and labels = Tree.label_ids doc in
   let root_end = (Tree.subtree_ends doc).(rtf.lca) in
-  (* Keyword-node features are the index's packed rank pairs when the
-     query carries its table (Approx mode only — the table stores
-     (min, max) pairs): folding them is an integer min and max.  The
-     fallback re-tokenises the node; it covers Exact mode and queries
-     built by [of_postings] without a table. *)
+  (* Approx keyword-node features are the index's packed rank pairs:
+     folding them is an integer min and max.  Exact mode (the A1
+     ablation) re-tokenises each keyword node. *)
   let empty, of_node, merge, cid_of =
-    match (cid_mode, q.features) with
-    | Cid.Approx, Some tbl ->
-        let nodes = tbl.nodes in
-        (Cid.packed_empty, (fun kn -> nodes.(kn)), Cid.merge_packed, Cid.decode tbl)
-    | (Cid.Approx | Cid.Exact), _ ->
-        let of_node, merge, cid_of = numbered cid_mode doc in
+    match cid_mode with
+    | Cid.Approx ->
+        let nodes = q.features.nodes in
+        ( Cid.packed_empty,
+          (fun kn -> nodes.(kn)),
+          Cid.merge_packed,
+          Cid.decode q.features )
+    | Cid.Exact ->
+        let of_node, merge, cid_of = numbered doc in
         (0, of_node, merge, cid_of)
   in
   let fresh id =

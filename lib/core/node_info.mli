@@ -23,9 +23,9 @@ type info = private {
       (** feature of the tree content set, as an integer key: two
           members of one info tree have equal keys iff their cIDs are
           equal ({!cid} decodes it).  A packed pair of lexical word
-          ranks when the query carries its index's feature table
-          ({!Xks_index.Cid.table}, Approx mode); a number assigned per
-          construct otherwise. *)
+          ranks from the query's feature table
+          ({!Xks_index.Cid.table}) in Approx mode; a number assigned
+          per construct in Exact mode. *)
   mutable rtf_children : info list;  (** children within the RTF, document order *)
 }
 
@@ -37,9 +37,9 @@ val construct : ?cid_mode:Xks_index.Cid.mode -> Query.t -> Rtf.t -> t
     nodes and connecting path nodes), with [klist]/[cid] aggregated bottom
     up.  Keyword-node contents are read from the document; path nodes
     contribute no content of their own (the paper's tree content set only
-    unions {e keyword} nodes).  With the query's feature table
-    ([Approx] mode) the features are folded as integers; without one,
-    or in [Exact] mode, each keyword node is re-tokenised.
+    unions {e keyword} nodes).  In [Approx] mode the features come from
+    the query's feature table and are folded as integers; in [Exact]
+    mode each keyword node is re-tokenised.
 
     [rtf.knodes] must be in document order, as {!Rtf.get_rtfs} gives them,
     and inside the subtree of [rtf.lca].  Cost: O(members) plus, per

@@ -5,7 +5,7 @@ type t = {
   doc : Xks_xml.Tree.t;
   keywords : string array;
   postings : int array array;
-  features : Xks_index.Cid.table option;
+  features : Xks_index.Cid.table;
   dfs : int array;
   avg_df : float;
 }
@@ -65,12 +65,12 @@ let make ?(order = `Given) idx ws =
     doc = Xks_index.Inverted.doc idx;
     keywords;
     postings;
-    features = Some (Xks_index.Inverted.features idx);
+    features = Xks_index.Inverted.features idx;
     dfs = dfs_of postings;
     avg_df = (Xks_index.Inverted.stats idx).avg_posting_len;
   }
 
-let of_postings ?features doc ~keywords postings =
+let of_postings ~features doc ~keywords postings =
   if keywords = [] then invalid_arg "Query.of_postings: empty query";
   if List.length keywords <> Array.length postings then
     invalid_arg "Query.of_postings: arity mismatch";

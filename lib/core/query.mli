@@ -9,10 +9,9 @@ type t = private {
   doc : Xks_xml.Tree.t;
   keywords : string array;  (** normalised, distinct, in query order *)
   postings : int array array;  (** one sorted id array per keyword *)
-  features : Xks_index.Cid.table option;
+  features : Xks_index.Cid.table;
       (** the index's ranked vocabulary and per-node approximate
-          content features ({!Xks_index.Inverted.features}) when the
-          query was prepared from an index; [None] otherwise.  Lets the
+          content features ({!Xks_index.Inverted.features}).  Lets the
           pruning stage fold integer features instead of re-tokenising
           the document per query. *)
   dfs : int array;
@@ -44,15 +43,15 @@ val make :
     distinct keywords. *)
 
 val of_postings :
-  ?features:Xks_index.Cid.table ->
+  features:Xks_index.Cid.table ->
   Xks_xml.Tree.t -> keywords:string list -> int array array -> t
-(** [of_postings doc ~keywords postings] builds a query whose posting
-    lists were computed elsewhere (e.g. filtered by {!Labeled} conditions
-    or read from {!Xks_index.Shredder}'s value rows).  Keywords must be
-    distinct and non-empty; each posting list must be sorted,
-    duplicate-free and reference ids of [doc].  [features] is the
-    feature table of an index over [doc] ({!Xks_index.Inverted.features});
-    without it, node-info construction re-tokenises keyword nodes.
+(** [of_postings ~features doc ~keywords postings] builds a query whose
+    posting lists were computed elsewhere (e.g. filtered by {!Labeled}
+    conditions or read from {!Xks_index.Shredder}'s value rows).
+    Keywords must be distinct and non-empty; each posting list must be
+    sorted, duplicate-free and reference ids of [doc].  [features] is the
+    feature table of an index over [doc]
+    ({!Xks_index.Inverted.features}).
     @raise Invalid_argument when those conditions fail or the arities
     differ. *)
 

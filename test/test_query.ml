@@ -64,21 +64,22 @@ let test_node_klist () =
 
 let test_of_postings_validation () =
   let doc = Xks_xml.Parser.parse_string "<r><a>x</a></r>" in
+  let features = Xks_index.Inverted.features (Xks_index.Inverted.build doc) in
   let check_raises msg f =
     match f () with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail msg
   in
   check_raises "arity" (fun () ->
-      Query.of_postings doc ~keywords:[ "a" ] [||]);
+      Query.of_postings ~features doc ~keywords:[ "a" ] [||]);
   check_raises "duplicate" (fun () ->
-      Query.of_postings doc ~keywords:[ "a"; "a" ] [| [| 0 |]; [| 1 |] |]);
+      Query.of_postings ~features doc ~keywords:[ "a"; "a" ] [| [| 0 |]; [| 1 |] |]);
   check_raises "out of range" (fun () ->
-      Query.of_postings doc ~keywords:[ "a" ] [| [| 9 |] |]);
+      Query.of_postings ~features doc ~keywords:[ "a" ] [| [| 9 |] |]);
   check_raises "unsorted" (fun () ->
-      Query.of_postings doc ~keywords:[ "a" ] [| [| 1; 0 |] |]);
+      Query.of_postings ~features doc ~keywords:[ "a" ] [| [| 1; 0 |] |]);
   (* And the happy path. *)
-  let q = Query.of_postings doc ~keywords:[ "a" ] [| [| 1 |] |] in
+  let q = Query.of_postings ~features doc ~keywords:[ "a" ] [| [| 1 |] |] in
   Alcotest.(check bool) "valid" true (Query.has_results q)
 
 let test_pp () =

@@ -187,7 +187,8 @@ let wide_xml n =
 let test_budget_interrupts_rtf_merge () =
   (* keyword_node_ids ticks once per posting occurrence merged *)
   let doc, ps = doc_and_postings (wide_xml 32) [ "w1"; "w2" ] in
-  let q = Xks_core.Query.of_postings doc ~keywords:[ "w1"; "w2" ] ps in
+  let features = Xks_index.Inverted.features (Xks_index.Inverted.build doc) in
+  let q = Xks_core.Query.of_postings ~features doc ~keywords:[ "w1"; "w2" ] ps in
   let b = Budget.create ~max_nodes:10 () in
   match Xks_core.Rtf.keyword_node_ids ~budget:b q with
   | exception Budget.Exhausted Budget.Node_budget -> ()
