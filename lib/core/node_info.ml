@@ -19,32 +19,42 @@ module Feature_ids = Hashtbl.Make (struct
   let hash = Cid.hash
 end)
 
-(* Exact-mode features: re-tokenised [Cid.t] word sets, numbered per
-   construct so that equal features get equal numbers.  0 is the empty
-   feature.  Returns (feature of a keyword node, merge, decode). *)
-let numbered doc =
-  let ids = Feature_ids.create 16 and values = ref [| Cid.empty |] in
-  Feature_ids.add ids Cid.empty 0;
-  let intern c =
-    match Feature_ids.find_opt ids c with
-    | Some i -> i
-    | None ->
-        let i = Feature_ids.length ids in
-        if i = Array.length !values then
-          values := Array.append !values (Array.make i Cid.empty);
-        !values.(i) <- c;
-        Feature_ids.add ids c i;
-        i
-  in
-  let of_node kn =
-    intern (Cid.of_words Cid.Exact (Tree.content_words doc (Tree.node doc kn)))
-  in
-  let merge a b =
-    if a = 0 || a = b then b
-    else if b = 0 then a
-    else intern (Cid.merge !values.(a) !values.(b))
-  in
-  (of_node, merge, fun i -> !values.(i))
+(* Exact-mode features (the A1 ablation): re-tokenised word sets.
+   While a member is open its [feature] is a slot of [open_sets]; when
+   it closes its set is final, and it is numbered so that equal sets get
+   equal numbers ([values] maps a number back to its set).  Numbering at
+   close hashes each member's set once. *)
+type sets = {
+  mutable open_sets : Cid.t array;
+  mutable slots : int;
+  numbers : int Feature_ids.t;
+  mutable values : Cid.t array;
+}
+
+let room a n =
+  if n < Array.length a then a
+  else Array.append a (Array.make (max 8 (Array.length a)) Cid.empty)
+
+let slot s =
+  s.open_sets <- room s.open_sets s.slots;
+  s.open_sets.(s.slots) <- Cid.empty;
+  s.slots <- s.slots + 1;
+  s.slots - 1
+
+let absorb s into c = s.open_sets.(into) <- Cid.merge s.open_sets.(into) c
+
+let number s slot =
+  let c = s.open_sets.(slot) in
+  match Feature_ids.find_opt s.numbers c with
+  | Some i -> i
+  | None ->
+      let i = Feature_ids.length s.numbers in
+      s.values <- room s.values i;
+      s.values.(i) <- c;
+      Feature_ids.add s.numbers c i;
+      i
+
+type features = Ranked of Cid.table | Sets of sets
 
 (* The constructing step in one sweep over the keyword nodes in reverse
    document order.  [stack] is the open path from the RTF root to the
@@ -66,24 +76,25 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
   (* Approx keyword-node features are the index's packed rank pairs:
      folding them is an integer min and max.  Exact mode (the A1
      ablation) re-tokenises each keyword node. *)
-  let empty, of_node, merge, cid_of =
+  let features =
     match cid_mode with
-    | Cid.Approx ->
-        let nodes = q.features.nodes in
-        ( Cid.packed_empty,
-          (fun kn -> nodes.(kn)),
-          Cid.merge_packed,
-          Cid.decode q.features )
+    | Cid.Approx -> Ranked q.features
     | Cid.Exact ->
-        let of_node, merge, cid_of = numbered doc in
-        (0, of_node, merge, cid_of)
+        Sets
+          {
+            open_sets = [||];
+            slots = 0;
+            numbers = Feature_ids.create 16;
+            values = [||];
+          }
   in
   let fresh id =
     {
       id;
       label = labels.(id);
       klist = Klist.empty;
-      feature = empty;
+      feature =
+        (match features with Ranked _ -> Cid.packed_empty | Sets s -> slot s);
       rtf_children = [];
     }
   in
@@ -94,7 +105,12 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     match !stack with
     | info :: (parent :: _ as rest) when info.id > id ->
         parent.klist <- Klist.union parent.klist info.klist;
-        parent.feature <- merge parent.feature info.feature;
+        (match features with
+        | Ranked _ ->
+            parent.feature <- Cid.merge_packed parent.feature info.feature
+        | Sets s ->
+            absorb s parent.feature s.open_sets.(info.feature);
+            info.feature <- number s info.feature);
         stack := rest;
         close_above id
     | _ -> ()
@@ -154,10 +170,18 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     close_above kn;
     let info = open_path kn in
     info.klist <- Klist.union info.klist (klist_of kn);
-    info.feature <- merge info.feature (of_node kn)
+    match features with
+    | Ranked t -> info.feature <- Cid.merge_packed info.feature t.nodes.(kn)
+    | Sets s ->
+        absorb s info.feature
+          (Cid.of_words Cid.Exact (Tree.content_words doc (Tree.node doc kn)))
   done;
   close_above rtf.lca;
-  { root; cid_of }
+  match features with
+  | Ranked t -> { root; cid_of = Cid.decode t }
+  | Sets s ->
+      root.feature <- number s root.feature;
+      { root; cid_of = (fun i -> s.values.(i)) }
 
 let root t = t.root
 let cid t (info : info) = t.cid_of info.feature

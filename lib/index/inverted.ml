@@ -54,18 +54,18 @@ let compute_stats doc postings =
    each node's approximate cID is a pair of ranks ([Cid.table], one pass
    over the postings in rank order instead of re-tokenising every
    node). *)
-let freeze doc (rows : (string, int * int array) Hashtbl.t) =
-  let rows = Array.of_seq (Hashtbl.to_seq rows) in
-  Array.sort (fun (a, _) (b, _) -> String.compare a b) rows;
-  let words = Array.map fst rows in
-  let postings = Array.map (fun (_, (_, p)) -> p) rows in
+let freeze doc (rows : (string * int * int array) Seq.t) =
+  let rows = Array.of_seq rows in
+  Array.sort (fun (a, _, _) (b, _, _) -> String.compare a b) rows;
+  let words = Array.map (fun (w, _, _) -> w) rows in
+  let postings = Array.map (fun (_, _, p) -> p) rows in
   let ranks = Words.create (Array.length words) in
   Array.iteri (fun r w -> Words.add ranks w r) words;
   {
     doc;
     ranks;
     postings;
-    occurrences = Array.map (fun (_, (o, _)) -> o) rows;
+    occurrences = Array.map (fun (_, o, _) -> o) rows;
     features = Cid.table ~words ~postings ~nodes:(Tree.size doc);
     stats = compute_stats doc postings;
   }
@@ -103,11 +103,10 @@ let build doc =
       n.attrs
   in
   Tree.iter index_node doc;
-  let rows = Hashtbl.create (Hashtbl.length entries) in
-  Hashtbl.iter
-    (fun w e -> Hashtbl.add rows w (e.count, Xks_util.Int_vec.to_array e.ids))
-    entries;
-  freeze doc rows
+  freeze doc
+    (Seq.map
+       (fun (w, e) -> (w, e.count, Xks_util.Int_vec.to_array e.ids))
+       (Hashtbl.to_seq entries))
 
 let doc t = t.doc
 let features t = t.features
@@ -156,7 +155,7 @@ let of_rows doc rows =
         posting;
       Hashtbl.replace table w (occurrences, posting))
     rows;
-  freeze doc table
+  freeze doc (Seq.map (fun (w, (o, p)) -> (w, o, p)) (Hashtbl.to_seq table))
 
 let top_words t n =
   let all = List.mapi (fun r w -> (w, t.occurrences.(r))) (vocabulary t) in
