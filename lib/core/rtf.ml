@@ -39,7 +39,7 @@ let keyword_node_ids ?budget (q : Query.t) =
       Xks_util.Int_vec.to_array out)
 
 let get_rtfs ?budget (q : Query.t) lcas =
-  let ends = Xks_xml.Tree.subtree_ends q.doc in
+  let ends = Tree.subtree_ends q.doc in
   let knodes = keyword_node_ids ?budget q in
   let buckets = List.map (fun a -> (a, Xks_util.Int_vec.create ())) lcas in
   (* Sweep keyword nodes in document order, keeping a stack of the LCA

@@ -1,4 +1,3 @@
-module Tree = Xks_xml.Tree
 module Bsearch = Xks_util.Bsearch
 
 let slca doc postings =

@@ -18,15 +18,14 @@ let indexed_lookup_eager ?budget doc postings =
     let s1 = postings.(Probe.smallest_list_index postings) in
     let ends = Tree.subtree_ends doc in
     let cursors = Probe.cursors postings in
-    (* The eager step: candidates arrive in driver order, and each new
-       candidate [c] (the deepest full container of an occurrence past
-       every earlier one) is an ancestor-or-self of the last kept
-       candidate, a proper descendant of it, or after its subtree —
-       [c]'s range reaches past every earlier occurrence, so it cannot
-       end inside [last] without lying in it.  So [last] is final once
-       a candidate lands after its subtree, and one pass keeps the
-       minimal candidates in document order, with no buffer and no
-       sort.  [fc] cannot return -1 here since no list is empty. *)
+    (* The eager step.  A new candidate [c] contains its occurrence,
+       which comes after every earlier one, so [c] cannot end inside
+       the subtree of the last kept candidate [last]: it is an
+       ancestor-or-self of [last], a proper descendant of it, or after
+       its subtree.  So [last] is final once a candidate lands after its
+       subtree, and one pass keeps the minimal candidates in document
+       order, with no buffer and no sort.  [fc] cannot return -1 here
+       since no list is empty. *)
     let acc = ref [] and last = ref (-1) in
     Array.iter
       (fun v ->
