@@ -34,8 +34,8 @@ type t
 
 val construct : ?cid_mode:Xks_index.Cid.mode -> Query.t -> Rtf.t -> t
 (** Build the info tree of a raw RTF: one {!info} per RTF member (keyword
-    nodes and connecting path nodes), with [klist]/[cid] aggregated bottom
-    up.  Keyword-node contents are read from the document; path nodes
+    nodes and connecting path nodes), with [klist]/[feature] aggregated
+    bottom up.  Keyword-node contents are read from the document; path nodes
     contribute no content of their own (the paper's tree content set only
     unions {e keyword} nodes).  In [Approx] mode the features come from
     the query's feature table and are folded as integers; in [Exact]
