@@ -47,15 +47,25 @@ let valid_children (info : Node_info.info) =
   | _ :: _ :: _ -> List.concat_map keep_of_group (Node_info.label_groups info)
 
 (* Children surviving MaxMatch's contributor test: no sibling (any label)
-   with a strictly larger keyword set. *)
+   with a strictly larger keyword set.  A lone child has no sibling; with
+   more, the distinct key numbers are sorted in a scratch buffer, as
+   [Node_info.group] does. *)
 let contributor_children (info : Node_info.info) =
-  let all_knums =
-    List.map (fun (c : Node_info.info) -> c.klist) info.rtf_children
-    |> List.sort_uniq Int.compare |> Array.of_list
-  in
-  List.filter
-    (fun (ch : Node_info.info) -> not (Klist.covered_by_any ch.klist all_knums))
-    info.rtf_children
+  match info.rtf_children with
+  | ([] | [ _ ]) as children -> children
+  | children ->
+      let all_knums =
+        Xks_util.Scratch.with_ints (fun buf ->
+            List.iter
+              (fun (c : Node_info.info) -> Xks_util.Int_vec.push buf c.klist)
+              children;
+            Xks_util.Int_vec.sort_uniq buf;
+            Xks_util.Int_vec.to_array buf)
+      in
+      List.filter
+        (fun (ch : Node_info.info) ->
+          not (Klist.covered_by_any ch.klist all_knums))
+        children
 
 let collect select t =
   let members = ref [] in

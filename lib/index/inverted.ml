@@ -70,43 +70,15 @@ let freeze doc (rows : (string * int * int array) Seq.t) =
     stats = compute_stats doc postings;
   }
 
-(* The growable posting of one word while [build] runs. *)
-(* xksrace: domain_safe written only during build, before the index is shared *)
-type entry = { ids : Xks_util.Int_vec.t; mutable count : int }
-
 let build doc =
-  let entries = Hashtbl.create 4096 in
-  let index_node (n : Tree.node) =
-    let add w =
-      let e =
-        match Hashtbl.find_opt entries w with
-        | Some e -> e
-        | None ->
-            let e = { ids = Xks_util.Int_vec.create (); count = 0 } in
-            Hashtbl.add entries w e;
-            e
-      in
-      e.count <- e.count + 1;
-      (* Postings are per node: skip the id if this node was just added
-         (tokens of one node arrive consecutively). *)
-      let v = e.ids in
-      if Xks_util.Int_vec.length v = 0 || Xks_util.Int_vec.last v <> n.id then
-        Xks_util.Int_vec.push v n.id
-    in
-    let feed s = Tokenizer.iter_words add s in
-    feed (Tree.label_name doc n);
-    feed n.text;
-    List.iter
-      (fun (k, v) ->
-        feed k;
-        feed v)
-      n.attrs
-  in
-  Tree.iter index_node doc;
-  freeze doc
-    (Seq.map
-       (fun (w, e) -> (w, e.count, Xks_util.Int_vec.to_array e.ids))
-       (Hashtbl.to_seq entries))
+  let acc = Word_acc.create () in
+  Tree.iter
+    (fun (n : Tree.node) ->
+      Word_acc.add_string acc n.id (Tree.label_name doc n);
+      Word_acc.add_string acc n.id n.text;
+      Word_acc.add_attrs acc n.id n.attrs)
+    doc;
+  freeze doc (List.to_seq (Word_acc.rows acc))
 
 let doc t = t.doc
 let features t = t.features

@@ -15,7 +15,11 @@
     ]}
 
     Mixed-content text is concatenated per element before tokenisation,
-    matching the tree model's text semantics. *)
+    matching the tree model's text semantics: {!Xks_xml.Sax} hands each
+    element's text to its end event as one slice, and the slice is
+    tokenised in place, untrimmed, by the {!Word_acc} that
+    {!Inverted.build} uses too.  No string is made per element or per
+    word occurrence, only one per distinct word. *)
 
 val rows_of_string :
   ?limits:Xks_robust.Limits.t -> string -> (string * int * int array) list

@@ -1,73 +1,38 @@
 exception Error of { line : int; col : int; message : string }
 
-(* The DOM view is a fold over the SAX event stream: a stack of open
-   elements accumulates text and children until the matching end tag. *)
-
-type frame = {
-  f_label : string;
-  f_attrs : (string * string) list;
-  f_text : Buffer.t;
-  mutable f_children : Tree.builder list;  (* reversed *)
-}
+(* The DOM view is a fold over the SAX event stream: each start tag
+   opens a node of the tree draft, each end tag finishes it with its
+   trimmed text. *)
 
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
-let trim_text s =
-  let n = String.length s in
-  let i = ref 0 and j = ref (n - 1) in
-  while !i < n && is_space s.[!i] do
+(* The slice [s.[off .. off + len - 1]] without surrounding whitespace,
+   copied out of the slice (whose string Sax may overwrite). *)
+let trimmed s off len =
+  let i = ref off and j = ref (off + len - 1) in
+  while !i <= !j && is_space (String.unsafe_get s !i) do
     incr i
   done;
-  while !j >= !i && is_space s.[!j] do
+  while !j >= !i && is_space (String.unsafe_get s !j) do
     decr j
   done;
   if !j < !i then "" else String.sub s !i (!j - !i + 1)
 
-let builder_of_events feed =
-  let stack = ref [] in
-  let root = ref None in
-  let on_start name attrs =
-    stack :=
-      { f_label = name; f_attrs = attrs; f_text = Buffer.create 16;
-        f_children = [] }
-      :: !stack
-  in
-  let on_text s =
-    match !stack with
-    | frame :: _ -> Buffer.add_string frame.f_text s
-    | [] -> assert false (* SAX only emits text inside the root element *)
-  in
-  let on_end _name =
-    match !stack with
-    | frame :: rest ->
-        let built =
-          Tree.elem ~attrs:frame.f_attrs
-            ~text:(trim_text (Buffer.contents frame.f_text))
-            frame.f_label
-            (List.rev frame.f_children)
-        in
-        (match rest with
-        | parent :: _ -> parent.f_children <- built :: parent.f_children
-        | [] -> root := Some built);
-        stack := rest
-    | [] -> assert false (* ends pair with starts *)
-  in
-  feed (Sax.handler ~on_start ~on_text ~on_end ());
-  match !root with
-  | Some b -> b
-  | None -> assert false (* SAX guarantees exactly one root element *)
+let tree_of_events feed =
+  let d = Tree.draft () in
+  let on_end _name s off len = Tree.finish d (trimmed s off len) in
+  feed (Sax.handler ~on_start:(Tree.start d) ~on_end ());
+  Tree.freeze d
 
 let translate f =
   try f () with
   | Sax.Error { line; col; message } -> raise (Error { line; col; message })
 
 let parse_string ?limits src =
-  translate (fun () ->
-      Tree.build (builder_of_events (fun h -> Sax.parse_string ?limits h src)))
+  translate (fun () -> tree_of_events (fun h -> Sax.parse_string ?limits h src))
 
 let parse_file ?limits path =
-  translate (fun () ->
-      Tree.build (builder_of_events (fun h -> Sax.parse_file ?limits h path)))
+  translate (fun () -> tree_of_events (fun h -> Sax.parse_file ?limits h path))
 
 let error_to_string = function
   | Error { line; col; message } ->

@@ -10,7 +10,12 @@
     Mixed content is flattened: all character data directly under an
     element is concatenated (whitespace-trimmed at both ends) into the
     element's [text], preserving the paper's model in which a node has a
-    label and an optional value. *)
+    label and an optional value.
+
+    The tree is built in one pass over the {!Sax} events: each start tag
+    is a {!Tree.start} on a {!Tree.draft}, each end tag a {!Tree.finish}
+    with the element's text — Sax's concatenated slice, trimmed and
+    copied once — and the draft is frozen at the end. *)
 
 exception Error of { line : int; col : int; message : string }
 (** Raised on malformed input, with 1-based position. *)

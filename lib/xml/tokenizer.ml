@@ -3,23 +3,27 @@ let normalize = String.lowercase_ascii
 let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
+let rec word_start s i stop =
+  if i < stop && not (is_word_char (String.unsafe_get s i)) then
+    word_start s (i + 1) stop
+  else i
+
+let rec word_end s i stop =
+  if i < stop && is_word_char (String.unsafe_get s i) then word_end s (i + 1) stop
+  else i
+
 let iter_words ?(keep_stopwords = false) f s =
   let n = String.length s in
-  let emit start stop =
-    if stop > start then begin
+  let rec loop i =
+    let start = word_start s i n in
+    if start < n then begin
+      let stop = word_end s start n in
       let w = normalize (String.sub s start (stop - start)) in
-      if keep_stopwords || not (Stopwords.is_stopword w) then f w
+      if keep_stopwords || not (Stopwords.is_stopword w) then f w;
+      loop stop
     end
   in
-  let rec loop i start =
-    if i = n then emit start i
-    else if is_word_char s.[i] then loop (i + 1) start
-    else begin
-      emit start i;
-      loop (i + 1) (i + 1)
-    end
-  in
-  loop 0 0
+  loop 0
 
 let words ?keep_stopwords s =
   let acc = ref [] in

@@ -21,3 +21,20 @@ val word_set : ?keep_stopwords:bool -> string -> string list
 val iter_words : ?keep_stopwords:bool -> (string -> unit) -> string -> unit
 (** [iter_words f s] calls [f] on each normalised non-stop word of [s] in
     occurrence order, without building a list. *)
+
+(** {1 Word boundaries}
+
+    The definition every word scan shares: a word is a maximal run of
+    ASCII letters and digits.  {!iter_words} is built on the two scans
+    below; the indexers ([Xks_index.Word_acc]) call them on a slice of
+    their input, so they find the same words without copying the
+    text. *)
+
+val word_start : string -> int -> int -> int
+(** [word_start s i stop] is the first index in [[i, stop)] holding a
+    word byte, or [stop] if none. *)
+
+val word_end : string -> int -> int -> int
+(** [word_end s i stop] is the first index in [[i, stop)] holding a
+    non-word byte, or [stop] if none: the end of the word starting at
+    [i]. *)

@@ -32,53 +32,109 @@ type builder = {
 let elem ?(attrs = []) ?(text = "") label children =
   { b_label = label; b_attrs = attrs; b_text = text; b_children = children }
 
-let count_builder b =
-  let rec loop acc b = List.fold_left loop (acc + 1) b.b_children in
-  loop 0 b
+(* An open element: what its start tag fixed, until its end tag. *)
+type frame = {
+  f_id : int;
+  f_label : Label.t;
+  f_parent : int;
+  f_dewey : Dewey.t;
+  f_attrs : (string * string) list;
+  f_kids : int;  (* where its finished children start in [kids] *)
+}
+
+(* A document under construction.  [start] numbers the element and
+   pushes a frame with what its start tag fixes (label, parent, Dewey
+   code, attributes); [finish] pops it into the node record, whose
+   children are the nodes finished on [kids] since its start. *)
+type draft = {
+  d_table : Label.table;
+  mutable count : int;  (* ids given out so far *)
+  mutable frames : frame list;  (* the open elements, innermost first *)
+  mutable kids : node array;  (* finished children of the open elements *)
+  mutable n_kids : int;
+}
+
+let placeholder =
+  { id = -1; label = -1; text = ""; attrs = []; dewey = Dewey.root; parent = -1;
+    children = [||]; subtree_end = -1 }
+
+let draft () =
+  { d_table = Label.create_table (); count = 0; frames = [];
+    kids = Array.make 16 placeholder; n_kids = 0 }
+
+let start d label attrs =
+  let id = d.count in
+  (* Interned at the start tag, so label ids follow document order. *)
+  let label = Label.intern d.d_table label in
+  let frame =
+    match d.frames with
+    | [] ->
+        if id > 0 then invalid_arg "Tree.start: a second root";
+        { f_id = id; f_label = label; f_parent = -1; f_dewey = Dewey.root;
+          f_attrs = attrs; f_kids = 0 }
+    | p :: _ ->
+        { f_id = id; f_label = label; f_parent = p.f_id;
+          f_dewey = Dewey.child p.f_dewey (d.n_kids - p.f_kids);
+          f_attrs = attrs; f_kids = d.n_kids }
+  in
+  d.count <- id + 1;
+  d.frames <- frame :: d.frames
+
+let finish d text =
+  match d.frames with
+  | [] -> invalid_arg "Tree.finish: no open element"
+  | f :: rest ->
+      let first = f.f_kids in
+      let node =
+        {
+          id = f.f_id;
+          label = f.f_label;
+          text;
+          attrs = f.f_attrs;
+          dewey = f.f_dewey;
+          parent = f.f_parent;
+          children = Array.sub d.kids first (d.n_kids - first);
+          subtree_end = d.count - 1;
+        }
+      in
+      d.frames <- rest;
+      if first = Array.length d.kids then begin
+        let grown = Array.make (2 * first) placeholder in
+        Array.blit d.kids 0 grown 0 first;
+        d.kids <- grown
+      end;
+      d.kids.(first) <- node;
+      d.n_kids <- first + 1
+
+(* The node arrays and the flat arrays, filled in one preorder walk. *)
+let freeze d =
+  (match d.frames with
+  | [] when d.n_kids = 1 -> ()
+  | _ -> invalid_arg "Tree.freeze: the root is not finished");
+  let root_node = d.kids.(0) in
+  let n = d.count in
+  let nodes = Array.make n root_node in
+  let parents = Array.make n (-1) and ends = Array.make n 0 in
+  let label_ids = Array.make n 0 in
+  let rec fill (n : node) =
+    nodes.(n.id) <- n;
+    parents.(n.id) <- n.parent;
+    ends.(n.id) <- n.subtree_end;
+    label_ids.(n.id) <- n.label;
+    Array.iter fill n.children
+  in
+  fill root_node;
+  { root_node; nodes; label_table = d.d_table; parents; ends; label_ids }
 
 let build b =
-  let label_table = Label.create_table () in
-  let n = count_builder b in
-  let nodes = Array.make n None in
-  let next = ref 0 in
-  let rec go b dewey parent =
-    let id = !next in
-    incr next;
-    (* Intern before recursing so label ids follow document order. *)
-    let label = Label.intern label_table b.b_label in
-    let children =
-      Array.of_list
-        (List.mapi (fun i c -> go c (Dewey.child dewey i) id) b.b_children)
-    in
-    let node =
-      {
-        id;
-        label;
-        text = b.b_text;
-        attrs = b.b_attrs;
-        dewey;
-        parent;
-        children;
-        subtree_end = !next - 1;
-      }
-    in
-    nodes.(id) <- Some node;
-    node
+  let d = draft () in
+  let rec go b =
+    start d b.b_label b.b_attrs;
+    List.iter go b.b_children;
+    finish d b.b_text
   in
-  let root_node = go b Dewey.root (-1) in
-  let nodes =
-    Array.map
-      (function Some n -> n | None -> assert false (* all slots filled *))
-      nodes
-  in
-  {
-    root_node;
-    nodes;
-    label_table;
-    parents = Array.map (fun n -> n.parent) nodes;
-    ends = Array.map (fun n -> n.subtree_end) nodes;
-    label_ids = Array.map (fun n -> n.label) nodes;
-  }
+  go b;
+  freeze d
 
 let root t = t.root_node
 let size t = Array.length t.nodes

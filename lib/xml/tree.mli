@@ -24,10 +24,39 @@ type node = private {
 type t
 (** A document: a tree plus its label intern table. *)
 
-(** {1 Building} *)
+(** {1 Building}
+
+    There is one construction path: a {!draft} fed one {!start} per
+    start tag and one {!finish} per end tag, in document order, then
+    frozen.  {!Parser} feeds it straight from the {!Sax} events;
+    {!build} walks a {!builder} through the same two calls. *)
+
+type draft
+(** A document under construction.  Single-use: freeze it once. *)
+
+val draft : unit -> draft
+
+val start : draft -> string -> (string * string) list -> unit
+(** [start d name attrs] opens an element: the next preorder id, a child
+    of the innermost open element (the root if none is open).  Its id,
+    label, Dewey code and parent are set here; the label is interned
+    here, so label ids follow document order.
+    @raise Invalid_argument if the root has already been finished. *)
+
+val finish : draft -> string -> unit
+(** [finish d text] closes the innermost open element with its text:
+    its children (the elements finished since its start) and its
+    subtree end are set here.
+    @raise Invalid_argument if no element is open. *)
+
+val freeze : draft -> t
+(** The finished document, with the flat arrays ({!parents} and its
+    siblings) filled once.
+    @raise Invalid_argument unless exactly the root has been finished. *)
 
 type builder
-(** A tree under construction, before ids and Dewey codes are assigned. *)
+(** A tree as a value, before ids and Dewey codes are assigned: what
+    generators, tests and the edits below construct. *)
 
 val elem :
   ?attrs:(string * string) list -> ?text:string -> string -> builder list ->
@@ -36,7 +65,8 @@ val elem :
     direct text content. *)
 
 val build : builder -> t
-(** [build b] assigns preorder ids and Dewey codes and freezes the tree. *)
+(** [build b] assigns preorder ids and Dewey codes and freezes the tree,
+    through {!start} and {!finish}. *)
 
 (** {1 Access} *)
 
@@ -53,8 +83,8 @@ val label_name : t -> node -> string
 
 (** {1 Flat intervals}
 
-    Three fields of every node as arrays indexed by node id, built once
-    by {!build}: the hot query paths (closest-occurrence probes,
+    Three fields of every node as arrays indexed by node id, filled
+    once by {!freeze}: the hot query paths (closest-occurrence probes,
     node-info construction, RTF dispatch) walk these instead of the node
     records.  The arrays are owned by the tree: callers must not mutate
     them. *)

@@ -1,13 +1,28 @@
+let needs_escape ~attr = function
+  | '&' | '<' | '>' -> true
+  | '"' -> attr
+  | _ -> false
+
+(* The entity of a byte [needs_escape] accepts. *)
+let entity = function
+  | '&' -> "&amp;"
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | _ -> "&quot;"
+
+(* Runs that need no escaping are copied with one [add_substring]. *)
 let escape buf ~attr s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when attr -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else if needs_escape ~attr (String.unsafe_get s i) then begin
+      Buffer.add_substring buf s start (i - start);
+      Buffer.add_string buf (entity (String.unsafe_get s i));
+      go (i + 1) (i + 1)
+    end
+    else go start (i + 1)
+  in
+  go 0 0
 
 let escape_text s =
   let buf = Buffer.create (String.length s) in
@@ -19,11 +34,26 @@ let escape_attr s =
   escape buf ~attr:true s;
   Buffer.contents buf
 
+let rec add_attrs buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf k;
+      Buffer.add_string buf "=\"";
+      escape buf ~attr:true v;
+      Buffer.add_char buf '"';
+      add_attrs buf rest
+
+(* Render the subtree at [n] after whatever [buf] already holds: every
+   line but the subtree's first starts with a newline. *)
 let render_node buf ~indent t (n : Tree.node) =
+  let first = Buffer.length buf in
   let pad depth =
     if indent > 0 then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (depth * indent) ' ')
+      if Buffer.length buf > first then Buffer.add_char buf '\n';
+      for _ = 1 to depth * indent do
+        Buffer.add_char buf ' '
+      done
     end
   in
   let rec go depth (n : Tree.node) =
@@ -31,14 +61,7 @@ let render_node buf ~indent t (n : Tree.node) =
     let name = Tree.label_name t n in
     Buffer.add_char buf '<';
     Buffer.add_string buf name;
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf k;
-        Buffer.add_string buf "=\"";
-        escape buf ~attr:true v;
-        Buffer.add_char buf '"')
-      n.attrs;
+    add_attrs buf n.attrs;
     if n.text = "" && Array.length n.children = 0 then
       Buffer.add_string buf "/>"
     else begin
@@ -47,7 +70,9 @@ let render_node buf ~indent t (n : Tree.node) =
         if Array.length n.children > 0 then pad (depth + 1);
         escape buf ~attr:false n.text
       end;
-      Array.iter (go (depth + 1)) n.children;
+      for i = 0 to Array.length n.children - 1 do
+        go (depth + 1) n.children.(i)
+      done;
       if Array.length n.children > 0 then pad depth;
       Buffer.add_string buf "</";
       Buffer.add_string buf name;
@@ -61,18 +86,20 @@ let subtree_to_string ?(indent = 2) t n =
   render_node buf ~indent t n;
   Buffer.contents buf
 
-let to_string ?(declaration = true) ?(indent = 2) t =
+let render ?(declaration = true) ?(indent = 2) t =
   let buf = Buffer.create 4096 in
   if declaration then begin
     Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
     if indent > 0 then Buffer.add_char buf '\n'
   end;
-  Buffer.add_string buf (subtree_to_string ~indent t (Tree.root t));
+  render_node buf ~indent t (Tree.root t);
   if indent > 0 then Buffer.add_char buf '\n';
-  Buffer.contents buf
+  buf
+
+let to_string ?declaration ?indent t = Buffer.contents (render ?declaration ?indent t)
 
 let to_file ?declaration ?indent path t =
+  let buf = render ?declaration ?indent t in
   let oc = open_out_bin path in
   let finally () = close_out_noerr oc in
-  Fun.protect ~finally (fun () ->
-      output_string oc (to_string ?declaration ?indent t))
+  Fun.protect ~finally (fun () -> Buffer.output_buffer oc buf)

@@ -156,3 +156,71 @@ let raises_only documented f =
   | exception e when documented e -> true
   | exception e ->
       QCheck2.Test.fail_reportf "undocumented exception %s" (Printexc.to_string e)
+
+(* Documents for the ingest properties: mixed-case labels and words,
+   digits, stop words, attributes, markup characters and non-ASCII
+   bytes.  Every text starts and ends with a word, so it survives the
+   parser's trimming unchanged. *)
+let rich_labels = [| "a"; "B"; "title"; "Author" |]
+
+let rich_words =
+  [| "XML"; "xml"; "Data"; "the"; "Of"; "2009"; "b1c2"; "caf\xc3\xa9";
+     "na\xefve"; "Search"; "IS"; "k"; "KeyWord" |]
+
+let rich_seps = [| " "; ", "; "-"; " & "; " < "; "\t"; "\""; "'"; "  "; ">" |]
+
+let gen_rich_text =
+  QCheck2.Gen.(
+    map2
+      (fun first rest ->
+        String.concat "" (first :: List.map (fun (sep, w) -> sep ^ w) rest))
+      (oneofa rich_words)
+      (list_size (int_range 0 4) (pair (oneofa rich_seps) (oneofa rich_words))))
+
+let gen_rich_doc =
+  QCheck2.Gen.(
+    let text = frequency [ (1, return ""); (3, gen_rich_text) ] in
+    let attrs =
+      list_size (int_range 0 2)
+        (pair (oneofa [| "id"; "Lang"; "key" |])
+           (frequency [ (1, return ""); (3, gen_rich_text) ]))
+    in
+    let node children =
+      map3
+        (fun l (attrs, t) cs -> Tree.elem ~attrs ~text:t l cs)
+        (oneofa rich_labels) (pair attrs text) children
+    in
+    map Tree.build
+      (sized_size (int_range 1 20) @@ fix (fun self n ->
+           if n <= 1 then node (return [])
+           else
+             bind (int_range 1 (min 4 n)) (fun c ->
+                 node (list_size (return c) (self ((n - 1) / c)))))))
+
+(* Index rows computed independently of both indexers: [Tokenizer.words]
+   over each node's label, text, attribute names and values, counted and
+   collected in a plain table. *)
+let reference_rows doc =
+  let table = Hashtbl.create 64 in
+  Tree.iter
+    (fun (n : Tree.node) ->
+      let words =
+        Xks_xml.Tokenizer.words (Tree.label_name doc n)
+        @ Xks_xml.Tokenizer.words n.text
+        @ List.concat_map
+            (fun (k, v) -> Xks_xml.Tokenizer.words k @ Xks_xml.Tokenizer.words v)
+            n.attrs
+      in
+      List.iter
+        (fun w ->
+          let count, ids =
+            Option.value (Hashtbl.find_opt table w) ~default:(0, [])
+          in
+          Hashtbl.replace table w (count + 1, n.id :: ids))
+        words)
+    doc;
+  Hashtbl.fold
+    (fun w (count, ids) rows ->
+      (w, count, Array.of_list (List.sort_uniq compare ids)) :: rows)
+    table []
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)

@@ -12,6 +12,7 @@ let () =
       ("persist", Test_persist.tests);
       ("robust", Test_robust.tests);
       ("stream_index", Test_stream_index.tests);
+      ("ingest", Test_ingest.tests);
       ("gdmct", Test_gdmct.tests);
       ("lca", Test_lca.tests);
       ("rtf", Test_rtf.tests);

@@ -156,8 +156,32 @@ let prop_flat_arrays_agree =
       && flat_arrays_agree (Tree.insert_subtree doc ~parent_id ~pos b)
       && (n = 1 || flat_arrays_agree (Tree.delete_subtree doc ~id:(1 + (r1 mod (n - 1))))))
 
+(* A draft takes exactly one root, closed once, before it freezes. *)
+let test_draft_rejects_unbalanced_events () =
+  let invalid what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  invalid "finish with nothing open" (fun () -> Tree.finish (Tree.draft ()) "");
+  invalid "freeze an empty draft" (fun () -> Tree.freeze (Tree.draft ()));
+  let d = Tree.draft () in
+  Tree.start d "a" [];
+  Tree.start d "b" [];
+  Tree.finish d "x";
+  invalid "freeze with the root open" (fun () -> Tree.freeze d);
+  Tree.finish d "";
+  invalid "a second root" (fun () -> Tree.start d "c" []);
+  let doc = Tree.freeze d in
+  Alcotest.(check (list string)) "the tree" [ "0"; "0.0" ]
+    (List.map (fun (n : Tree.node) -> Dewey.to_string n.dewey)
+       (List.rev (Tree.fold (fun acc n -> n :: acc) [] doc)));
+  Alcotest.(check string) "the child's text" "x" (Tree.node doc 1).text
+
 let tests =
   [
+    Alcotest.test_case "draft rejects unbalanced events" `Quick
+      test_draft_rejects_unbalanced_events;
     Alcotest.test_case "preorder ids and dewey lookup" `Quick test_ids_are_preorder;
     Alcotest.test_case "subtree ranges" `Quick test_subtree_ranges;
     Alcotest.test_case "parent navigation" `Quick test_parents;
