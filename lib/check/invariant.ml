@@ -49,20 +49,19 @@ let index idx =
 (* Document order                                                     *)
 
 let doc_order doc ids =
-  let out = ref [] in
+  let out = ref [] and dp = ref Dewey.root in
   Array.iteri
     (fun i id ->
-      if i > 0 then begin
-        let prev = ids.(i - 1) in
-        let dp = (Tree.node doc prev).dewey and dc = (Tree.node doc id).dewey in
-        if Dewey.compare dp dc >= 0 then
-          out :=
-            v "doc-order"
-              "node array not in document order at index %d: Dewey %s \
-               (id %d) does not precede Dewey %s (id %d)"
-              i (Dewey.to_string dp) prev (Dewey.to_string dc) id
-            :: !out
-      end)
+      (* Each code is derived once, then compared with the next one. *)
+      let dc = Tree.dewey doc id in
+      if i > 0 && Dewey.compare !dp dc >= 0 then
+        out :=
+          v "doc-order"
+            "node array not in document order at index %d: Dewey %s \
+             (id %d) does not precede Dewey %s (id %d)"
+            i (Dewey.to_string !dp) ids.(i - 1) (Dewey.to_string dc) id
+          :: !out;
+      dp := dc)
     ids;
   List.rev !out
 
@@ -80,7 +79,7 @@ let rtf ?(require_coverage = true) (q : Query.t) (r : Rtf.t) =
   if r.lca < 0 || r.lca >= n then
     push (v "rtf-root" "LCA id %d outside the document (size %d)" r.lca n)
   else begin
-    let root = Tree.node doc r.lca in
+    let last = (Tree.subtree_ends doc).(r.lca) in
     Array.iteri
       (fun i id ->
         if i > 0 && r.knodes.(i - 1) >= id then
@@ -91,12 +90,12 @@ let rtf ?(require_coverage = true) (q : Query.t) (r : Rtf.t) =
         if id < 0 || id >= n then
           push (v "rtf-knodes-range" "RTF at %d: keyword node id %d invalid" r.lca id)
         else begin
-          if not (Tree.in_subtree ~root (Tree.node doc id)) then
+          if id < r.lca || id > last then
             push
               (v "rtf-containment"
                  "RTF at %d: keyword node %d (Dewey %s) outside the LCA subtree"
                  r.lca id
-                 (Dewey.to_string (Tree.node doc id).dewey));
+                 (Dewey.to_string (Tree.dewey doc id)));
           if not (is_keyword_node q id) then
             push
               (v "rtf-keyword-node"
@@ -129,7 +128,7 @@ let fragment doc (f : Fragment.t) =
   if f.root < 0 || f.root >= n then
     push (v "fragment-root" "fragment root %d outside the document" f.root)
   else begin
-    let root = Tree.node doc f.root in
+    let last = (Tree.subtree_ends doc).(f.root) and parents = Tree.parents doc in
     if not (Fragment.mem f f.root) then
       push (v "fragment-root" "fragment root %d is not a member" f.root);
     Array.iter
@@ -137,20 +136,19 @@ let fragment doc (f : Fragment.t) =
         if id < 0 || id >= n then
           push (v "fragment-range" "fragment member %d outside the document" id)
         else begin
-          let node = Tree.node doc id in
-          if not (Tree.in_subtree ~root node) then
+          if id < f.root || id > last then
             push
               (v "fragment-containment"
                  "member %d (Dewey %s) outside the subtree of root %d" id
-                 (Dewey.to_string node.dewey) f.root);
-          if id <> f.root && not (Fragment.mem f node.parent) then
+                 (Dewey.to_string (Tree.dewey doc id)) f.root);
+          if id <> f.root && not (Fragment.mem f parents.(id)) then
             push
               (v "fragment-connectivity"
                  "member %d (Dewey %s) is disconnected: parent %d not in \
                   the fragment"
                  id
-                 (Dewey.to_string node.dewey)
-                 node.parent)
+                 (Dewey.to_string (Tree.dewey doc id))
+                 parents.(id))
         end)
       f.members
   end;
@@ -172,16 +170,15 @@ let node_info ?(cid_mode = Cid.Approx) (q : Query.t) (r : Rtf.t)
   let seen = ref [] in
   let rec walk (info : Node_info.info) =
     seen := info.id :: !seen;
-    let node = Tree.node doc info.id in
     let lo = Bsearch.lower_bound r.knodes info.id
-    and hi = Bsearch.upper_bound r.knodes node.subtree_end in
+    and hi = Bsearch.upper_bound r.knodes (Tree.subtree_ends doc).(info.id) in
     let klist = ref Klist.empty and cid = ref Cid.empty in
     for i = lo to hi - 1 do
       let kn = r.knodes.(i) in
       klist := Klist.union !klist (Query.node_klist q kn);
       cid :=
         Cid.merge !cid
-          (Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn)))
+          (Cid.of_words cid_mode (Tree.content_words doc kn))
     done;
     if not (Int.equal info.klist !klist) then
       push
@@ -202,7 +199,7 @@ let node_info ?(cid_mode = Cid.Approx) (q : Query.t) (r : Rtf.t)
                  "RTF at %d: children of member %d not in ascending id \
                   order (%d after %d)"
                  r.lca info.id child.id prev);
-          let parent = (Tree.node doc child.id).parent in
+          let parent = (Tree.parents doc).(child.id) in
           if parent <> info.id then
             push
               (v "node-info-parent"
@@ -278,7 +275,7 @@ let valid_contributor_post ?cid_mode (q : Query.t) (r : Rtf.t)
                      "RTF at %d: node %d discarded its only '%s'-labelled \
                       child %d (Definition 4 rule 1 keeps it)"
                      r.lca info.id
-                     (Tree.label_name doc (Tree.node doc only.id))
+                     (Tree.label_name doc only.id)
                      only.id)
           | _ -> ())
         (Node_info.label_groups info);

@@ -11,7 +11,7 @@ type report = {
 }
 
 let append_subtree doc ~parent_id b =
-  let pos = Array.length (Tree.node doc parent_id).children in
+  let pos = Tree.fold_children (fun n _ -> n + 1) 0 doc parent_id in
   Tree.insert_subtree doc ~parent_id ~pos b
 
 (* A fragment as Dewey codes, stable across re-indexing. *)
@@ -23,13 +23,13 @@ end)
 
 let fragment_deweys doc frag =
   List.fold_left
-    (fun acc id -> Dset.add (Tree.node doc id).dewey acc)
+    (fun acc id -> Dset.add (Tree.dewey doc id) acc)
     Dset.empty
     (Fragment.members_list frag)
 
 let fragments_of doc result =
   List.map
-    (fun f -> ((Tree.node doc f.Fragment.root).dewey, fragment_deweys doc f))
+    (fun f -> (Tree.dewey doc f.Fragment.root, fragment_deweys doc f))
     result.Pipeline.fragments
 
 let run_on run doc query =
@@ -111,7 +111,7 @@ let query_consistency ~run ~doc ~query ~extra =
   let extra_norm = Xks_xml.Tokenizer.normalize extra in
   let matches_extra d =
     match Tree.find_by_dewey doc d with
-    | Some n -> Tree.node_matches doc n extra_norm
+    | Some id -> Tree.node_matches doc id extra_norm
     | None -> false
   in
   let offending = consistency_violations fb fa matches_extra in

@@ -111,20 +111,19 @@ let reason_to_string doc = function
   | Kept_distinct_content -> "kept: same keywords but new content (rule 2b)"
   | Discarded_covered sib ->
       Printf.sprintf "discarded: keyword set strictly covered by %s (rule 2a)"
-        (Dewey.to_string (Tree.node doc sib).dewey)
+        (Dewey.to_string (Tree.dewey doc sib))
   | Discarded_duplicate sib ->
       Printf.sprintf "discarded: duplicates the content of %s (rule 2b)"
-        (Dewey.to_string (Tree.node doc sib).dewey)
+        (Dewey.to_string (Tree.dewey doc sib))
   | Discarded_with_ancestor a ->
       Printf.sprintf "discarded: inside the pruned subtree of %s"
-        (Dewey.to_string (Tree.node doc a).dewey)
+        (Dewey.to_string (Tree.dewey doc a))
 
 let render doc decisions =
   let line d =
-    let node = Tree.node doc d.node in
     Printf.sprintf "%s (%s): %s"
-      (Dewey.to_string node.dewey)
-      (Tree.label_name doc node)
+      (Dewey.to_string (Tree.dewey doc d.node))
+      (Tree.label_name doc d.node)
       (reason_to_string doc d.reason)
   in
   String.concat "\n" (List.map line decisions) ^ "\n"

@@ -29,31 +29,29 @@ let diff_count a b =
 (* Children of [id] within the fragment, in document order: members
    strictly inside [id]'s range whose parent is [id]. *)
 let fragment_children doc t id =
-  let node = Tree.node doc id in
+  let parents = Tree.parents doc and last = (Tree.subtree_ends doc).(id) in
   let lo = Xks_util.Bsearch.lower_bound t.members (id + 1) in
   let rec collect i acc =
     if i >= Array.length t.members then acc
     else
       let m = t.members.(i) in
-      if m > node.subtree_end then acc
-      else
-        collect (i + 1)
-          (if (Tree.node doc m).parent = id then m :: acc else acc)
+      if m > last then acc
+      else collect (i + 1) (if parents.(m) = id then m :: acc else acc)
   in
   List.rev (collect lo [])
 
 let render doc t =
   let buf = Buffer.create 256 in
   let rec go depth id =
-    let node = Tree.node doc id in
+    let text = Tree.text doc id in
     Buffer.add_string buf (String.make (2 * depth) ' ');
-    Buffer.add_string buf (Dewey.to_string node.dewey);
+    Buffer.add_string buf (Dewey.to_string (Tree.dewey doc id));
     Buffer.add_string buf " (";
-    Buffer.add_string buf (Tree.label_name doc node);
+    Buffer.add_string buf (Tree.label_name doc id);
     Buffer.add_char buf ')';
-    if node.text <> "" then begin
+    if text <> "" then begin
       Buffer.add_string buf " '";
-      Buffer.add_string buf node.text;
+      Buffer.add_string buf text;
       Buffer.add_char buf '\''
     end;
     Buffer.add_char buf '\n';
@@ -65,8 +63,7 @@ let render doc t =
 let to_xml doc t =
   let buf = Buffer.create 256 in
   let rec go depth id =
-    let node = Tree.node doc id in
-    let name = Tree.label_name doc node in
+    let name = Tree.label_name doc id and text = Tree.text doc id in
     let pad = String.make (2 * depth) ' ' in
     Buffer.add_string buf pad;
     Buffer.add_char buf '<';
@@ -78,13 +75,12 @@ let to_xml doc t =
         Buffer.add_string buf "=\"";
         Buffer.add_string buf (Xks_xml.Writer.escape_attr v);
         Buffer.add_char buf '"')
-      node.attrs;
+      (Tree.attrs doc id);
     let children = fragment_children doc t id in
-    if node.text = "" && children = [] then Buffer.add_string buf "/>\n"
+    if text = "" && children = [] then Buffer.add_string buf "/>\n"
     else begin
       Buffer.add_string buf ">";
-      if node.text <> "" then
-        Buffer.add_string buf (Xks_xml.Writer.escape_text node.text);
+      if text <> "" then Buffer.add_string buf (Xks_xml.Writer.escape_text text);
       if children <> [] then begin
         Buffer.add_char buf '\n';
         List.iter (go (depth + 1)) children;

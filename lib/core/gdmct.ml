@@ -6,13 +6,13 @@ type result = { root : int; fragment : Fragment.t; edges : int }
 
 (* The shallowest witness of one keyword inside [a]'s subtree (minimal
    path length from [a]) among those [eligible] accepts. *)
-let nearest_witness ~eligible doc posting (a : Tree.node) =
-  let lo = Bsearch.lower_bound posting a.id in
-  let hi = Bsearch.upper_bound posting a.subtree_end in
+let nearest_witness ~eligible doc posting a =
+  let lo = Bsearch.lower_bound posting a in
+  let hi = Bsearch.upper_bound posting (Tree.subtree_ends doc).(a) in
   let best = ref None in
   for i = lo to hi - 1 do
-    let w = Tree.node doc posting.(i) in
-    let d = Dewey.depth w.dewey in
+    let w = posting.(i) in
+    let d = Tree.depth doc w in
     match !best with
     | Some (_, bd) when bd <= d -> ()
     | _ -> if eligible w then best := Some (w, d)
@@ -24,22 +24,19 @@ let search ?(max_edges = 10) (q : Query.t) =
   if not (Query.has_results q) then []
   else begin
     let candidates = Xks_lca.Tree_scan.full_containers doc q.postings in
-    let full = Array.make (Tree.size doc) false in
+    let full = Array.make (Tree.size doc) false and parents = Tree.parents doc in
     List.iter (fun id -> full.(id) <- true) candidates;
     List.filter_map
       (fun a_id ->
-        let a = Tree.node doc a_id in
         let pick eligible =
           Array.to_list q.postings
-          |> List.map (fun posting -> nearest_witness ~eligible doc posting a)
+          |> List.map (fun posting -> nearest_witness ~eligible doc posting a_id)
         in
         (* A witness outside every full container below [a] belongs to
            [a]'s own RTF.  When each keyword has one, [a] is an ELCA and
            the tree is built from those witnesses, so it lies inside the
            raw RTF; other roots take the shallowest witness anywhere. *)
-        let rec outside (w : Tree.node) =
-          w.id = a_id || ((not full.(w.id)) && outside (Tree.node doc w.parent))
-        in
+        let rec outside w = w = a_id || ((not full.(w)) && outside parents.(w)) in
         let witnesses =
           match pick outside with
           | own when List.for_all Option.is_some own -> own
@@ -48,24 +45,22 @@ let search ?(max_edges = 10) (q : Query.t) =
         if List.exists Option.is_none witnesses then None
         else begin
           let witnesses = List.filter_map Fun.id witnesses in
-          let lca =
-            Dewey.lca_list (List.map (fun (w : Tree.node) -> w.dewey) witnesses)
-          in
+          let lca = Dewey.lca_list (List.map (Tree.dewey doc) witnesses) in
           (* Only "tightest" groups: the chosen witnesses' LCA is the
              candidate itself, so each connecting tree is reported at
              its own root. *)
-          if not (Dewey.equal lca a.dewey) then None
+          if not (Dewey.equal lca (Tree.dewey doc a_id)) then None
           else begin
             let members = ref [] in
             List.iter
-              (fun (w : Tree.node) ->
+              (fun w ->
                 let rec up id =
                   if id <> a_id then begin
                     members := id :: !members;
-                    up (Tree.node doc id).parent
+                    up parents.(id)
                   end
                 in
-                up w.id)
+                up w)
               witnesses;
             let fragment = Fragment.make ~root:a_id ~members:!members in
             let edges = Fragment.size fragment - 1 in

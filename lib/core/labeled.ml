@@ -31,13 +31,14 @@ let posting idx t =
       match Xks_xml.Label.find (Tree.labels doc) label with
       | None -> [||]
       | Some label_id ->
-          let has_label id = (Tree.node doc id).Tree.label = label_id in
+          let labels = Tree.label_ids doc in
+          let has_label id = labels.(id) = label_id in
           if t.keyword = "" then begin
             (* Label-only term: every node with the label. *)
             let acc = Xks_util.Int_vec.create () in
-            Tree.iter
-              (fun n -> if n.Tree.label = label_id then Xks_util.Int_vec.push acc n.Tree.id)
-              doc;
+            for id = 0 to Tree.size doc - 1 do
+              if has_label id then Xks_util.Int_vec.push acc id
+            done;
             Xks_util.Int_vec.to_array acc
           end
           else

@@ -68,7 +68,7 @@ type features = Ranked of Cid.table | Sets of sets
    keyword-node information, exactly what Algorithm 1's push to every
    ancestor computes, because [Klist.union] and [Cid.merge] are
    associative, commutative and idempotent.  Parents, labels and the
-   root's end come from the tree's flat arrays. *)
+   root's end come from the tree's columns. *)
 let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
   let doc = q.doc in
   let parents = Tree.parents doc and labels = Tree.label_ids doc in
@@ -174,7 +174,7 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
     | Ranked t -> info.feature <- Cid.merge_packed info.feature t.nodes.(kn)
     | Sets s ->
         absorb s info.feature
-          (Cid.of_words Cid.Exact (Tree.content_words doc (Tree.node doc kn)))
+          (Cid.of_words Cid.Exact (Tree.content_words doc kn))
   done;
   close_above rtf.lca;
   match features with

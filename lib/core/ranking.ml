@@ -1,11 +1,9 @@
 module Tree = Xks_xml.Tree
-module Dewey = Xks_xml.Dewey
 
 type scored = { fragment : Fragment.t; rtf : Rtf.t; score : float }
 
 let score (q : Query.t) (rtf : Rtf.t) frag =
-  let root = Tree.node q.doc rtf.lca in
-  let depth = float_of_int (Dewey.depth root.dewey) in
+  let depth = float_of_int (Tree.depth q.doc rtf.lca) in
   let knode_count =
     (* xkscost: unticked pre-charged: scores RTFs the pipeline already materialised — get_rtfs ticked once per keyword node counted here *)
     Array.fold_left

@@ -80,13 +80,13 @@ let get_rtfs ?budget (q : Query.t) lcas =
     buckets
 
 let raw_fragment (q : Query.t) { lca; knodes } =
-  let doc = q.doc in
+  let parents = Tree.parents q.doc in
   let members = ref [] in
   let add_path id =
     let rec up id =
       if id <> lca then begin
         members := id :: !members;
-        up (Tree.node doc id).parent
+        up parents.(id)
       end
     in
     up id

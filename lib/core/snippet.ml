@@ -6,7 +6,7 @@ let default_highlight w = "[" ^ w ^ "]"
 (* The first fragment member whose own content contains the keyword. *)
 let find_occurrence (q : Query.t) frag keyword =
   List.find_opt
-    (fun id -> Tree.node_matches q.doc (Tree.node q.doc id) keyword)
+    (fun id -> Tree.node_matches q.doc id keyword)
     (Fragment.members_list frag)
 
 (* A window of raw words around the first occurrence of [keyword] in
@@ -39,15 +39,15 @@ let fragment_piece ~window ~highlight (q : Query.t) frag keyword =
   match find_occurrence q frag keyword with
   | None -> None
   | Some id -> (
-      let node = Tree.node q.doc id in
-      match window_of_text ~window ~highlight node.text keyword with
+      let text = Tree.text q.doc id in
+      match window_of_text ~window ~highlight text keyword with
       | Some s -> Some s
       | None ->
           (* Matched through the label or an attribute: show the node. *)
-          let label = Tree.label_name q.doc node in
+          let label = Tree.label_name q.doc id in
           let shown =
-            if node.text = "" then highlight label
-            else Printf.sprintf "%s: %s" (highlight label) node.text
+            if text = "" then highlight label
+            else Printf.sprintf "%s: %s" (highlight label) text
           in
           Some shown)
 

@@ -26,10 +26,9 @@ let check_size postings =
     invalid_arg "Spec: input too large for the brute-force oracle"
 
 let lca_id (q : Query.t) set =
-  let deweys = List.map (fun id -> (Tree.node q.doc id).dewey) (Iset.elements set) in
-  let d = Dewey.lca_list deweys in
-  match Tree.find_by_dewey q.doc d with
-  | Some n -> n.id
+  let deweys = List.map (Tree.dewey q.doc) (Iset.elements set) in
+  match Tree.find_by_dewey q.doc (Dewey.lca_list deweys) with
+  | Some id -> id
   | None -> assert false (* the LCA of existing nodes exists *)
 
 (* All unions of one non-empty subset per keyword, deduplicated. *)
@@ -61,7 +60,7 @@ let rtf_partitions (q : Query.t) =
     let deepest_full_container id =
       match Xks_lca.Probe.fc q.doc q.postings (Xks_lca.Probe.cursors q.postings) id with
       | -1 -> None
-      | f -> Some (Tree.node q.doc f)
+      | f -> Some (Tree.dewey q.doc f)
     in
     (* Every way to pick one non-empty subset of [parts.(i)] per keyword,
        as unions. *)
@@ -94,7 +93,7 @@ let rtf_partitions (q : Query.t) =
         let cond2 =
           let claimed_deeper id =
             match deepest_full_container id with
-            | Some f -> Dewey.is_ancestor (Tree.node q.doc l).dewey f.dewey
+            | Some f -> Dewey.is_ancestor (Tree.dewey q.doc l) f
             | None -> false
           in
           List.for_all
@@ -125,7 +124,7 @@ let rtf_partitions (q : Query.t) =
             (fun id ->
               match deepest_full_container id with
               | Some f ->
-                  not (Dewey.is_ancestor (Tree.node q.doc l).dewey f.dewey)
+                  not (Dewey.is_ancestor (Tree.dewey q.doc l) f)
               | None -> true)
             set
         in

@@ -72,12 +72,11 @@ let freeze doc (rows : (string * int * int array) Seq.t) =
 
 let build doc =
   let acc = Word_acc.create () in
-  Tree.iter
-    (fun (n : Tree.node) ->
-      Word_acc.add_string acc n.id (Tree.label_name doc n);
-      Word_acc.add_string acc n.id n.text;
-      Word_acc.add_attrs acc n.id n.attrs)
-    doc;
+  for id = 0 to Tree.size doc - 1 do
+    Word_acc.add_string acc id (Tree.label_name doc id);
+    Word_acc.add_string acc id (Tree.text doc id);
+    Word_acc.add_attrs acc id (Tree.attrs doc id)
+  done;
   freeze doc (List.to_seq (Word_acc.rows acc))
 
 let doc t = t.doc

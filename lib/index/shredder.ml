@@ -29,8 +29,8 @@ type tables = {
 
 (* One row per distinct (node, keyword), in document order: label and
    text words first, then each attribute's name and value words. *)
-let node_values doc (n : Tree.node) acc =
-  let name = Tree.label_name doc n in
+let node_values doc id acc =
+  let name = Tree.label_name doc id and dewey = Tree.dewey doc id in
   let acc = ref acc and seen = Hashtbl.create 8 in
   let add_once attribute w =
     if not (Hashtbl.mem seen w) then begin
@@ -38,8 +38,8 @@ let node_values doc (n : Tree.node) acc =
       acc :=
         {
           v_label = name;
-          v_dewey = n.dewey;
-          v_id = n.id;
+          v_dewey = dewey;
+          v_id = id;
           v_attribute = attribute;
           v_keyword = w;
         }
@@ -47,16 +47,20 @@ let node_values doc (n : Tree.node) acc =
     end
   in
   Tokenizer.iter_words (add_once "") name;
-  Tokenizer.iter_words (add_once "") n.text;
+  Tokenizer.iter_words (add_once "") (Tree.text doc id);
   List.iter
     (fun (k, v) ->
       Tokenizer.iter_words (add_once "") k;
       Tokenizer.iter_words (add_once k) v)
-    n.attrs;
+    (Tree.attrs doc id);
   !acc
 
 let values doc =
-  List.rev (Tree.fold (fun acc n -> node_values doc n acc) [] doc)
+  let acc = ref [] in
+  for id = 0 to Tree.size doc - 1 do
+    acc := node_values doc id !acc
+  done;
+  List.rev !acc
 
 let shred ?(cid_mode = Cid.Approx) doc =
   let ltable = Tree.labels doc in
@@ -64,25 +68,26 @@ let shred ?(cid_mode = Cid.Approx) doc =
     List.init (Label.count ltable) (fun id ->
         { label_name = Label.name ltable id; label_id = id })
   in
-  let label_path (n : Tree.node) =
-    let rec up (n : Tree.node) acc =
-      let acc = n.label :: acc in
-      match Tree.parent_node doc n with None -> acc | Some p -> up p acc
+  let parents = Tree.parents doc and label_ids = Tree.label_ids doc in
+  let label_path id =
+    let rec up id acc =
+      if id < 0 then acc else up parents.(id) (label_ids.(id) :: acc)
     in
-    up n []
+    up id []
   in
-  let element (n : Tree.node) =
+  let element id =
+    let dewey = Tree.dewey doc id in
     {
-      e_label = Tree.label_name doc n;
-      e_dewey = n.dewey;
-      e_level = Dewey.depth n.dewey;
-      e_label_path = label_path n;
-      e_content_feature = Cid.of_words cid_mode (Tree.content_words doc n);
+      e_label = Tree.label_name doc id;
+      e_dewey = dewey;
+      e_level = Dewey.depth dewey;
+      e_label_path = label_path id;
+      e_content_feature = Cid.of_words cid_mode (Tree.content_words doc id);
     }
   in
   {
     labels;
-    elements = Array.init (Tree.size doc) (fun id -> element (Tree.node doc id));
+    elements = Array.init (Tree.size doc) element;
     values = values doc;
   }
 

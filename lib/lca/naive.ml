@@ -1,54 +1,48 @@
 module Tree = Xks_xml.Tree
 module Dewey = Xks_xml.Dewey
 
-let in_range (node : Tree.node) id = id >= node.id && id <= node.subtree_end
+let in_range doc node id = id >= node && id <= (Tree.subtree_ends doc).(node)
+
+(* Every node id, in document order. *)
+let all_nodes doc = List.init (Tree.size doc) Fun.id
 
 let is_full_container doc postings id =
-  let node = Tree.node doc id in
   (* xkscost: unticked oracle: brute-force reference used only by tests and the check oracle, never on the serving path *)
-  Array.for_all (fun s -> Array.exists (in_range node) s) postings
+  Array.for_all (fun s -> Array.exists (in_range doc id) s) postings
 
 let full_containers doc postings =
   (* xkscost: unticked oracle: O(n * occurrences) reference, test/check-oracle only *)
-  Tree.fold
-    (fun acc (n : Tree.node) ->
-      if is_full_container doc postings n.id then n.id :: acc else acc)
-    [] doc
-  |> List.rev
+  List.filter (is_full_container doc postings) (all_nodes doc)
 
 let slca doc postings =
   let fcs = full_containers doc postings in
-  let strict_desc a b =
-    let na = Tree.node doc a and nb = Tree.node doc b in
-    Dewey.is_ancestor na.dewey nb.dewey
-  in
+  let strict_desc a b = Dewey.is_ancestor (Tree.dewey doc a) (Tree.dewey doc b) in
   (* xkscost: unticked oracle: quadratic minimality filter, test/check-oracle only *)
   List.filter (fun a -> not (List.exists (fun b -> strict_desc a b) fcs)) fcs
 
 let elca doc postings =
   let fcs = full_containers doc postings in
-  let keeps (n : Tree.node) =
+  let keeps n =
     (* Occurrences surviving the exclusion: in the subtree of [n] but not
        in the subtree of any full container strictly below [n]. *)
     let excluded id =
       (* xkscost: unticked oracle: per-occurrence exclusion scan, test/check-oracle only *)
       List.exists
         (fun f ->
-          f <> n.id
-          && in_range n f
-          && in_range (Tree.node doc f) id)
+          f <> n
+          && in_range doc n f
+          && in_range doc f id)
         fcs
     in
     (* xkscost: unticked oracle: witness scan straight off Definition 3, test/check-oracle only *)
     Array.for_all
       (fun s ->
         (* xkscost: unticked oracle: same witness scan, inner occurrence sweep *)
-        Array.exists (fun id -> in_range n id && not (excluded id)) s)
+        Array.exists (fun id -> in_range doc n id && not (excluded id)) s)
       postings
   in
   (* xkscost: unticked oracle: visits every tree node, test/check-oracle only *)
-  Tree.fold (fun acc n -> if keeps n then n.id :: acc else acc) [] doc
-  |> List.rev
+  List.filter keeps (all_nodes doc)
 
 let lca_of_witnesses doc postings =
   let k = Array.length postings in
@@ -63,18 +57,13 @@ let lca_of_witnesses doc postings =
         (* xkscost: unticked oracle: same witness enumeration, one branch per occurrence *)
         Array.iter
           (fun id ->
-            let d = (Tree.node doc id).dewey in
-            go (i + 1) (Dewey.lca current_lca d))
+            go (i + 1) (Dewey.lca current_lca (Tree.dewey doc id)))
           postings.(i)
     in
     (* xkscost: unticked oracle: drives the witness enumeration, test/check-oracle only *)
     Array.iter
-      (fun id -> go 1 (Tree.node doc id).dewey)
+      (fun id -> go 1 (Tree.dewey doc id))
       postings.(0);
-    let ids =
-      List.filter_map (fun d ->
-          Option.map (fun (n : Tree.node) -> n.id) (Tree.find_by_dewey doc d))
-        !acc
-    in
+    let ids = List.filter_map (Tree.find_by_dewey doc) !acc in
     List.sort_uniq Int.compare ids
   end

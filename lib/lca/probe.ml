@@ -1,14 +1,14 @@
 module Tree = Xks_xml.Tree
-module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
 
-let ancestor_at doc (n : Tree.node) d =
-  let depth = Dewey.depth n.dewey in
+let ancestor_at doc id d =
+  let depth = Tree.depth doc id in
   if d < 0 || d > depth then invalid_arg "Probe.ancestor_at";
-  let cur = ref n in
+  let parents = Tree.parents doc in
+  let cur = ref id in
   (* xkscost: unticked depth-bounded: one parent step per level above d; callers tick per candidate *)
   for _ = d + 1 to depth do
-    cur := Tree.node doc !cur.parent
+    cur := parents.(!cur)
   done;
   !cur
 
@@ -21,9 +21,7 @@ let cursors postings = Array.make (Array.length postings) 0
    neighbour and never satisfy their test.  Ancestors holding list i
    form a chain from the root, so walking up from where list i - 1
    stopped reaches the deepest ancestor holding lists 0..i; the root
-   holds every non-empty list, so the walk always stops.  The walk reads
-   the tree's flat parent and subtree-end arrays, not its node
-   records. *)
+   holds every non-empty list, so the walk always stops. *)
 let fc doc postings cursors x =
   let parents = Tree.parents doc and ends = Tree.subtree_ends doc in
   let k = Array.length postings in

@@ -8,11 +8,12 @@
     [elca_can]/[slca_can] candidate function when [x] comes from the
     smallest posting list. *)
 
-val ancestor_at : Xks_xml.Tree.t -> Xks_xml.Tree.node -> int -> Xks_xml.Tree.node
-(** [ancestor_at doc n d] is the ancestor of [n] at depth [d], reached by
-    walking parent ids (no allocation).
+val ancestor_at : Xks_xml.Tree.t -> int -> int -> int
+(** [ancestor_at doc id d] is the id of the ancestor of [id] at depth
+    [d]: one walk up the parent ids for the depth of [id]
+    ({!Xks_xml.Tree.depth}), one more to the ancestor (no allocation).
     @raise Invalid_argument if [d] is negative or exceeds the depth of
-    [n]. *)
+    [id]. *)
 
 val cursors : int array array -> int array
 (** [cursors postings] is a fresh cursor array for {!fc}: one position
@@ -27,7 +28,7 @@ val fc : Xks_xml.Tree.t -> int array array -> int array -> int -> int
     One search per list finds the occurrences [l <= x < r] adjacent to
     [x]; an ancestor-or-self [a] of [x] holds the list iff [l >= a] or
     [r <= end a].  The ancestors holding a list form a chain from the
-    root, so a single walk up the tree's flat parent array
+    root, so a single walk up the tree's parent column
     ({!Xks_xml.Tree.parents}), resumed list after list, stops at the
     answer.
 

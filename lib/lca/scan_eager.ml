@@ -1,5 +1,4 @@
 module Tree = Xks_xml.Tree
-module Dewey = Xks_xml.Dewey
 
 let slca doc postings =
   let k = Array.length postings in
@@ -11,15 +10,20 @@ let slca doc postings =
     (* One forward cursor per non-anchor list, pointing at the first
        element >= the current anchor occurrence. *)
     let cursors = Array.make k 0 in
-    let closest_depth i v_node =
+    let parents = Tree.parents doc and ends = Tree.subtree_ends doc in
+    (* The depth of the LCA of [v] (at depth [dv]) and [w]: one step up
+       from [v] per level until the subtree holds [w]. *)
+    let rec lca_depth v dv w =
+      if v <= w && w <= ends.(v) then dv else lca_depth parents.(v) (dv - 1) w
+    in
+    let closest_depth i v dv =
       let s = postings.(i) in
       let n = Array.length s in
-      let vid = (v_node : Tree.node).id in
       (* xkscost: unticked baseline: SLCA cross-check for tests/stress; cursors only move forward, amortised one step per occurrence *)
-      while cursors.(i) < n && s.(cursors.(i)) < vid do
+      while cursors.(i) < n && s.(cursors.(i)) < v do
         cursors.(i) <- cursors.(i) + 1
       done;
-      let depth_with id = Dewey.lca_depth v_node.dewey (Tree.node doc id).dewey in
+      let depth_with id = lca_depth v dv id in
       let right =
         if cursors.(i) < n then Some (depth_with s.(cursors.(i))) else None
       in
@@ -32,13 +36,13 @@ let slca doc postings =
       | Some l, Some r -> max l r
     in
     let candidate v =
-      let v_node = Tree.node doc v in
-      let depth = ref (Dewey.depth v_node.dewey) in
+      let dv = Tree.depth doc v in
+      let depth = ref dv in
       (* xkscost: unticked k-bounded: one cursor probe per keyword list *)
       for i = 0 to k - 1 do
-        if i <> anchor then depth := min !depth (closest_depth i v_node)
+        if i <> anchor then depth := min !depth (closest_depth i v dv)
       done;
-      (Probe.ancestor_at doc v_node !depth).id
+      Probe.ancestor_at doc v !depth
     in
     let cands =
       (* xkscost: unticked baseline: SLCA cross-check for tests/stress; serving uses Slca.indexed_lookup_eager, which ticks per driver occurrence *)

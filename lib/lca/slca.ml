@@ -7,7 +7,7 @@ let rec filter_minimal doc = function
   | [] -> []
   | [ x ] -> [ x ]
   | x :: (y :: _ as rest) ->
-      if y <= (Tree.node doc x).subtree_end then filter_minimal doc rest
+      if y <= (Tree.subtree_ends doc).(x) then filter_minimal doc rest
       else x :: filter_minimal doc rest
 
 let indexed_lookup_eager ?budget doc postings =

@@ -38,7 +38,7 @@ type entry = {
    while the merged stream is being scanned.  An empty stack here means
    the pop loop over-popped — fail loudly with the Dewey position being
    visited instead of a bare [Failure "hd"]. *)
-let stack_top path ~at =
+let stack_top doc path ~at =
   match path with
   | top :: _ -> top
   | [] ->
@@ -46,7 +46,7 @@ let stack_top path ~at =
         (Printf.sprintf
            "Stack_algos: empty path stack while visiting Dewey %s \
             (stack discipline violated)"
-           (Dewey.to_string at))
+           (Dewey.to_string (Tree.dewey doc at)))
 
 (* Generic driver: scans the merged stream maintaining the path stack;
    [on_pop] sees each finalised entry together with its parent. *)
@@ -58,9 +58,9 @@ let scan doc postings ~on_pop =
     let root_entry =
       { node_id = 0; total = Klist.empty; free = Klist.empty; slca_below = false }
     in
-    (* The stack as a growable path; index = depth. *)
+    (* The stack as a growable path: a chain from the root down. *)
     let path = ref [ root_entry ] (* top first; bottom is the root *) in
-    let depth () = List.length !path - 1 in
+    let parents = Tree.parents doc and ends = Tree.subtree_ends doc in
     let pop () =
       match !path with
       | e :: (parent :: _ as rest) ->
@@ -75,34 +75,34 @@ let scan doc postings ~on_pop =
           on_pop ~k e ~parent:None
       | [] -> assert false
     in
-    let push_to dewey =
-      (* Extend the path with the components of [dewey] beyond the
-         current depth (callers ensure the stack is a prefix). *)
+    let holds (e : entry) id = e.node_id <= id && id <= ends.(e.node_id) in
+    let push_to id =
+      (* Extend the path down to [id] (callers ensure the top is an
+         ancestor-or-self of it): one walk up [id]'s ancestor chain
+         gathers the entries to push, top-down. *)
+      let top = (stack_top doc !path ~at:id).node_id in
+      (* xkscost: unticked baseline: one parent step per entry pushed below; serving uses Indexed_stack.elca, which ticks per node *)
+      let rec chain id below =
+        if id = top then below else chain parents.(id) (id :: below)
+      in
       (* xkscost: unticked baseline: each path entry is pushed once per stream step; serving uses Indexed_stack.elca, which ticks per node *)
-      for d = depth () to Dewey.depth dewey - 1 do
-        let parent = stack_top !path ~at:dewey in
-        let comp = Dewey.component dewey d in
-        let child = (Tree.node doc parent.node_id).children.(comp) in
-        path :=
-          { node_id = child.id; total = Klist.empty; free = Klist.empty;
-            slca_below = false }
-          :: !path
-      done
+      List.iter
+        (fun id ->
+          path :=
+            { node_id = id; total = Klist.empty; free = Klist.empty;
+              slca_below = false }
+            :: !path)
+        (chain id [])
     in
     let visit (id, mask) =
-      let dewey = (Tree.node doc id).dewey in
-      let common =
-        (* Depth up to which the stack already matches [dewey]. *)
-        Dewey.lca_depth
-          (Tree.node doc (stack_top !path ~at:dewey).node_id).dewey
-          dewey
-      in
+      (* Pop down to the deepest entry whose subtree holds [id]; the
+         root holds every node. *)
       (* xkscost: unticked baseline: each path entry pops once, amortised by the pushes above *)
-      while depth () > common do
+      while not (holds (stack_top doc !path ~at:id) id) do
         pop ()
       done;
-      push_to dewey;
-      let top = stack_top !path ~at:dewey in
+      push_to id;
+      let top = stack_top doc !path ~at:id in
       top.total <- Klist.union top.total mask;
       top.free <- Klist.union top.free mask
     in

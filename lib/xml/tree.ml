@@ -1,25 +1,14 @@
-type node = {
-  id : int;
-  label : Label.t;
-  text : string;
-  attrs : (string * string) list;
-  dewey : Dewey.t;
-  parent : int;
-  children : node array;
-  subtree_end : int;
-}
-
-(* [parents], [ends] and [label_ids] repeat three fields of every node
-   record as flat arrays indexed by id: the LCA probes and node-info
-   construction walk them on every query, and an int array keeps
-   eight ids per cache line where the 72-byte records keep one. *)
+(* One column per node fact, indexed by preorder id.  Children, Dewey
+   codes and depths are not stored: the parent, subtree-end and rank
+   columns imply them. *)
 type t = {
-  root_node : node;
-  nodes : node array;
   label_table : Label.table;
   parents : int array;
   ends : int array;
   label_ids : int array;
+  ranks : int array;  (* position among the parent's children *)
+  texts : string array;
+  attrs : (string * string) list array;
 }
 
 type builder = {
@@ -32,102 +21,82 @@ type builder = {
 let elem ?(attrs = []) ?(text = "") label children =
   { b_label = label; b_attrs = attrs; b_text = text; b_children = children }
 
-(* An open element: what its start tag fixed, until its end tag. *)
-type frame = {
-  f_id : int;
-  f_label : Label.t;
-  f_parent : int;
-  f_dewey : Dewey.t;
-  f_attrs : (string * string) list;
-  f_kids : int;  (* where its finished children start in [kids] *)
-}
-
-(* A document under construction.  [start] numbers the element and
-   pushes a frame with what its start tag fixes (label, parent, Dewey
-   code, attributes); [finish] pops it into the node record, whose
-   children are the nodes finished on [kids] since its start. *)
+(* A document under construction: the columns with spare room at the
+   end.  The parent column doubles as the stack of open elements:
+   [open_id] is the innermost one and its parent the next. *)
 type draft = {
   d_table : Label.table;
   mutable count : int;  (* ids given out so far *)
-  mutable frames : frame list;  (* the open elements, innermost first *)
-  mutable kids : node array;  (* finished children of the open elements *)
-  mutable n_kids : int;
+  mutable open_id : int;  (* -1 when no element is open *)
+  mutable closed : int;  (* the element finished last, -1 before any *)
+  mutable d_parents : int array;
+  mutable d_ends : int array;
+  mutable d_labels : int array;
+  mutable d_ranks : int array;
+  mutable d_texts : string array;
+  mutable d_attrs : (string * string) list array;
 }
 
-let placeholder =
-  { id = -1; label = -1; text = ""; attrs = []; dewey = Dewey.root; parent = -1;
-    children = [||]; subtree_end = -1 }
+(* Room for [n] nodes; [start] doubles the columns when they fill. *)
+let draft_of_size n =
+  { d_table = Label.create_table (); count = 0; open_id = -1; closed = -1;
+    d_parents = Array.make n 0; d_ends = Array.make n 0;
+    d_labels = Array.make n 0; d_ranks = Array.make n 0;
+    d_texts = Array.make n ""; d_attrs = Array.make n [] }
 
-let draft () =
-  { d_table = Label.create_table (); count = 0; frames = [];
-    kids = Array.make 16 placeholder; n_kids = 0 }
+let draft () = draft_of_size 64
+
+let grown a x =
+  let n = Array.length a in
+  let b = Array.make (2 * n) x in
+  Array.blit a 0 b 0 n;
+  b
 
 let start d label attrs =
-  let id = d.count in
+  let id = d.count and parent = d.open_id in
+  if parent < 0 && id > 0 then invalid_arg "Tree.start: a second root";
+  if id = Array.length d.d_parents then begin
+    d.d_parents <- grown d.d_parents 0;
+    d.d_ends <- grown d.d_ends 0;
+    d.d_labels <- grown d.d_labels 0;
+    d.d_ranks <- grown d.d_ranks 0;
+    d.d_texts <- grown d.d_texts "";
+    d.d_attrs <- grown d.d_attrs []
+  end;
+  (* The element finished last is the previous sibling, if it shares
+     the parent; otherwise this is a first child. *)
+  let c = d.closed in
+  d.d_ranks.(id) <-
+    (if c >= 0 && d.d_parents.(c) = parent then d.d_ranks.(c) + 1 else 0);
+  d.d_parents.(id) <- parent;
   (* Interned at the start tag, so label ids follow document order. *)
-  let label = Label.intern d.d_table label in
-  let frame =
-    match d.frames with
-    | [] ->
-        if id > 0 then invalid_arg "Tree.start: a second root";
-        { f_id = id; f_label = label; f_parent = -1; f_dewey = Dewey.root;
-          f_attrs = attrs; f_kids = 0 }
-    | p :: _ ->
-        { f_id = id; f_label = label; f_parent = p.f_id;
-          f_dewey = Dewey.child p.f_dewey (d.n_kids - p.f_kids);
-          f_attrs = attrs; f_kids = d.n_kids }
-  in
+  d.d_labels.(id) <- Label.intern d.d_table label;
+  d.d_attrs.(id) <- attrs;
   d.count <- id + 1;
-  d.frames <- frame :: d.frames
+  d.open_id <- id
 
 let finish d text =
-  match d.frames with
-  | [] -> invalid_arg "Tree.finish: no open element"
-  | f :: rest ->
-      let first = f.f_kids in
-      let node =
-        {
-          id = f.f_id;
-          label = f.f_label;
-          text;
-          attrs = f.f_attrs;
-          dewey = f.f_dewey;
-          parent = f.f_parent;
-          children = Array.sub d.kids first (d.n_kids - first);
-          subtree_end = d.count - 1;
-        }
-      in
-      d.frames <- rest;
-      if first = Array.length d.kids then begin
-        let grown = Array.make (2 * first) placeholder in
-        Array.blit d.kids 0 grown 0 first;
-        d.kids <- grown
-      end;
-      d.kids.(first) <- node;
-      d.n_kids <- first + 1
+  let id = d.open_id in
+  if id < 0 then invalid_arg "Tree.finish: no open element";
+  d.d_ends.(id) <- d.count - 1;
+  d.d_texts.(id) <- text;
+  d.closed <- id;
+  d.open_id <- d.d_parents.(id)
 
-(* The node arrays and the flat arrays, filled in one preorder walk. *)
 let freeze d =
-  (match d.frames with
-  | [] when d.n_kids = 1 -> ()
-  | _ -> invalid_arg "Tree.freeze: the root is not finished");
-  let root_node = d.kids.(0) in
+  if d.count = 0 || d.open_id >= 0 then
+    invalid_arg "Tree.freeze: the root is not finished";
   let n = d.count in
-  let nodes = Array.make n root_node in
-  let parents = Array.make n (-1) and ends = Array.make n 0 in
-  let label_ids = Array.make n 0 in
-  let rec fill (n : node) =
-    nodes.(n.id) <- n;
-    parents.(n.id) <- n.parent;
-    ends.(n.id) <- n.subtree_end;
-    label_ids.(n.id) <- n.label;
-    Array.iter fill n.children
-  in
-  fill root_node;
-  { root_node; nodes; label_table = d.d_table; parents; ends; label_ids }
+  let fit a = if Array.length a = n then a else Array.sub a 0 n in
+  { label_table = d.d_table; parents = fit d.d_parents; ends = fit d.d_ends;
+    label_ids = fit d.d_labels; ranks = fit d.d_ranks;
+    texts = fit d.d_texts; attrs = fit d.d_attrs }
 
+(* A builder's size is known, so its columns are made at their final
+   size: no doubling garbage and no copy at [freeze]. *)
 let build b =
-  let d = draft () in
+  let rec count b = List.fold_left (fun n c -> n + count c) 1 b.b_children in
+  let d = draft_of_size (count b) in
   let rec go b =
     start d b.b_label b.b_attrs;
     List.iter go b.b_children;
@@ -136,57 +105,78 @@ let build b =
   go b;
   freeze d
 
-let root t = t.root_node
-let size t = Array.length t.nodes
-
-let node t id =
-  if id < 0 || id >= Array.length t.nodes then invalid_arg "Tree.node";
-  t.nodes.(id)
-
+let size t = Array.length t.parents
 let labels t = t.label_table
 let parents t = t.parents
 let subtree_ends t = t.ends
 let label_ids t = t.label_ids
-let label_name t n = Label.name t.label_table n.label
+let label_name t id = Label.name t.label_table t.label_ids.(id)
+let text t id = t.texts.(id)
+let attrs t id = t.attrs.(id)
 
+(* Top level, so a fold allocates no closure of its own. *)
+let rec fold_from f acc ends last c =
+  if c > last then acc else fold_from f (f acc c) ends last (ends.(c) + 1)
+
+let fold_children f init t id = fold_from f init t.ends t.ends.(id) (id + 1)
+
+let depth t id =
+  let n = ref 0 and id = ref id in
+  while !id <> 0 do
+    id := t.parents.(!id);
+    incr n
+  done;
+  !n
+
+let dewey t id =
+  let code = Array.make (depth t id) 0 and id = ref id in
+  for i = Array.length code - 1 downto 0 do
+    code.(i) <- t.ranks.(!id);
+    id := t.parents.(!id)
+  done;
+  Dewey.of_array code
+
+(* Down from the root: the first child is the next id, and each later
+   sibling starts one past the subtree of the one before. *)
 let find_by_dewey t d =
-  let rec go n i =
-    if i = Dewey.depth d then Some n
-    else
-      let c = Dewey.component d i in
-      if c < Array.length n.children then go n.children.(c) (i + 1) else None
+  let rec child id c rank =
+    if c > t.ends.(id) then None
+    else if rank = 0 then Some c
+    else child id (t.ends.(c) + 1) (rank - 1)
   in
-  go t.root_node 0
+  let rec go id i =
+    if i = Dewey.depth d then Some id
+    else
+      match child id (id + 1) (Dewey.component d i) with
+      | Some c -> go c (i + 1)
+      | None -> None
+  in
+  go 0 0
 
-let parent_node t n = if n.parent < 0 then None else Some t.nodes.(n.parent)
-let iter f t = Array.iter f t.nodes
-let fold f init t = Array.fold_left f init t.nodes
-
-let in_subtree ~root n = n.id >= root.id && n.id <= root.subtree_end
-
-let content_words t n =
+let content_words t id =
   let buf = ref [] in
   let add s = Tokenizer.iter_words (fun w -> buf := w :: !buf) s in
-  add (label_name t n);
-  add n.text;
+  add (label_name t id);
+  add t.texts.(id);
   List.iter
     (fun (k, v) ->
       add k;
       add v)
-    n.attrs;
+    t.attrs.(id);
   List.sort_uniq String.compare !buf
 
-let node_matches t n w = List.mem w (content_words t n)
+let node_matches t id w = List.mem w (content_words t id)
 
-let rec builder_of_node t n =
-  {
-    b_label = label_name t n;
-    b_attrs = n.attrs;
-    b_text = n.text;
-    b_children = Array.to_list (Array.map (builder_of_node t) n.children);
-  }
+(* The builder of the subtree at [id].  [edit p kids] gives the children
+   of node [p] from its children's builders, each paired with its id. *)
+let rec builder_at t edit id =
+  let kids =
+    fold_children (fun acc c -> (c, builder_at t edit c) :: acc) [] t id
+  in
+  { b_label = label_name t id; b_attrs = t.attrs.(id); b_text = t.texts.(id);
+    b_children = edit id (List.rev kids) }
 
-let to_builder t = builder_of_node t t.root_node
+let to_builder t = builder_at t (fun _ kids -> List.map snd kids) 0
 
 let insert_at l pos x =
   if pos < 0 || pos > List.length l then invalid_arg "Tree.insert_subtree: pos";
@@ -197,39 +187,23 @@ let insert_at l pos x =
   in
   go 0 l
 
+(* Edits rebuild via builders: documents are small enough for the
+   axiomatic checkers these support, and rebuilding keeps ids and ranks
+   consistent by construction. *)
 let insert_subtree t ~parent_id ~pos b =
   if parent_id < 0 || parent_id >= size t then
     invalid_arg "Tree.insert_subtree: parent_id";
-  (* Rebuild via builders: documents are small enough for the axiomatic
-     checkers this supports, and rebuilding keeps ids and Dewey codes
-     consistent by construction. *)
-  let rec go n =
-    let children = Array.to_list (Array.map go n.children) in
-    let children =
-      if n.id = parent_id then insert_at children pos b else children
-    in
-    {
-      b_label = label_name t n;
-      b_attrs = n.attrs;
-      b_text = n.text;
-      b_children = children;
-    }
-  in
-  build (go t.root_node)
+  build
+    (builder_at t
+       (fun p kids ->
+         let kids = List.map snd kids in
+         if p = parent_id then insert_at kids pos b else kids)
+       0)
 
 let delete_subtree t ~id =
   if id <= 0 || id >= size t then invalid_arg "Tree.delete_subtree: id";
-  let rec go n =
-    let children =
-      Array.to_list n.children
-      |> List.filter (fun (c : node) -> c.id <> id)
-      |> List.map go
-    in
-    {
-      b_label = label_name t n;
-      b_attrs = n.attrs;
-      b_text = n.text;
-      b_children = children;
-    }
-  in
-  build (go t.root_node)
+  build
+    (builder_at t
+       (fun _ kids ->
+         List.filter_map (fun (c, b) -> if c = id then None else Some b) kids)
+       0)

@@ -3,26 +3,18 @@
     An XML data is modelled as in the paper: a rooted, ordered, labelled
     tree [T = (r, V, E, Sigma, lambda)] where every node carries a label
     and leaf nodes may also carry a text value.  Attributes are kept on
-    the node.  Every node is identified both by its preorder rank [id]
-    (dense, root = 0) and by its Dewey code; the two orders agree.
+    the node.  A node is its preorder rank, its {e id} (dense, root = 0);
+    its Dewey code is derived on demand, and the two orders agree.
+
+    A document is a set of columns indexed by id, each node fact held
+    once: parent, subtree end, label, rank among its siblings, text and
+    attributes.  Children, depths and Dewey codes are derived from the
+    parent, subtree-end and rank columns.
 
     Values of type {!t} are immutable once built. *)
 
-type node = private {
-  id : int;  (** preorder rank within the document; the root has id 0 *)
-  label : Label.t;  (** interned element name *)
-  text : string;  (** concatenated text content, [""] when none *)
-  attrs : (string * string) list;  (** attribute name/value pairs *)
-  dewey : Dewey.t;
-  parent : int;  (** id of the parent node, [-1] for the root *)
-  children : node array;
-  subtree_end : int;
-      (** id of the last node (in preorder) of the subtree rooted here;
-          the subtree is exactly the id range [id .. subtree_end]. *)
-}
-
 type t
-(** A document: a tree plus its label intern table. *)
+(** A document: its columns plus its label intern table. *)
 
 (** {1 Building}
 
@@ -38,25 +30,23 @@ val draft : unit -> draft
 
 val start : draft -> string -> (string * string) list -> unit
 (** [start d name attrs] opens an element: the next preorder id, a child
-    of the innermost open element (the root if none is open).  Its id,
-    label, Dewey code and parent are set here; the label is interned
-    here, so label ids follow document order.
+    of the innermost open element (the root if none is open).  Its
+    parent, label, sibling rank and attributes are set here; the label
+    is interned here, so label ids follow document order.
     @raise Invalid_argument if the root has already been finished. *)
 
 val finish : draft -> string -> unit
-(** [finish d text] closes the innermost open element with its text:
-    its children (the elements finished since its start) and its
-    subtree end are set here.
+(** [finish d text] closes the innermost open element with its text and
+    sets its subtree end.
     @raise Invalid_argument if no element is open. *)
 
 val freeze : draft -> t
-(** The finished document, with the flat arrays ({!parents} and its
-    siblings) filled once.
+(** The finished document: the draft's columns cut to its size.
     @raise Invalid_argument unless exactly the root has been finished. *)
 
 type builder
-(** A tree as a value, before ids and Dewey codes are assigned: what
-    generators, tests and the edits below construct. *)
+(** A tree as a value, before ids are assigned: what generators, tests
+    and the edits below construct. *)
 
 val elem :
   ?attrs:(string * string) list -> ?text:string -> string -> builder list ->
@@ -65,64 +55,70 @@ val elem :
     direct text content. *)
 
 val build : builder -> t
-(** [build b] assigns preorder ids and Dewey codes and freezes the tree,
-    through {!start} and {!finish}. *)
+(** [build b] assigns preorder ids and freezes the tree, through
+    {!start} and {!finish}. *)
 
-(** {1 Access} *)
+(** {1 Columns}
 
-val root : t -> node
+    Every accessor takes a node id in [0 .. size t - 1] and raises
+    [Invalid_argument] outside it.  The arrays are owned by the tree:
+    callers must not mutate them.  The hot query paths
+    (closest-occurrence probes, node-info construction, RTF dispatch)
+    read them directly. *)
+
 val size : t -> int
 (** Number of nodes. *)
 
-val node : t -> int -> node
-(** [node t id] is the node with preorder rank [id].
-    @raise Invalid_argument if [id] is out of range. *)
-
 val labels : t -> Label.table
-val label_name : t -> node -> string
-
-(** {1 Flat intervals}
-
-    Three fields of every node as arrays indexed by node id, filled
-    once by {!freeze}: the hot query paths (closest-occurrence probes,
-    node-info construction, RTF dispatch) walk these instead of the node
-    records.  The arrays are owned by the tree: callers must not mutate
-    them. *)
 
 val parents : t -> int array
-(** [(parents t).(id)] is [(node t id).parent]: [-1] for the root. *)
+(** [(parents t).(id)] is the id of the parent of [id]: [-1] for the
+    root. *)
 
 val subtree_ends : t -> int array
-(** [(subtree_ends t).(id)] is [(node t id).subtree_end]. *)
+(** [(subtree_ends t).(id)] is the id of the last node (in preorder) of
+    the subtree rooted at [id]: that subtree is exactly the id range
+    [id .. (subtree_ends t).(id)]. *)
 
 val label_ids : t -> int array
-(** [(label_ids t).(id)] is [(node t id).label]. *)
+(** [(label_ids t).(id)] is the interned label of [id]. *)
 
-(** {1 Navigation} *)
+val label_name : t -> int -> string
 
-val find_by_dewey : t -> Dewey.t -> node option
-(** Navigate from the root by child ranks. *)
+val text : t -> int -> string
+(** The node's concatenated text content, [""] when none. *)
 
-val parent_node : t -> node -> node option
+val attrs : t -> int -> (string * string) list
+(** The node's attribute name/value pairs, in document order. *)
 
-val iter : (node -> unit) -> t -> unit
-(** Preorder iteration over all nodes. *)
+(** {1 Derived structure} *)
 
-val fold : ('a -> node -> 'a) -> 'a -> t -> 'a
-(** Preorder fold over all nodes. *)
+val fold_children : ('a -> int -> 'a) -> 'a -> t -> int -> 'a
+(** [fold_children f init t id] folds [f] over the children of [id] in
+    document order: the first is [id + 1], and each later one starts
+    one past the subtree of the one before, while inside the subtree of
+    [id].  One step per child. *)
 
-val in_subtree : root:node -> node -> bool
-(** [in_subtree ~root n] is [true] iff [n] is [root] or a descendant of
-    [root] (constant time, via the preorder range). *)
+val depth : t -> int -> int
+(** The number of edges from the root: one step up {!parents} per
+    level. *)
 
-val content_words : t -> node -> string list
+val dewey : t -> int -> Dewey.t
+(** The node's Dewey code, from the sibling ranks of its ancestors: one
+    walk up {!parents}, one fresh array. *)
+
+val find_by_dewey : t -> Dewey.t -> int option
+(** The id of the node coded [d]: navigate from the root, stepping over
+    the preceding siblings at each level. *)
+
+val content_words : t -> int -> string list
 (** The content [Cv] of a node: the normalised, stop-word-filtered word
     set implied by its label, text, and attributes (names and values),
     deduplicated and sorted. *)
 
-val node_matches : t -> node -> string -> bool
-(** [node_matches t n w] is [true] iff normalised keyword [w] occurs in
-    the content of [n]. *)
+val node_matches : t -> int -> string -> bool
+(** [node_matches t id w] is [true] iff normalised keyword [w] occurs in
+    the content of [id]. *)
 
 (** {1 Editing (functional)} *)
 

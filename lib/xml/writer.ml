@@ -44,10 +44,10 @@ let rec add_attrs buf = function
       Buffer.add_char buf '"';
       add_attrs buf rest
 
-(* Render the subtree at [n] after whatever [buf] already holds: every
+(* Render the subtree at [id] after whatever [buf] already holds: every
    line but the subtree's first starts with a newline. *)
-let render_node buf ~indent t (n : Tree.node) =
-  let first = Buffer.length buf in
+let render_node buf ~indent t id =
+  let first = Buffer.length buf and ends = Tree.subtree_ends t in
   let pad depth =
     if indent > 0 then begin
       if Buffer.length buf > first then Buffer.add_char buf '\n';
@@ -56,34 +56,34 @@ let render_node buf ~indent t (n : Tree.node) =
       done
     end
   in
-  let rec go depth (n : Tree.node) =
+  let rec go depth id =
     pad depth;
-    let name = Tree.label_name t n in
+    let name = Tree.label_name t id and text = Tree.text t id in
+    let has_children = ends.(id) > id in
     Buffer.add_char buf '<';
     Buffer.add_string buf name;
-    add_attrs buf n.attrs;
-    if n.text = "" && Array.length n.children = 0 then
-      Buffer.add_string buf "/>"
+    add_attrs buf (Tree.attrs t id);
+    if text = "" && not has_children then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
-      if n.text <> "" then begin
-        if Array.length n.children > 0 then pad (depth + 1);
-        escape buf ~attr:false n.text
+      if text <> "" then begin
+        if has_children then pad (depth + 1);
+        escape buf ~attr:false text
       end;
-      for i = 0 to Array.length n.children - 1 do
-        go (depth + 1) n.children.(i)
-      done;
-      if Array.length n.children > 0 then pad depth;
+      if has_children then begin
+        Tree.fold_children (fun () c -> go (depth + 1) c) () t id;
+        pad depth
+      end;
       Buffer.add_string buf "</";
       Buffer.add_string buf name;
       Buffer.add_char buf '>'
     end
   in
-  go 0 n
+  go 0 id
 
-let subtree_to_string ?(indent = 2) t n =
+let subtree_to_string ?(indent = 2) t id =
   let buf = Buffer.create 1024 in
-  render_node buf ~indent t n;
+  render_node buf ~indent t id;
   Buffer.contents buf
 
 let render ?(declaration = true) ?(indent = 2) t =
@@ -92,7 +92,7 @@ let render ?(declaration = true) ?(indent = 2) t =
     Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
     if indent > 0 then Buffer.add_char buf '\n'
   end;
-  render_node buf ~indent t (Tree.root t);
+  render_node buf ~indent t 0;
   if indent > 0 then Buffer.add_char buf '\n';
   buf
 

@@ -19,5 +19,5 @@ val to_string : ?declaration:bool -> ?indent:int -> Tree.t -> string
 val to_file : ?declaration:bool -> ?indent:int -> string -> Tree.t -> unit
 (** [to_file path t] writes [to_string t] to [path]. *)
 
-val subtree_to_string : ?indent:int -> Tree.t -> Tree.node -> string
-(** Render only the subtree rooted at a node (no declaration). *)
+val subtree_to_string : ?indent:int -> Tree.t -> int -> string
+(** Render only the subtree rooted at a node id (no declaration). *)

@@ -1,6 +1,6 @@
 (* Fault-injection stress suite, independent of `dune runtest` (see the
-   @stress alias): torn writes, bit flips and mid-read I/O errors against
-   the persistence layer; parser bombs and random byte mutation against
+   @stress alias): torn writes, bit flips, mid-read I/O errors and a
+   writer killed mid-save against the persistence layer; parser bombs and random byte mutation against
    ingestion; tiny-budget query storms against the engine.  The invariant
    throughout is that only the structured errors escape — Failure with a
    position, Limits.Limit_exceeded, Sax/Parser.Error, Sys_error — and
@@ -144,6 +144,57 @@ let persist_faults rng doc =
       let reread = In_channel.with_open_bin path In_channel.input_all in
       if reread <> bytes then fail "repaired file not byte-identical")
 
+(* A child process rewrites one index file with [Persist.save_table],
+   alternating two row sets, until it is SIGKILLed after a random delay;
+   the file must then load as exactly one of the two.  One child per
+   round.  Forks, so it runs before any domain is spawned. *)
+let kill_during_save rng ~rounds =
+  let doc =
+    Xks_datagen.Dblp_gen.generate
+      ~config:{ Xks_datagen.Dblp_gen.default_config with entries = 1000 }
+      ()
+  in
+  let rows_a = Persist.dump (Inverted.build doc) in
+  (* Every other row: still sorted by word, ids still inside [doc]. *)
+  let rows_b = List.filteri (fun i _ -> i mod 2 = 0) rows_a in
+  let dir = Filename.temp_dir "xks_kill" "" in
+  let path = Filename.concat dir "index.idx" in
+  Persist.save_table path rows_a;
+  let seen_a = ref 0 and seen_b = ref 0 in
+  for round = 1 to rounds do
+    match Unix.fork () with
+    | 0 ->
+        (try
+           while true do
+             Persist.save_table path rows_b;
+             Persist.save_table path rows_a
+           done
+         with e -> prerr_endline (Printexc.to_string e));
+        Unix._exit 2
+    | pid -> (
+        Unix.sleepf (0.001 *. float_of_int (1 + Rng.int rng 40));
+        Unix.kill pid Sys.sigkill;
+        (match Unix.waitpid [] pid with
+        | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
+        | _, (Unix.WSIGNALED _ | Unix.WEXITED _ | Unix.WSTOPPED _) ->
+            fail "kill during save, round %d: the writer stopped on its own"
+              round);
+        match Persist.dump (Persist.load path doc) with
+        | rows when rows = rows_a -> incr seen_a
+        | rows when rows = rows_b -> incr seen_b
+        | _ -> fail "kill during save, round %d: the file holds neither row set" round
+        | exception e ->
+            fail "kill during save, round %d: load raised %s" round
+              (Printexc.to_string e))
+  done;
+  (* A killed writer leaves its temporary file behind; [path] is all
+     that loads. *)
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Printf.printf
+    "kill during save: %d rounds, %d loaded the first row set, %d the second\n%!"
+    rounds !seen_a !seen_b
+
 (* --- Ingestion under bombs and mutation --- *)
 
 let small_limits =
@@ -224,6 +275,7 @@ let () =
   in
   let seed = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 1 in
   let rng = Rng.create seed in
+  kill_during_save rng ~rounds:20;
   for i = 1 to iterations do
     let doc = random_doc rng (10 + Rng.int rng 90) in
     persist_faults rng doc;

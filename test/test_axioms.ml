@@ -69,16 +69,15 @@ let test_query_consistency () =
 let test_append_subtree_preserves_deweys () =
   let before = base () in
   let after = Axioms.append_subtree before ~parent_id:0 (Tree.elem "x" []) in
-  Tree.iter
-    (fun (n : Tree.node) ->
-      match Tree.find_by_dewey after n.Tree.dewey with
-      | Some m ->
-          Alcotest.(check string)
-            "same label at same dewey"
-            (Tree.label_name before n)
-            (Tree.label_name after m)
-      | None -> Alcotest.fail "existing dewey disappeared")
-    before
+  for id = 0 to Tree.size before - 1 do
+    match Tree.find_by_dewey after (Tree.dewey before id) with
+    | Some m ->
+        Alcotest.(check string)
+          "same label at same dewey"
+          (Tree.label_name before id)
+          (Tree.label_name after m)
+    | None -> Alcotest.fail "existing dewey disappeared"
+  done
 
 (* The known counterexample to data consistency under all-LCA semantics:
    inserting <a>w1</a> under 0.2 makes 0.2 a full container, so the

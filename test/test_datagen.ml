@@ -79,9 +79,9 @@ let test_dblp_planted_frequencies () =
 let test_dblp_shape () =
   let cfg = { Dblp.default_config with entries = 100 } in
   let doc = Dblp.generate ~config:cfg () in
-  let root = Tree.root doc in
-  Alcotest.(check string) "root label" "dblp" (Tree.label_name doc root);
-  Alcotest.(check int) "one child per entry" 100 (Array.length root.Tree.children)
+  Alcotest.(check string) "root label" "dblp" (Tree.label_name doc 0);
+  Alcotest.(check int) "one child per entry" 100
+    (Tree.fold_children (fun n _ -> n + 1) 0 doc 0)
 
 let test_xmark_deterministic_and_scaled () =
   let cfg = { Xmark.default_config with items = 4 } in

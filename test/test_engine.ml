@@ -90,9 +90,8 @@ let test_ranking_prefers_specific () =
   let hits = Engine.search engine [ "w1"; "w2" ] in
   match hits with
   | first :: _ ->
-      let root_node = Xks_xml.Tree.node (Engine.doc engine) first.Engine.rtf.Xks_core.Rtf.lca in
       Alcotest.(check bool) "deep fragment first" true
-        (Xks_xml.Dewey.depth root_node.Xks_xml.Tree.dewey > 0)
+        (Xks_xml.Tree.depth (Engine.doc engine) first.Engine.rtf.Xks_core.Rtf.lca > 0)
   | [] -> Alcotest.fail "expected hits"
 
 (* The degradation signal must survive an empty hit list: a budgeted

@@ -68,7 +68,7 @@ let prop_trees_connected_and_bounded =
           && List.for_all
                (fun id ->
                  id = r.Gdmct.root
-                 || Fragment.mem r.Gdmct.fragment (Tree.node doc id).Tree.parent)
+                 || Fragment.mem r.Gdmct.fragment (Tree.parents doc).(id))
                (Fragment.members_list r.Gdmct.fragment))
         (Gdmct.search q))
 

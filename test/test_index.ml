@@ -177,10 +177,9 @@ let prop_postings_sorted_and_complete =
           let p = Inverted.posting idx w in
           let sorted = Array.to_list p = List.sort_uniq compare (Array.to_list p) in
           let expected =
-            Tree.fold
-              (fun acc n -> if Tree.node_matches doc n w then n.Tree.id :: acc else acc)
-              [] doc
-            |> List.rev
+            List.filter
+              (fun id -> Tree.node_matches doc id w)
+              (List.init (Tree.size doc) Fun.id)
           in
           sorted && Array.to_list p = expected)
         (Array.to_list Helpers.words))
@@ -350,13 +349,12 @@ let prop_ranked_features_decode =
     ~count:300 ~print:Helpers.print_doc gen_content_doc (fun doc ->
       let agree idx =
         let tbl = Inverted.features idx in
-        Tree.fold
-          (fun ok (n : Tree.node) ->
-            ok
-            && Cid.equal
-                 (Cid.decode tbl tbl.nodes.(n.id))
-                 (Cid.of_words Cid.Approx (Tree.content_words doc n)))
-          true doc
+        List.for_all
+          (fun id ->
+            Cid.equal
+              (Cid.decode tbl tbl.nodes.(id))
+              (Cid.of_words Cid.Approx (Tree.content_words doc id)))
+          (List.init (Tree.size doc) Fun.id)
       in
       let idx = Inverted.build doc in
       agree idx && agree (Inverted.of_rows doc (Inverted.to_rows idx)))

@@ -1,6 +1,7 @@
 (* The ingest path as a whole: both indexers against an independent
    reference, parsing and indexing under tree-preserving re-encodings of
-   the XML, and allocation bounds for the lean scanners. *)
+   the XML, allocation bounds for the lean scanners, and a bound on the
+   live tree. *)
 
 module Tree = Xks_xml.Tree
 module Parser = Xks_xml.Parser
@@ -50,8 +51,9 @@ let reencode rng doc =
         Buffer.add_string b (if Random.State.bool rng then "<!-- c -->" else "<?pi x?>")
     done
   in
-  let rec node (n : Tree.node) =
-    let name = Tree.label_name doc n in
+  let rec node id =
+    let name = Tree.label_name doc id and text = Tree.text doc id in
+    let children = List.rev (Tree.fold_children (fun acc c -> c :: acc) [] doc id) in
     Buffer.add_string b ("<" ^ name);
     List.iter
       (fun (k, v) ->
@@ -59,24 +61,23 @@ let reencode rng doc =
         Buffer.add_string b (Printf.sprintf " %s=%c" k q);
         String.iter (add_char ~quote:(Some q)) v;
         Buffer.add_char b q)
-      n.attrs;
+      (Tree.attrs doc id);
     Buffer.add_char b '>';
     let cuts =
       List.sort compare
-        (List.init (Array.length n.children) (fun _ ->
-             Random.State.int rng (String.length n.text + 1)))
+        (List.map (fun _ -> Random.State.int rng (String.length text + 1)) children)
     in
     let pos = ref 0 in
-    List.iteri
-      (fun i cut ->
-        add_text (String.sub n.text !pos (cut - !pos));
+    List.iter2
+      (fun cut c ->
+        add_text (String.sub text !pos (cut - !pos));
         pos := cut;
-        node n.children.(i))
-      cuts;
-    add_text (String.sub n.text !pos (String.length n.text - !pos));
+        node c)
+      cuts children;
+    add_text (String.sub text !pos (String.length text - !pos));
     Buffer.add_string b ("</" ^ name ^ ">")
   in
-  node (Tree.root doc);
+  node 0;
   Buffer.contents b
 
 let prop_reencodings_parse_alike =
@@ -113,6 +114,20 @@ let test_words_per_byte name bound f () =
     Alcotest.failf "%s allocates %.2f words per input byte (bound %.1f)" name
       per_byte bound
 
+(* The live tree of the default DBLP corpus (12,000 entries, 84,122
+   nodes): one word per node in each of six columns, plus the texts and
+   attribute lists they point to, about 9 words per node.  Node records,
+   children arrays and stored Dewey codes beside the columns take 20. *)
+let test_tree_words_per_node () =
+  let doc = Xks_datagen.Dblp_gen.generate () in
+  Alcotest.(check int) "nodes" 84_122 (Tree.size doc);
+  let per_node =
+    float_of_int (Obj.reachable_words (Obj.repr doc))
+    /. float_of_int (Tree.size doc)
+  in
+  if per_node > 10.0 then
+    Alcotest.failf "the tree takes %.2f words per node (bound 10)" per_node
+
 let tests =
   [
     Helpers.qtest prop_indexers_match_reference;
@@ -127,4 +142,6 @@ let tests =
       (test_words_per_byte "Inverted.build" 1.0 (fun src ->
            let doc = Parser.parse_string src in
            fun () -> Inverted.build doc));
+    Alcotest.test_case "live tree: <= 10 words/node" `Quick
+      test_tree_words_per_node;
   ]

@@ -70,7 +70,7 @@ let test_probe_fc () =
   let fc_of dewey =
     match Probe.fc doc ps (Probe.cursors ps) (Helpers.id_at doc dewey) with
     | -1 -> "none"
-    | n -> Xks_xml.Dewey.to_string (Tree.node doc n).Tree.dewey
+    | n -> Helpers.dewey_str doc n
   in
   Alcotest.(check string) "fc of c is c" "0.0.0" (fc_of "0.0.0");
   Alcotest.(check string) "fc of t is m" "0.0" (fc_of "0.0.1");
@@ -86,7 +86,7 @@ let test_fc_edges () =
   let fc_of ps dewey =
     match Probe.fc doc ps (Probe.cursors ps) (Helpers.id_at doc dewey) with
     | -1 -> "none"
-    | n -> Xks_xml.Dewey.to_string (Tree.node doc n).Tree.dewey
+    | n -> Helpers.dewey_str doc n
   in
   let check msg expected dewey =
     Alcotest.(check string) msg expected (fc_of ps dewey)
@@ -127,11 +127,11 @@ let test_fc_allocation () =
 
 let test_probe_ancestor_at () =
   let doc, _ = doc_and_postings nested_xml [ "w1" ] in
-  let n = Tree.node doc (Helpers.id_at doc "0.0.1") in
+  let n = Helpers.id_at doc "0.0.1" in
   Alcotest.(check string) "depth 1" "0.0"
-    (Xks_xml.Dewey.to_string (Probe.ancestor_at doc n 1).Tree.dewey);
+    (Helpers.dewey_str doc (Probe.ancestor_at doc n 1));
   Alcotest.(check string) "depth 0" "0"
-    (Xks_xml.Dewey.to_string (Probe.ancestor_at doc n 0).Tree.dewey)
+    (Helpers.dewey_str doc (Probe.ancestor_at doc n 0))
 
 let test_smallest_list () =
   Alcotest.(check int) "picks the shortest" 1
@@ -212,27 +212,25 @@ let prop_fc_is_deepest_full_container =
       (* One cursor array carried along the preorder fold (the scans'
          use) and fresh cursors per call must both find it. *)
       let carried = Probe.cursors ps in
-      Tree.fold
-        (fun acc n ->
-          acc
-          &&
+      List.for_all
+        (fun n ->
           let expected =
             (* deepest full-container ancestor-or-self by brute force *)
             List.filter
               (fun f ->
-                let fn = Tree.node doc f in
-                Xks_xml.Dewey.is_ancestor_or_self fn.Tree.dewey n.Tree.dewey)
+                Xks_xml.Dewey.is_ancestor_or_self (Tree.dewey doc f)
+                  (Tree.dewey doc n))
               fcs
             |> List.fold_left (fun _ f -> Some f) None
           in
-          let fresh = Probe.fc doc ps (Probe.cursors ps) n.Tree.id in
-          fresh = Probe.fc doc ps carried n.Tree.id
+          let fresh = Probe.fc doc ps (Probe.cursors ps) n in
+          fresh = Probe.fc doc ps carried n
           &&
           match (fresh, expected) with
           | -1, None -> true
           | f, Some e -> f = e
           | _, None -> false)
-        true doc)
+        (List.init (Tree.size doc) Fun.id))
 
 let prop_wide_documents =
   QCheck2.Test.make ~name:"wide documents: scans agree with the references"

@@ -4,8 +4,8 @@ module Writer = Xks_xml.Writer
 
 let parse = Parser.parse_string
 
-let label doc dewey = Tree.label_name doc (Tree.node doc (Helpers.id_at doc dewey))
-let text doc dewey = (Tree.node doc (Helpers.id_at doc dewey)).Tree.text
+let label doc dewey = Tree.label_name doc (Helpers.id_at doc dewey)
+let text doc dewey = Tree.text doc (Helpers.id_at doc dewey)
 
 let test_minimal () =
   let doc = parse "<a/>" in
@@ -19,7 +19,7 @@ let test_nested () =
   Alcotest.(check string) "c text" "world" (text doc "0.1");
   Alcotest.(check (list (pair string string)))
     "attributes" [ ("attr", "v") ]
-    (Tree.node doc (Helpers.id_at doc "0.1")).Tree.attrs
+    (Tree.attrs doc (Helpers.id_at doc "0.1"))
 
 let test_declaration_comment_pi () =
   let doc =

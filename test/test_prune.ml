@@ -201,7 +201,7 @@ let prop_pruned_connected =
             List.for_all
               (fun id ->
                 id = rtf.Rtf.lca
-                || Fragment.mem frag (Tree.node doc id).Tree.parent)
+                || Fragment.mem frag (Tree.parents doc).(id))
               (Fragment.members_list frag)
           in
           check (Prune.valid_contributor info) && check (Prune.contributor info))
@@ -227,7 +227,7 @@ let prop_construct_matches_reference =
       let knodes = Rtf.keyword_node_ids q in
       let rooted_everywhere =
         List.init (Tree.size doc) (fun lca ->
-            let last = (Tree.node doc lca).Tree.subtree_end in
+            let last = (Tree.subtree_ends doc).(lca) in
             { Rtf.lca;
               knodes =
                 Array.of_list

@@ -80,23 +80,19 @@ let prop_partitions_disjoint_and_assigned_deepest =
             (fun kn ->
               let fresh = not (Hashtbl.mem seen kn) in
               Hashtbl.add seen kn ();
-              let lca_node = Tree.node doc rtf.Rtf.lca in
-              let kn_node = Tree.node doc kn in
-              let is_anc =
-                Xks_xml.Dewey.is_ancestor_or_self lca_node.Tree.dewey
-                  kn_node.Tree.dewey
-              in
+              let lca_dewey = Tree.dewey doc rtf.Rtf.lca in
+              let kn_dewey = Tree.dewey doc kn in
+              let is_anc = Xks_xml.Dewey.is_ancestor_or_self lca_dewey kn_dewey in
               (* No deeper LCA is also an ancestor. *)
               let deepest =
                 List.for_all
                   (fun other ->
                     other = rtf.Rtf.lca
-                    || (let o = Tree.node doc other in
-                        not
-                          (Xks_xml.Dewey.is_ancestor_or_self o.Tree.dewey
-                             kn_node.Tree.dewey))
-                    || Xks_xml.Dewey.is_ancestor_or_self
-                         (Tree.node doc other).Tree.dewey lca_node.Tree.dewey)
+                    || (not
+                          (Xks_xml.Dewey.is_ancestor_or_self (Tree.dewey doc other)
+                             kn_dewey))
+                    || Xks_xml.Dewey.is_ancestor_or_self (Tree.dewey doc other)
+                         lca_dewey)
                   lcas
               in
               fresh && is_anc && deepest)
@@ -129,7 +125,7 @@ let prop_raw_fragment_connected =
           List.for_all
             (fun id ->
               id = rtf.Rtf.lca
-              || Fragment.mem frag (Tree.node doc id).Tree.parent)
+              || Fragment.mem frag (Tree.parents doc).(id))
             (Fragment.members_list frag))
         rtfs)
 

@@ -12,40 +12,38 @@ let sample () =
 
 let test_ids_are_preorder () =
   let doc = sample () in
-  let ids = Tree.fold (fun acc n -> n.Tree.id :: acc) [] doc in
-  Alcotest.(check (list int)) "dense preorder ids" [ 4; 3; 2; 1; 0 ] ids;
-  Tree.iter
-    (fun n ->
-      let by_dewey = Tree.find_by_dewey doc n.Tree.dewey in
-      Alcotest.(check bool) "dewey lookup finds the node" true
-        (match by_dewey with Some m -> m.Tree.id = n.Tree.id | None -> false))
-    doc
+  Alcotest.(check (list string)) "dense preorder ids"
+    [ "r"; "ax"; "b"; "ax"; "c" ]
+    (List.init (Tree.size doc) (Tree.label_name doc));
+  for id = 0 to Tree.size doc - 1 do
+    Alcotest.(check (option int)) "dewey lookup finds the node" (Some id)
+      (Tree.find_by_dewey doc (Tree.dewey doc id))
+  done
 
 let test_subtree_ranges () =
   let doc = sample () in
-  let b = Tree.node doc (Helpers.id_at doc "0.1") in
-  Alcotest.(check int) "subtree end of b" 4 b.Tree.subtree_end;
-  Alcotest.(check bool) "in_subtree" true
-    (Tree.in_subtree ~root:b (Tree.node doc (Helpers.id_at doc "0.1.1")));
-  Alcotest.(check bool) "not in_subtree" false
-    (Tree.in_subtree ~root:b (Tree.node doc (Helpers.id_at doc "0.0")))
+  let b = Helpers.id_at doc "0.1" in
+  Alcotest.(check int) "subtree end of b" 4 (Tree.subtree_ends doc).(b);
+  Alcotest.(check (list int)) "children of b"
+    (Helpers.ids_at doc [ "0.1.0"; "0.1.1" ])
+    (List.rev (Tree.fold_children (fun acc c -> c :: acc) [] doc b))
 
 let test_parents () =
   let doc = sample () in
-  let leaf = Tree.node doc (Helpers.id_at doc "0.1.0") in
-  (match Tree.parent_node doc leaf with
-  | Some p -> Alcotest.(check string) "parent" "b" (Tree.label_name doc p)
-  | None -> Alcotest.fail "leaf has a parent");
-  Alcotest.(check bool) "root has no parent" true
-    (Tree.parent_node doc (Tree.root doc) = None)
+  let leaf = Helpers.id_at doc "0.1.0" in
+  Alcotest.(check string) "parent" "b"
+    (Tree.label_name doc (Tree.parents doc).(leaf));
+  Alcotest.(check int) "root has no parent" (-1) (Tree.parents doc).(0);
+  Alcotest.(check (list int)) "depths" [ 0; 1; 1; 2; 2 ]
+    (List.init (Tree.size doc) (Tree.depth doc))
 
 let test_content_words () =
   let doc = sample () in
-  let words id = Tree.content_words doc (Tree.node doc (Helpers.id_at doc id)) in
+  let words id = Tree.content_words doc (Helpers.id_at doc id) in
   Alcotest.(check (list string)) "label + text" [ "ax"; "one"; "two" ] (words "0.0");
   Alcotest.(check (list string)) "attrs included" [ "c"; "four"; "kk" ] (words "0.1.1");
   Alcotest.(check bool) "node_matches" true
-    (Tree.node_matches doc (Tree.node doc (Helpers.id_at doc "0.0")) "two")
+    (Tree.node_matches doc (Helpers.id_at doc "0.0") "two")
 
 let test_insert_subtree () =
   let doc = sample () in
@@ -57,9 +55,9 @@ let test_insert_subtree () =
   in
   Alcotest.(check int) "one more node" (Tree.size doc + 1) (Tree.size doc');
   Alcotest.(check string) "inserted at 0.1.1" "d"
-    (Tree.label_name doc' (Tree.node doc' (Helpers.id_at doc' "0.1.1")));
+    (Tree.label_name doc' (Helpers.id_at doc' "0.1.1"));
   Alcotest.(check string) "old 0.1.1 shifted to 0.1.2" "c"
-    (Tree.label_name doc' (Tree.node doc' (Helpers.id_at doc' "0.1.2")))
+    (Tree.label_name doc' (Helpers.id_at doc' "0.1.2"))
 
 let test_insert_invalid () =
   let doc = sample () in
@@ -87,74 +85,90 @@ let test_builder_roundtrip () =
 let prop_subtree_end_matches_range =
   QCheck2.Test.make ~name:"subtree_end = id + subtree size - 1" ~count:200
     ~print:Helpers.print_doc Helpers.gen_doc (fun doc ->
-      let rec size (n : Tree.node) =
-        Array.fold_left (fun acc c -> acc + size c) 1 n.Tree.children
-      in
-      Tree.fold
-        (fun acc n -> acc && n.Tree.subtree_end = n.Tree.id + size n - 1)
-        true doc)
+      let rec size id = Tree.fold_children (fun acc c -> acc + size c) 1 doc id in
+      List.for_all
+        (fun id -> (Tree.subtree_ends doc).(id) = id + size id - 1)
+        (List.init (Tree.size doc) Fun.id))
 
 let prop_dewey_order_is_id_order =
   QCheck2.Test.make ~name:"dewey order agrees with id order" ~count:200
     ~print:Helpers.print_doc Helpers.gen_doc (fun doc ->
-      Tree.fold
-        (fun acc a ->
-          acc
-          && Tree.fold
-               (fun acc b ->
-                 acc
-                 && compare (Dewey.compare a.Tree.dewey b.Tree.dewey) 0
-                    = compare (compare a.Tree.id b.Tree.id) 0)
-               true doc)
-        true doc)
+      let ids = List.init (Tree.size doc) Fun.id in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              compare (Dewey.compare (Tree.dewey doc a) (Tree.dewey doc b)) 0
+              = compare (compare a b) 0)
+            ids)
+        ids)
 
 let prop_parent_pointers =
   QCheck2.Test.make ~name:"parent pointers match dewey parents" ~count:200
     ~print:Helpers.print_doc Helpers.gen_doc (fun doc ->
-      Tree.fold
-        (fun acc n ->
-          acc
-          &&
-          match Tree.parent_node doc n with
-          | None -> n.Tree.id = 0
-          | Some p -> (
-              match Dewey.parent n.Tree.dewey with
-              | Some d -> Dewey.equal d p.Tree.dewey
-              | None -> false))
-        true doc)
+      List.for_all
+        (fun id ->
+          match ((Tree.parents doc).(id), Dewey.parent (Tree.dewey doc id)) with
+          | -1, None -> id = 0
+          | p, Some d -> p >= 0 && Dewey.equal d (Tree.dewey doc p)
+          | _, None -> false)
+        (List.init (Tree.size doc) Fun.id))
 
-(* The flat arrays repeat the node records' parent, subtree end and
-   label, on built documents and after each functional edit. *)
-let flat_arrays_agree doc =
-  let n = Tree.size doc in
-  let parents = Tree.parents doc
-  and ends = Tree.subtree_ends doc
-  and labels = Tree.label_ids doc in
-  Array.length parents = n
-  && Array.length ends = n
-  && Array.length labels = n
-  && Tree.fold
-       (fun ok (node : Tree.node) ->
-         ok
-         && parents.(node.id) = node.parent
-         && ends.(node.id) = node.subtree_end
-         && labels.(node.id) = node.label)
-       true doc
+(* Every column and every derived accessor says what the reference
+   says: the spec numbered in preorder, independently of [Tree]. *)
+let agrees_with_reference spec =
+  let doc = Helpers.doc_of_spec spec and r = Helpers.reference spec in
+  let agrees id (n : Helpers.reference_node) =
+    let dewey = Dewey.of_list n.r_dewey in
+    let next_sibling = Dewey.child (Tree.dewey doc id) (List.length n.r_children) in
+    (Tree.parents doc).(id) = n.r_parent
+    && (Tree.subtree_ends doc).(id) = n.r_last
+    && String.equal (Tree.label_name doc id) n.r_label
+    && String.equal
+         (Xks_xml.Label.name (Tree.labels doc) (Tree.label_ids doc).(id))
+         n.r_label
+    && String.equal (Tree.text doc id) n.r_text
+    && Tree.attrs doc id = n.r_attrs
+    && Dewey.equal (Tree.dewey doc id) dewey
+    && (n.r_parent < 0
+       || Dewey.component (Tree.dewey doc id) (Tree.depth doc id - 1) = n.r_rank)
+    && Tree.depth doc id = List.length n.r_dewey
+    && List.rev (Tree.fold_children (fun acc c -> c :: acc) [] doc id) = n.r_children
+    && Tree.find_by_dewey doc dewey = Some id
+    && Tree.find_by_dewey doc (Tree.dewey doc id) = Some id
+    && Tree.find_by_dewey doc next_sibling = None
+  in
+  Tree.size doc = Array.length r
+  && Array.length (Tree.parents doc) = Array.length r
+  && Array.length (Tree.subtree_ends doc) = Array.length r
+  && Array.length (Tree.label_ids doc) = Array.length r
+  && Array.for_all Fun.id (Array.mapi agrees r)
 
-let prop_flat_arrays_agree =
-  QCheck2.Test.make ~name:"flat arrays agree with the node records"
+let prop_columns_agree_with_reference =
+  QCheck2.Test.make ~name:"columns agree with a preorder reference"
     ~count:300
-    ~print:(fun (doc, _, _, _) -> Helpers.print_doc doc)
+    ~print:(fun (s, _, _, _) -> Helpers.print_doc (Helpers.doc_of_spec s))
     QCheck2.Gen.(
-      quad Helpers.gen_doc Helpers.gen_doc_sized (int_range 0 1000)
-        (int_range 0 1000))
-    (fun (doc, b, r1, r2) ->
+      quad
+        (oneof [ Helpers.gen_spec_sized; Helpers.gen_rich_spec ])
+        Helpers.gen_rich_spec (int_range 0 1000) (int_range 0 1000))
+    (fun (s, sub, r1, r2) ->
+      let doc = Helpers.doc_of_spec s in
       let n = Tree.size doc in
       let parent_id = r1 mod n in
-      let pos = r2 mod (Array.length (Tree.node doc parent_id).children + 1) in
-      flat_arrays_agree doc
-      && flat_arrays_agree (Tree.insert_subtree doc ~parent_id ~pos b)
-      && (n = 1 || flat_arrays_agree (Tree.delete_subtree doc ~id:(1 + (r1 mod (n - 1))))))
+      let pos = r2 mod (List.length (Helpers.reference s).(parent_id).r_children + 1) in
+      let victim = 1 + (r1 mod max 1 (n - 1)) in
+      let same_doc spec t =
+        String.equal (Helpers.print_doc (Helpers.doc_of_spec spec)) (Helpers.print_doc t)
+      in
+      agrees_with_reference s
+      && agrees_with_reference (Helpers.spec_insert s ~parent_id ~pos sub)
+      && same_doc (Helpers.spec_insert s ~parent_id ~pos sub)
+           (Tree.insert_subtree doc ~parent_id ~pos (Helpers.builder_of_spec sub))
+      && (n = 1
+         || agrees_with_reference (Helpers.spec_delete s ~id:victim)
+            && same_doc (Helpers.spec_delete s ~id:victim)
+                 (Tree.delete_subtree doc ~id:victim)))
 
 (* A draft takes exactly one root, closed once, before it freezes. *)
 let test_draft_rejects_unbalanced_events () =
@@ -174,9 +188,8 @@ let test_draft_rejects_unbalanced_events () =
   invalid "a second root" (fun () -> Tree.start d "c" []);
   let doc = Tree.freeze d in
   Alcotest.(check (list string)) "the tree" [ "0"; "0.0" ]
-    (List.map (fun (n : Tree.node) -> Dewey.to_string n.dewey)
-       (List.rev (Tree.fold (fun acc n -> n :: acc) [] doc)));
-  Alcotest.(check string) "the child's text" "x" (Tree.node doc 1).text
+    (List.init (Tree.size doc) (fun id -> Dewey.to_string (Tree.dewey doc id)));
+  Alcotest.(check string) "the child's text" "x" (Tree.text doc 1)
 
 let tests =
   [
@@ -193,5 +206,5 @@ let tests =
     Helpers.qtest prop_subtree_end_matches_range;
     Helpers.qtest prop_dewey_order_is_id_order;
     Helpers.qtest prop_parent_pointers;
-    Helpers.qtest prop_flat_arrays_agree;
+    Helpers.qtest prop_columns_agree_with_reference;
   ]

@@ -19,12 +19,11 @@ let test_escaped_roundtrip () =
          ~text:"x & y < z" "root" [])
   in
   let doc' = Xks_xml.Parser.parse_string (Writer.to_string doc) in
-  let root = Tree.root doc' in
-  Alcotest.(check string) "text survives" "x & y < z" root.Tree.text;
+  Alcotest.(check string) "text survives" "x & y < z" (Tree.text doc' 0);
   Alcotest.(check (list (pair string string)))
     "attr survives"
     [ ("a", "1 < 2 \"quoted\" & more") ]
-    root.Tree.attrs
+    (Tree.attrs doc' 0)
 
 let test_layout_modes () =
   let doc = Tree.build (Tree.elem "a" [ Tree.elem ~text:"x" "b" [] ]) in
@@ -46,8 +45,7 @@ let test_subtree_to_string () =
   let doc =
     Tree.build (Tree.elem "a" [ Tree.elem "b" [ Tree.elem ~text:"t" "c" [] ] ])
   in
-  let b = Tree.node doc 1 in
-  let s = Writer.subtree_to_string ~indent:0 doc b in
+  let s = Writer.subtree_to_string ~indent:0 doc 1 in
   Alcotest.(check string) "subtree only" "<b><c>t</c></b>" s
 
 let test_fragment_to_xml_parses () =
@@ -72,7 +70,7 @@ let prop_escape_text_roundtrip =
       QCheck2.assume (t <> "" && not (String.contains t '\r'));
       let doc = Tree.build (Tree.elem ~text:t "a" []) in
       let doc' = Xks_xml.Parser.parse_string (Writer.to_string ~indent:0 doc) in
-      String.equal (Tree.root doc').Tree.text t)
+      String.equal (Tree.text doc' 0) t)
 
 let tests =
   [

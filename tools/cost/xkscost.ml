@@ -38,9 +38,9 @@
               through a same-module callee.
 
    Pass 2 (enforcement, per file, hot code only).  A {e loop} is a
-   [while]/[for] body, the callback of a [List]/[Array]/[Hashtbl]/
-   [Tree] iteration ([iter]/[map]/[fold]/[sort]/...), or the body of a
-   self-recursive binding.  Two rule families:
+   [while]/[for] body, the callback of a [List]/[Array]/[Hashtbl]
+   iteration ([iter]/[map]/[fold]/[sort]/...) or of
+   [Tree.fold_children], or the body of a self-recursive binding.  Two rule families:
 
    Complexity — inside hot loop bodies and the same-file functions they
    (transitively) mention:
@@ -126,7 +126,7 @@ let iterator_fns =
      [ "iter"; "iteri"; "map"; "mapi"; "map2"; "iter2"; "fold_left";
        "fold_right"; "for_all"; "exists"; "sort"; "stable_sort" ]);
     ("Hashtbl", [ "iter"; "fold"; "filter_map_inplace" ]);
-    ("Tree", [ "iter"; "fold" ]) ]
+    ("Tree", [ "fold_children" ]) ]
 
 let is_iterator m f =
   match List.assoc_opt m iterator_fns with
