@@ -8,6 +8,8 @@ type entry = {
   mutable child_ranges : (int * int) list;
       (* preorder ranges of candidate children already determined, most
          recent first; disjoint, each inside [node]'s range *)
+  mutable passed : (int * int) list;
+      (* ranges of the maximal emitted ELCAs inside [node]; disjoint *)
 }
 
 (* Drop the leading ranges that end before [x] (ascending, disjoint). *)
@@ -62,21 +64,44 @@ let is_elca ?budget doc postings cursors u child_ranges =
   done;
   !all_found
 
-let elca ?budget doc postings =
+(* [passed] lists and the orphan pool stay sorted descending by range
+   start: ranges are handed up or orphaned in document order, so
+   prepending keeps the order, and the ranges a new entry [x] contains
+   are exactly the prefix with [lo >= x] (closed ranges end before the
+   scan position inside [x], so none starts after [x]'s subtree ends).
+   Claiming them is a prefix take: amortised O(1) per push, where a
+   partition of the whole list would be quadratic across the scan. *)
+let split_inside (cutoff : int) ranges =
+  (* xkscost: unticked amortised prefix take: each range is claimed at most once per handoff, and every handoff happens under a ticked pop/push *)
+  let rec go acc = function
+    | ((lo, _) as r) :: rest when lo >= cutoff -> go (r :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] ranges
+
+let scan ?budget ~emit ~stop doc postings =
   let k = Array.length postings in
   (* xkscost: unticked k-bounded: one emptiness test per keyword list *)
-  if k = 0 || Array.exists (fun s -> Array.length s = 0) postings then []
+  if k = 0 || Array.exists (fun s -> Array.length s = 0) postings then 0
   else begin
     let s1 = postings.(Probe.smallest_list_index postings) in
+    let n1 = Array.length s1 in
     let ends = Tree.subtree_ends doc in
     (* The driver probes ascending occurrences, so its cursors only move
        forward; the witness checks keep their own. *)
     let cursors = Probe.cursors postings
     and witness = Probe.cursors postings in
-    let results = ref [] in
     let stack = ref [] in
-    (* Pop [e], emit it if it passes the check, and hand its range to the
-       entry below (its ancestor when the stack is non-empty). *)
+    (* Emitted-ELCA ranges inside no open entry: when the stack empties,
+       the popped entry's ranges wait here until an entry containing
+       them is pushed, possibly much later and much shallower (the
+       document root, whose [passed] must still name every ELCA emitted
+       in earlier subtrees).  They are disjoint from every open entry's
+       range, so only a newly pushed entry can claim them. *)
+    let orphans = ref [] in
+    (* Pop [e]; emit it if it passes the check; hand its range, and the
+       emitted ranges it accounts for, to the entry below (its ancestor
+       when the stack is non-empty) or to the orphans. *)
     let pop_and_check () =
       match !stack with
       | [] -> assert false
@@ -86,12 +111,22 @@ let elca ?budget doc postings =
              under the deadline even when no new occurrence arrives. *)
           Xks_robust.Budget.tick_opt budget 1;
           stack := rest;
-          if is_elca ?budget doc postings witness e.node e.child_ranges then
-            results := e.node :: !results;
           let range = (e.node, e.node_end) in
+          let passed_up =
+            if is_elca ?budget doc postings witness e.node e.child_ranges
+            then begin
+              emit e.node e.passed;
+              [ range ]
+            end
+            else e.passed
+          in
           (match rest with
-          | parent :: _ -> parent.child_ranges <- range :: parent.child_ranges
-          | [] -> ());
+          | parent :: _ ->
+              parent.child_ranges <- range :: parent.child_ranges;
+              (* xkscost: allow list-append passed_up is [range] or the popped entry's own ranges, handed up exactly once — amortised O(1) per pop *)
+              parent.passed <- passed_up @ parent.passed
+          (* xkscost: allow list-append same single handoff as above, to the orphan pool *)
+          | [] -> orphans := passed_up @ !orphans);
           range
     in
     let process v =
@@ -121,11 +156,43 @@ let elca ?budget doc postings =
           ()
       | _ ->
           Trace.incr Trace.Elca_pushed;
-          stack := { node = x; node_end = x_end; child_ranges = !pending } :: !stack
+          (* [x] claims the emitted ranges it contains.  They popped
+             before [x] opened, so they went to what was then the stack
+             top, now [x]'s nearest open ancestor, or to the orphans when
+             the stack was empty.  Only one source can hold any: an open
+             ancestor claimed every orphan inside it when it was pushed.
+             Claimed at every push, each range stays at the deepest open
+             entry containing it. *)
+          let inside =
+            match !stack with
+            | parent :: _ ->
+                let mine, theirs = split_inside x parent.passed in
+                parent.passed <- theirs;
+                mine
+            | [] ->
+                let mine, outside = split_inside x !orphans in
+                orphans := outside;
+                mine
+          in
+          stack :=
+            { node = x; node_end = x_end; child_ranges = !pending; passed = inside }
+            :: !stack
     in
-    Array.iter process s1;
-    while !stack <> [] do
-      ignore (pop_and_check ())
+    let i = ref 0 and stopped = ref false in
+    while (not !stopped) && !i < n1 do
+      process s1.(!i);
+      incr i;
+      if !i < n1 || !stack <> [] then stopped := stop ()
     done;
-    List.sort Int.compare !results
+    while (not !stopped) && !stack <> [] do
+      ignore (pop_and_check () : int * int);
+      if !stack <> [] then stopped := stop ()
+    done;
+    !i
   end
+
+let elca ?budget doc postings =
+  let results = ref [] in
+  let emit u _ = results := u :: !results in
+  ignore (scan ?budget ~emit ~stop:(fun () -> false) doc postings : int);
+  List.sort Int.compare !results

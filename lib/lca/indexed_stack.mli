@@ -15,7 +15,7 @@
     [u]; invalid probes skip the whole subtree of [fc x], so each probe
     either succeeds or jumps over a maximal full container.
 
-    Results are returned in document order. *)
+    {!scan} is the one loop; {!elca} and {!Topk.run} are its sinks. *)
 
 val is_elca :
   ?budget:Xks_robust.Budget.t ->
@@ -32,15 +32,35 @@ val is_elca :
     pop so that each check starts near the last one).  Per keyword the
     probes and their {!Probe.fc} validations gallop forward through
     [u]'s range.  [budget] is ticked once per witness probe, so a
-    deadline interrupts even a root-sized scan.  Shared with {!Topk},
-    whose streaming driver must agree with {!elca} exactly. *)
+    deadline interrupts even a root-sized scan. *)
+
+val scan :
+  ?budget:Xks_robust.Budget.t ->
+  emit:(int -> (int * int) list -> unit) ->
+  stop:(unit -> bool) ->
+  Xks_xml.Tree.t ->
+  int array array ->
+  int
+(** [scan ~emit ~stop doc postings] runs the scan and calls
+    [emit u passed] for each ELCA [u] as it pops: descendants before
+    ancestors, not in document order.  [passed] holds the disjoint
+    ranges [(v, end v)] of the maximal ELCAs strictly inside [u]: those
+    inside no other ELCA strictly inside [u].  It is empty iff [u] is an
+    SLCA.  [stop ()] is asked after each rarest-keyword occurrence while
+    work remains (more occurrences or open candidates), and after each
+    pop of the final drain while candidates remain open; once it
+    returns [true] the scan ends and calls neither callback again.
+    Returns the number of rarest-keyword occurrences processed: [0],
+    with nothing emitted, when some keyword has no occurrence or the
+    query is empty.  [budget] is ticked once per rarest-keyword
+    occurrence, once per pop and once per witness probe (via
+    {!is_elca}); the callbacks tick their own work.
+    @raise Xks_robust.Budget.Exhausted when the budget runs out. *)
 
 val elca :
   ?budget:Xks_robust.Budget.t -> Xks_xml.Tree.t -> int array array -> int list
 (** Ids of all ELCA nodes for the query whose posting lists are given,
-    in document order.  Empty when some keyword has no occurrence or the
-    query is empty.  [budget] is ticked once per occurrence of the
-    rarest keyword (the algorithm's outer loop), once per pop (so the
-    post-driver drain of the open stack is interruptible) and once per
-    witness probe (via {!is_elca}).
+    in document order: the {!scan} sink that collects every [emit] and
+    never stops early, so [budget] is ticked as {!scan} ticks it.
+    Empty when some keyword has no occurrence or the query is empty.
     @raise Xks_robust.Budget.Exhausted when the budget runs out. *)

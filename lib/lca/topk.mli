@@ -1,18 +1,19 @@
 (** Top-k ELCA retrieval with score-bounded early termination.
 
-    The same scan as {!Indexed_stack.elca} — identical driver list,
-    stack discipline and witness check — except that every popped
-    fragment is scored on the fly (from posting-range counts, under the
-    RTF dispatch semantics: each keyword occurrence belongs to the
-    deepest emitted LCA containing it) and only the best k are kept in
-    a {!Xks_util.Topheap}.  The scan stops early once the heap is full
-    and an upper bound over the still-unconsumed keyword occurrences is
-    strictly below the heap's minimum score: the knodes of distinct
-    RTFs partition keyword occurrences, so [avail_i = df_i − Σ emitted
-    tf_i] caps any future fragment's tf, and [bound] (monotone in each
-    component) caps its score.  The surviving candidates are exactly
-    the k best fragments of the full enumeration under
-    (score desc, LCA id asc) — {!Xks_check} pins the equivalence.
+    A sink of {!Indexed_stack.scan}.  Its [emit] scores each ELCA as it
+    pops, from posting-range counts under the RTF dispatch semantics
+    (each keyword occurrence belongs to the deepest emitted LCA
+    containing it: the ELCA's range minus its [passed] ranges), and
+    keeps the best k in a {!Xks_util.Topheap}.  Its [stop] ends the
+    scan once the heap is full and an upper bound over the
+    still-unconsumed keyword occurrences is strictly below the heap's
+    minimum score: the knodes of distinct RTFs partition keyword
+    occurrences, so [avail_i = df_i − Σ emitted tf_i] caps any future
+    fragment's tf, and [bound] (monotone in each component) caps its
+    score.  Keyword nodes are materialised for the k winners only.  The
+    surviving candidates are exactly the k best fragments of the full
+    enumeration under (score desc, LCA id asc) — {!Xks_check} pins the
+    equivalence.
 
     The scoring callbacks live with the caller ({!Xks_core.Rank}); this
     module only promises to call them with exact RTF term frequencies
@@ -50,8 +51,9 @@ val run :
     is valid only during the call, so [score] must read it and not keep
     it (the [tf] of each returned {!candidate} is its own copy).  The
     same holds for the [avail] array passed to [bound].
-    [budget] ticks once per occurrence of the rarest keyword, as
-    {!Indexed_stack.elca} does.  Ticks the [topk.early_exit] /
+    [budget] is ticked as {!Indexed_stack.scan} ticks it, plus once per
+    keyword and passed range of each emitted fragment and once per
+    posting entry in a winner's range.  Ticks the [topk.early_exit] /
     [topk.pruned_postings] trace counters when the bound fires.
     @raise Invalid_argument when [k < 1].
     @raise Xks_robust.Budget.Exhausted when the budget runs out. *)

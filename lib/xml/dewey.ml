@@ -9,7 +9,6 @@ let of_array a =
   Array.copy a
 
 let of_list l = of_array (Array.of_list l)
-let to_list = Array.to_list
 
 let child d i =
   if i < 0 then invalid_arg "Dewey.child: negative rank";
@@ -89,5 +88,3 @@ let of_string s =
              | Some _ | None -> invalid_arg "Dewey.of_string")
            rest)
   | _ -> invalid_arg "Dewey.of_string"
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)

@@ -25,8 +25,6 @@ val of_array : int array -> t
 val of_list : int list -> t
 (** [of_list l] is [of_array (Array.of_list l)]. *)
 
-val to_list : t -> int list
-
 val child : t -> int -> t
 (** [child d i] is the code of the [i]-th child ([i >= 0]) of the node
     coded [d]. *)
@@ -53,9 +51,6 @@ val lca : t -> t -> t
 (** [lca a b] is the code of the lowest common ancestor of the nodes coded
     [a] and [b]: their longest common prefix. *)
 
-val lca_depth : t -> t -> int
-(** [lca_depth a b] is [depth (lca a b)] without allocating the prefix. *)
-
 val lca_list : t list -> t
 (** [lca_list ds] is the LCA of all codes in [ds].
     @raise Invalid_argument on the empty list. *)
@@ -76,5 +71,3 @@ val of_string : string -> t
 (** Inverse of {!to_string}.
     @raise Invalid_argument on malformed input (including input that does
     not start with the root component ["0"]). *)
-
-val pp : Format.formatter -> t -> unit

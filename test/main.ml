@@ -15,6 +15,7 @@ let () =
       ("ingest", Test_ingest.tests);
       ("gdmct", Test_gdmct.tests);
       ("lca", Test_lca.tests);
+      ("scan_work", Test_scan_work.tests);
       ("rtf", Test_rtf.tests);
       ("fragment", Test_fragment.tests);
       ("query", Test_query.tests);

@@ -55,7 +55,8 @@ let test_lca () =
   check [ 2; 0 ] [ 2; 0; 3 ] "0.2.0";
   check [ 0 ] [ 2 ] "0";
   check [ 1; 1 ] [ 1; 1 ] "0.1.1";
-  Alcotest.(check int) "lca_depth" 2 (Dewey.lca_depth (d [ 2; 0; 1 ]) (d [ 2; 0; 3 ]))
+  Alcotest.(check int) "lca depth" 2
+    (Dewey.depth (Dewey.lca (d [ 2; 0; 1 ]) (d [ 2; 0; 3 ])))
 
 let test_lca_list () =
   Alcotest.(check string) "lca of three" "0.2"
@@ -105,7 +106,8 @@ let prop_ancestor_iff_prefix_compare =
     QCheck2.Gen.(pair gen_dewey gen_dewey)
     (fun (a, b) ->
       Dewey.is_ancestor_or_self a b
-      = (Dewey.lca_depth a b = Dewey.depth a && Dewey.depth a <= Dewey.depth b))
+      = (Dewey.depth (Dewey.lca a b) = Dewey.depth a
+        && Dewey.depth a <= Dewey.depth b))
 
 let prop_string_roundtrip =
   QCheck2.Test.make ~name:"to_string/of_string round-trip" ~count:500

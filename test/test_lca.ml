@@ -179,6 +179,71 @@ let prop_elca_stack_agrees =
       let ps = Helpers.postings_for doc q in
       Xks_lca.Stack_algos.elca doc ps = Indexed_stack.elca doc ps)
 
+(* [Indexed_stack.scan]'s sink contract, on which Topk's tf counts and
+   knodes rest: every ELCA is emitted once, with [passed] the ranges of
+   the maximal ELCAs strictly inside it (empty exactly for SLCAs). *)
+let record_scan ~stop doc ps =
+  let emitted = ref [] in
+  let emit u passed = emitted := (u, passed) :: !emitted in
+  let scanned = Indexed_stack.scan ~emit ~stop doc ps in
+  (List.rev !emitted, scanned)
+
+let prop_scan_emits_elcas =
+  prop 400 "scan emits each ELCA once, with its maximal inner ELCAs"
+    (fun (doc, q) ->
+      let ps = Helpers.postings_for doc q in
+      let elcas = Indexed_stack.elca doc ps in
+      let slcas = Slca.indexed_lookup_eager doc ps in
+      let ends = Tree.subtree_ends doc in
+      let inside u v = u < v && v <= ends.(u) in
+      let maximal_inner u =
+        List.filter
+          (fun v ->
+            inside u v
+            && not (List.exists (fun w -> inside u w && inside w v) elcas))
+          elcas
+        |> List.map (fun v -> (v, ends.(v)))
+      in
+      let emitted, _ = record_scan ~stop:(fun () -> false) doc ps in
+      List.sort Int.compare (List.map fst emitted) = elcas
+      && List.for_all
+           (fun (u, passed) ->
+             List.sort compare passed = maximal_inner u
+             && (passed = []) = List.mem u slcas)
+           emitted)
+
+let prop_scan_stop =
+  QCheck2.Test.make
+    ~name:"scan stopped on the n-th ask emits a prefix, then nothing"
+    ~count:300
+    ~print:(fun (doc, q, n) ->
+      Printf.sprintf "n=%d query=%s doc=%s" n (String.concat "," q)
+        (Helpers.print_doc doc))
+    QCheck2.Gen.(triple Helpers.gen_doc Helpers.gen_query (int_range 1 12))
+    (fun (doc, q, n) ->
+      let ps = Helpers.postings_for doc q in
+      let full, _ = record_scan ~stop:(fun () -> false) doc ps in
+      let asked = ref 0 and late_calls = ref 0 in
+      let stop () =
+        if !asked >= n then incr late_calls;
+        incr asked;
+        !asked = n
+      in
+      let emitted = ref [] in
+      let emit u passed =
+        if !asked >= n then incr late_calls;
+        emitted := (u, passed) :: !emitted
+      in
+      let scanned = Indexed_stack.scan ~emit ~stop doc ps in
+      let rec is_prefix = function
+        | [], _ -> true
+        | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
+        | _ :: _, [] -> false
+      in
+      is_prefix (List.rev !emitted, full)
+      && !late_calls = 0
+      && scanned <= Array.length ps.(Probe.smallest_list_index ps))
+
 let prop_full_containers_agree =
   prop 300 "tree scan = brute force (full containers)" (fun (doc, q) ->
       let ps = Helpers.postings_for doc q in
@@ -300,6 +365,8 @@ let tests =
     Helpers.qtest prop_slca_implementations_agree;
     Helpers.qtest prop_slca_variants_agree;
     Helpers.qtest prop_elca_stack_agrees;
+    Helpers.qtest prop_scan_emits_elcas;
+    Helpers.qtest prop_scan_stop;
     Helpers.qtest prop_full_containers_agree;
     Helpers.qtest prop_slca_subset_elca;
     Helpers.qtest prop_elca_subset_full_containers;

@@ -126,7 +126,8 @@ let iterator_fns =
      [ "iter"; "iteri"; "map"; "mapi"; "map2"; "iter2"; "fold_left";
        "fold_right"; "for_all"; "exists"; "sort"; "stable_sort" ]);
     ("Hashtbl", [ "iter"; "fold"; "filter_map_inplace" ]);
-    ("Tree", [ "fold_children" ]) ]
+    ("Tree", [ "fold_children" ]);
+    ("Indexed_stack", [ "scan" ]) ]
 
 let is_iterator m f =
   match List.assoc_opt m iterator_fns with
