@@ -13,6 +13,9 @@
    violation. *)
 
 module Engine = Xks_core.Engine
+module Query = Xks_core.Query
+module Rank = Xks_core.Rank
+module Rtf = Xks_core.Rtf
 module Exec = Xks_exec.Exec
 module Pool = Xks_exec.Pool
 
@@ -54,12 +57,57 @@ let compare_hits ?tag ~rule ~what expected got =
         (hits_desc got) (hits_desc expected);
     ]
 
+let ints a = String.concat "," (List.map string_of_int (Array.to_list a))
+
+(* Every emit's counts, not only the winners': with [k] above the ELCA
+   count the heap never fills, so [Topk.run] keeps every fragment it
+   scores, and each must carry the tf vector and keyword nodes of the
+   full pipeline's RTF with the same LCA. *)
+let check_counts ?tag (q : Query.t) =
+  let lcas = Xks_lca.Indexed_stack.elca q.doc q.postings in
+  let w = Rank.weights q in
+  let outcome =
+    Xks_lca.Topk.run
+      ~k:(List.length lcas + 1)
+      ~score:(fun ~lca:_ ~tf -> Rank.score_tf w tf)
+      ~bound:(fun ~avail -> Rank.bound w ~avail)
+      q.doc q.postings
+  in
+  let kept =
+    List.sort
+      (fun (a : Xks_lca.Topk.candidate) b -> Int.compare a.lca b.lca)
+      outcome.top
+  in
+  let kept_lcas = List.map (fun (c : Xks_lca.Topk.candidate) -> c.lca) kept in
+  if kept_lcas <> lcas then
+    [
+      violation ?tag "topk-tf" "top-k kept LCAs [%s], the ELCAs are [%s]"
+        (ints (Array.of_list kept_lcas))
+        (ints (Array.of_list lcas));
+    ]
+  else
+    List.concat
+      (List.map2
+         (fun (c : Xks_lca.Topk.candidate) (rtf : Rtf.t) ->
+           let tf = Rank.tf_of_rtf q rtf in
+           if c.tf = tf && c.knodes = rtf.knodes then []
+           else
+             [
+               violation ?tag "topk-tf"
+                 "lca=%d: top-k tf [%s] knodes [%s], the RTF's tf [%s] \
+                  knodes [%s]"
+                 c.lca (ints c.tf) (ints c.knodes) (ints tf)
+                 (ints rtf.knodes);
+             ])
+         kept (Rtf.get_rtfs q lcas))
+
 let check_query ?tag ?(k = 10) engine ws =
   let topk = (Engine.search_result ~rank:`Bm25 ~k engine ws).Engine.hits in
   let full = (Engine.search_result ~rank:`Bm25 engine ws).Engine.hits in
   compare_hits ?tag ~rule:"topk-equivalence"
     ~what:(Printf.sprintf "streaming top-%d" k)
     (prefix k full) topk
+  @ check_counts ?tag (Query.make ~order:`Rarest (Engine.index engine) ws)
 
 let batch_jobs = 4
 

@@ -9,12 +9,24 @@
     contributions in the same [`Rarest] order), pruned fragments and
     SLCA tags. *)
 
+val check_counts : ?tag:string -> Xks_core.Query.t -> Invariant.violation list
+(** Rule [topk-tf]: the counts of every fragment the scan scores, not
+    only the winners'.  Runs {!Xks_lca.Topk.run} under BM25 with [k]
+    one above the ELCA count, so that the heap never fills and every
+    emitted fragment is kept; the kept LCAs must be exactly the ELCAs
+    ({!Xks_lca.Indexed_stack.elca}), and each candidate's [tf] and
+    [knodes] must equal {!Xks_core.Rank.tf_of_rtf} and [knodes] of the
+    {!Xks_core.Rtf.get_rtfs} RTF with the same LCA.  Prepare [q] with
+    [~order:`Rarest], as the engine does. *)
+
 val check_query :
   ?tag:string -> ?k:int -> Xks_core.Engine.t -> string list ->
   Invariant.violation list
-(** Compare [search ~rank:`Bm25 ~k] against the [k]-prefix (default
-    [k = 10]) of the sorted full-enumeration answer for one query.
-    [tag] prefixes the violation detail (e.g. with the query text). *)
+(** Rule [topk-equivalence]: compare [search ~rank:`Bm25 ~k] against
+    the [k]-prefix (default [k = 10]) of the sorted full-enumeration
+    answer for one query; then {!check_counts} (rule [topk-tf]) on the
+    same query.  [tag] prefixes the violation detail (e.g. with the
+    query text). *)
 
 val check_batch :
   ?k:int -> Xks_core.Engine.t -> string list list ->

@@ -3,14 +3,20 @@ module Dewey = Xks_xml.Dewey
 
 type t = { root : int; members : int array }
 
-(* Sorted in a scratch buffer, in place: the member array is the only
-   allocation. *)
+(* Sorted in place (a single pass when the ids come in document
+   order): the member array is the only allocation. *)
+let of_ids ~root ids =
+  Xks_util.Int_vec.sort_uniq ids;
+  let members = Xks_util.Int_vec.to_array ids in
+  if not (Xks_util.Bsearch.mem members root) then
+    invalid_arg "Fragment.of_ids: the root is not among the ids";
+  { root; members }
+
 let make ~root ~members =
   Xks_util.Scratch.with_ints (fun buf ->
       Xks_util.Int_vec.push buf root;
       List.iter (Xks_util.Int_vec.push buf) members;
-      Xks_util.Int_vec.sort_uniq buf;
-      { root; members = Xks_util.Int_vec.to_array buf })
+      of_ids ~root buf)
 
 let size t = Array.length t.members
 let mem t id = Xks_util.Bsearch.mem t.members id

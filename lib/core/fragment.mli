@@ -14,6 +14,15 @@ type t = private {
 val make : root:int -> members:int list -> t
 (** Sorts and deduplicates [members]; adds [root] if missing. *)
 
+val of_ids : root:int -> Xks_util.Int_vec.t -> t
+(** [of_ids ~root ids] is the fragment whose members are the ids in
+    [ids], which must include [root].  Sorts and deduplicates [ids] in
+    place, in one pass when they are already ascending (as a walk that
+    visits the members in document order leaves them), and copies them
+    out: [ids] can be a {!Xks_util.Scratch} buffer.  {!make} is this
+    over a scratch buffer holding [root] and [members].
+    @raise Invalid_argument when [root] is not among [ids]. *)
+
 val size : t -> int
 val mem : t -> int -> bool
 val equal : t -> t -> bool

@@ -132,22 +132,25 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
   (* Key numbers by posting cursors: [cursors.(i)] is the number of
      entries of posting [i] at or before the node being swept.  One
      binary search places it at the RTF's last id; from there it only
-     moves backwards, galloping, in step with the sweep. *)
+     moves backwards, galloping, in step with the sweep.  It usually
+     sits at the node already, so the gallop (an out-of-line call) is
+     made only when the entry before it lies past the node. *)
   let k = Query.k q in
   let postings = q.postings in
   let cursors =
     (* xkscost: unticked k-bounded: one binary search per keyword list *)
     Array.map (fun p -> Xks_util.Bsearch.upper_bound p root_end) postings
   in
+  let bits = Array.init k (fun i -> Klist.singleton ~k i) in
   let klist_of kn =
     let mask = ref Klist.empty in
     (* xkscost: unticked k-bounded: one galloping step per keyword list, at most a binary search each *)
     for i = 0 to k - 1 do
       let p = postings.(i) in
-      let c = Xks_util.Bsearch.upper_bound_back p ~hi:cursors.(i) kn in
-      cursors.(i) <- c;
-      if c > 0 && p.(c - 1) = kn then
-        mask := Klist.union !mask (Klist.singleton ~k i)
+      if cursors.(i) > 0 && p.(cursors.(i) - 1) > kn then
+        cursors.(i) <- Xks_util.Bsearch.upper_bound_back p ~hi:cursors.(i) kn;
+      let c = cursors.(i) in
+      if c > 0 && p.(c - 1) = kn then mask := !mask lor bits.(i)
     done;
     !mask
   in

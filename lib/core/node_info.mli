@@ -43,7 +43,8 @@ val construct : ?cid_mode:Xks_index.Cid.mode -> Query.t -> Rtf.t -> t
 
     [rtf.knodes] must be in document order, as {!Rtf.get_rtfs} gives them,
     and inside the subtree of [rtf.lca].  Cost: O(members) plus, per
-    keyword node and keyword, one galloping step along that keyword's
+    keyword node and keyword, one test of that keyword's posting cursor
+    and, when the cursor must move, one galloping step along the
     posting list, never more than a binary search.
     @raise Invalid_argument ["Node_info.construct: ..."] naming the
     keyword node when one lies outside the subtree of [rtf.lca] or the
@@ -66,8 +67,9 @@ type label_group = {
 
 val label_groups : info -> label_group list
 (** The "Children Info" of a node: its RTF children grouped by label, in
-    order of first appearance.  A member with zero or one child needs no
-    grouping; otherwise a stable sort by label finds the groups. *)
+    order of first appearance, each group in document order.  A member
+    with zero or one child needs no grouping; otherwise one pass files
+    each child under its label id in a per-domain scratch array. *)
 
 val info_of : t -> int -> info option
 (** Look up the info of an RTF member by node id ([None] for any other

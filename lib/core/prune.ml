@@ -1,4 +1,5 @@
 module Klist = Xks_index.Klist
+module Trace = Xks_trace.Trace
 
 (* Kept (kList, feature) pairs of one label group. *)
 module Kept = Hashtbl.Make (struct
@@ -67,19 +68,23 @@ let contributor_children (info : Node_info.info) =
           not (Klist.covered_by_any ch.klist all_knums))
         children
 
+(* Members are pushed as the walk visits them: in document order unless
+   kept children of different labels interleave ([valid_children]
+   returns them grouped by label), so [Fragment.of_ids] rarely sorts. *)
 let collect select t =
-  let members = ref [] in
-  let rec go (info : Node_info.info) =
-    members := info.id :: !members;
-    Xks_trace.Trace.incr Xks_trace.Trace.Frag_nodes_kept;
-    let kept = select info in
-    Xks_trace.Trace.add Xks_trace.Trace.Frag_nodes_pruned
-      (List.length info.rtf_children - List.length kept);
-    List.iter go kept
-  in
   let root = Node_info.root t in
-  go root;
-  Fragment.make ~root:root.id ~members:!members
+  Xks_util.Scratch.with_ints (fun ids ->
+      let rec go (info : Node_info.info) =
+        Xks_util.Int_vec.push ids info.id;
+        Trace.incr Trace.Frag_nodes_kept;
+        let kept = select info in
+        if Trace.enabled () then
+          Trace.add Trace.Frag_nodes_pruned
+            (List.length info.rtf_children - List.length kept);
+        List.iter go kept
+      in
+      go root;
+      Fragment.of_ids ~root:root.id ids)
 
 let valid_contributor t = collect valid_children t
 let contributor t = collect contributor_children t

@@ -1,5 +1,6 @@
 module Tree = Xks_xml.Tree
 module Bsearch = Xks_util.Bsearch
+module Int_vec = Xks_util.Int_vec
 module Trace = Xks_trace.Trace
 
 type entry = {
@@ -8,8 +9,6 @@ type entry = {
   mutable child_ranges : (int * int) list;
       (* preorder ranges of candidate children already determined, most
          recent first; disjoint, each inside [node]'s range *)
-  mutable passed : (int * int) list;
-      (* ranges of the maximal emitted ELCAs inside [node]; disjoint *)
 }
 
 (* Drop the leading ranges that end before [x] (ascending, disjoint). *)
@@ -64,132 +63,99 @@ let is_elca ?budget doc postings cursors u child_ranges =
   done;
   !all_found
 
-(* [passed] lists and the orphan pool stay sorted descending by range
-   start: ranges are handed up or orphaned in document order, so
-   prepending keeps the order, and the ranges a new entry [x] contains
-   are exactly the prefix with [lo >= x] (closed ranges end before the
-   scan position inside [x], so none starts after [x]'s subtree ends).
-   Claiming them is a prefix take: amortised O(1) per push, where a
-   partition of the whole list would be quadratic across the scan. *)
-let split_inside (cutoff : int) ranges =
-  (* xkscost: unticked amortised prefix take: each range is claimed at most once per handoff, and every handoff happens under a ticked pop/push *)
-  let rec go acc = function
-    | ((lo, _) as r) :: rest when lo >= cutoff -> go (r :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  go [] ranges
-
+(* [passed] comes from one stack of emitted ids.  Candidates pop in
+   post-order (the open entries form one root-to-leaf chain, and a node
+   is pushed only after every open non-ancestor has popped), so every
+   ELCA inside [u] is emitted before [u], and every other ELCA emitted
+   before [u] lies wholly before it in document order.  [emitted] holds
+   the maximal ELCAs emitted so far, ascending: when [u] is emitted, the
+   entries [>= u] are exactly the maximal ELCAs inside [u]; they are
+   popped into [u]'s [passed] and [u] takes their place. *)
 let scan ?budget ~emit ~stop doc postings =
   let k = Array.length postings in
   (* xkscost: unticked k-bounded: one emptiness test per keyword list *)
   if k = 0 || Array.exists (fun s -> Array.length s = 0) postings then 0
-  else begin
-    let s1 = postings.(Probe.smallest_list_index postings) in
-    let n1 = Array.length s1 in
-    let ends = Tree.subtree_ends doc in
-    (* The driver probes ascending occurrences, so its cursors only move
-       forward; the witness checks keep their own. *)
-    let cursors = Probe.cursors postings
-    and witness = Probe.cursors postings in
-    let stack = ref [] in
-    (* Emitted-ELCA ranges inside no open entry: when the stack empties,
-       the popped entry's ranges wait here until an entry containing
-       them is pushed, possibly much later and much shallower (the
-       document root, whose [passed] must still name every ELCA emitted
-       in earlier subtrees).  They are disjoint from every open entry's
-       range, so only a newly pushed entry can claim them. *)
-    let orphans = ref [] in
-    (* Pop [e]; emit it if it passes the check; hand its range, and the
-       emitted ranges it accounts for, to the entry below (its ancestor
-       when the stack is non-empty) or to the orphans. *)
-    let pop_and_check () =
-      match !stack with
-      | [] -> assert false
-      | e :: rest ->
-          Trace.incr Trace.Elca_popped;
-          (* Ticked so the post-driver drain (and the unwind spine) stays
-             under the deadline even when no new occurrence arrives. *)
-          Xks_robust.Budget.tick_opt budget 1;
-          stack := rest;
-          let range = (e.node, e.node_end) in
-          let passed_up =
+  else
+    Xks_util.Scratch.with_ints (fun emitted ->
+      let s1 = postings.(Probe.smallest_list_index postings) in
+      let n1 = Array.length s1 in
+      let ends = Tree.subtree_ends doc in
+      (* The driver probes ascending occurrences, so its cursors only move
+         forward; the witness checks keep their own. *)
+      let cursors = Probe.cursors postings
+      and witness = Probe.cursors postings in
+      let stack = ref [] in
+      (* xkscost: unticked amortised: each emitted ELCA is popped once, into the passed list of its nearest emitted ancestor, under that ancestor's ticked pop *)
+      let rec passed_inside u acc =
+        if Int_vec.length emitted > 0 && Int_vec.last emitted >= u then begin
+          let v = Int_vec.pop emitted in
+          passed_inside u ((v, ends.(v)) :: acc)
+        end
+        else acc
+      in
+      (* Pop [e]; emit it if it passes the check; hand its range to the
+         entry below (its ancestor) as a candidate child. *)
+      let pop_and_check () =
+        match !stack with
+        | [] -> assert false
+        | e :: rest ->
+            Trace.incr Trace.Elca_popped;
+            (* Ticked so the post-driver drain (and the unwind spine) stays
+               under the deadline even when no new occurrence arrives. *)
+            Xks_robust.Budget.tick_opt budget 1;
+            stack := rest;
+            let range = (e.node, e.node_end) in
             if is_elca ?budget doc postings witness e.node e.child_ranges
             then begin
-              emit e.node e.passed;
-              [ range ]
-            end
-            else e.passed
-          in
-          (match rest with
-          | parent :: _ ->
-              parent.child_ranges <- range :: parent.child_ranges;
-              (* xkscost: allow list-append passed_up is [range] or the popped entry's own ranges, handed up exactly once — amortised O(1) per pop *)
-              parent.passed <- passed_up @ parent.passed
-          (* xkscost: allow list-append same single handoff as above, to the orphan pool *)
-          | [] -> orphans := passed_up @ !orphans);
-          range
-    in
-    let process v =
-      Trace.incr Trace.Nodes_visited;
-      Xks_robust.Budget.tick_opt budget 1;
-      (* Never -1: no list is empty. *)
-      let x = Probe.fc doc postings cursors v in
-      let x_end = ends.(x) in
-      (* Close candidates that are not ancestors of [x]; collect the
-         ranges of those lying under [x] (they become [x]'s candidate
-         children when the stack empties below them). *)
-      let pending = ref [] in
-      let rec unwind () =
-        match !stack with
-        | e :: _ when not (e.node <= x && x <= e.node_end) ->
-            let range = pop_and_check () in
-            if !stack = [] && x <= e.node && e.node <= x_end then
-              pending := range :: !pending;
-            unwind ()
-        | _ -> ()
+              emit e.node (passed_inside e.node []);
+              Int_vec.push emitted e.node
+            end;
+            (match rest with
+            | parent :: _ -> parent.child_ranges <- range :: parent.child_ranges
+            | [] -> ());
+            range
       in
-      unwind ();
-      match !stack with
-      | e :: _ when e.node = x ->
-          (* Candidate already open; nothing to add ([pending] is empty:
-             anything popped went to this entry). *)
-          ()
-      | _ ->
-          Trace.incr Trace.Elca_pushed;
-          (* [x] claims the emitted ranges it contains.  They popped
-             before [x] opened, so they went to what was then the stack
-             top, now [x]'s nearest open ancestor, or to the orphans when
-             the stack was empty.  Only one source can hold any: an open
-             ancestor claimed every orphan inside it when it was pushed.
-             Claimed at every push, each range stays at the deepest open
-             entry containing it. *)
-          let inside =
-            match !stack with
-            | parent :: _ ->
-                let mine, theirs = split_inside x parent.passed in
-                parent.passed <- theirs;
-                mine
-            | [] ->
-                let mine, outside = split_inside x !orphans in
-                orphans := outside;
-                mine
-          in
-          stack :=
-            { node = x; node_end = x_end; child_ranges = !pending; passed = inside }
-            :: !stack
-    in
-    let i = ref 0 and stopped = ref false in
-    while (not !stopped) && !i < n1 do
-      process s1.(!i);
-      incr i;
-      if !i < n1 || !stack <> [] then stopped := stop ()
-    done;
-    while (not !stopped) && !stack <> [] do
-      ignore (pop_and_check () : int * int);
-      if !stack <> [] then stopped := stop ()
-    done;
-    !i
-  end
+      let process v =
+        Trace.incr Trace.Nodes_visited;
+        Xks_robust.Budget.tick_opt budget 1;
+        (* Never -1: no list is empty. *)
+        let x = Probe.fc doc postings cursors v in
+        let x_end = ends.(x) in
+        (* Close candidates that are not ancestors of [x]; collect the
+           ranges of those lying under [x] (they become [x]'s candidate
+           children when the stack empties below them). *)
+        let pending = ref [] in
+        let rec unwind () =
+          match !stack with
+          | e :: _ when not (e.node <= x && x <= e.node_end) ->
+              let range = pop_and_check () in
+              if !stack = [] && x <= e.node && e.node <= x_end then
+                pending := range :: !pending;
+              unwind ()
+          | _ -> ()
+        in
+        unwind ();
+        match !stack with
+        | e :: _ when e.node = x ->
+            (* Candidate already open; nothing to add ([pending] is empty:
+               anything popped went to this entry). *)
+            ()
+        | _ ->
+            Trace.incr Trace.Elca_pushed;
+            stack :=
+              { node = x; node_end = x_end; child_ranges = !pending } :: !stack
+      in
+      let i = ref 0 and stopped = ref false in
+      while (not !stopped) && !i < n1 do
+        process s1.(!i);
+        incr i;
+        if !i < n1 || !stack <> [] then stopped := stop ()
+      done;
+      while (not !stopped) && !stack <> [] do
+        ignore (pop_and_check () : int * int);
+        if !stack <> [] then stopped := stop ()
+      done;
+      !i)
 
 let elca ?budget doc postings =
   let results = ref [] in

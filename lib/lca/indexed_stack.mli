@@ -45,8 +45,13 @@ val scan :
     [emit u passed] for each ELCA [u] as it pops: descendants before
     ancestors, not in document order.  [passed] holds the disjoint
     ranges [(v, end v)] of the maximal ELCAs strictly inside [u]: those
-    inside no other ELCA strictly inside [u].  It is empty iff [u] is an
-    SLCA.  [stop ()] is asked after each rarest-keyword occurrence while
+    inside no other ELCA strictly inside [u]; they are in document
+    order.  It is empty iff [u] is an SLCA.  The scan derives it from
+    one stack of emitted ids: candidates pop in post-order, so the ELCAs
+    inside [u] are all emitted before [u], and the maximal ones are the
+    stack's top entries with id [>= u] when [u] is emitted; they are
+    popped into [passed] and [u] is pushed (the stack lives in a
+    {!Xks_util.Scratch} buffer).  [stop ()] is asked after each rarest-keyword occurrence while
     work remains (more occurrences or open candidates), and after each
     pop of the final drain while candidates remain open; once it
     returns [true] the scan ends and calls neither callback again.

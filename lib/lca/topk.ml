@@ -8,7 +8,21 @@
         tf_i = |posting_i ∩ range(u)| − Σ over passed |posting_i ∩ r|
 
       exact because [passed] names the maximal ELCAs emitted inside [u],
-      and every ELCA inside [u] pops before it.
+      and every ELCA inside [u] pops before it.  Both terms come from
+      the sweep's own state, with no search per passed range:
+      - the ELCAs pop in post-order, so the subtree ends of emitted
+        ELCAs never decrease, and [hi_i] (entries of posting i up to the
+        end of the last emitted ELCA) only gallops forward; the first
+        entry in [u]'s range is a gallop back from it;
+      - the ELCAs inside [u] were emitted as one run just before [u], so
+        the second term is [consumed_i − base_i], where [consumed_i]
+        counts the occurrences dispatched so far (item 2) and [base] is
+        [consumed] when that run began.  A stack of [nk]-int frames
+        mirrors the scan's stack of maximal emitted ELCAs: an emit pops
+        one frame per passed range, and [u]'s run began with the
+        deepest of them (or now, when [passed = []]).
+      The budget is charged as when each keyword and passed range cost a
+      search: [|passed|] per keyword, [nk × |passed|] per emit.
 
    2. [stop] is the availability bound.  Let [consumed_i] be the total
       tf_i over emitted fragments; the knodes of distinct RTFs partition
@@ -30,6 +44,7 @@
 
 module Tree = Xks_xml.Tree
 module Bsearch = Xks_util.Bsearch
+module Int_vec = Xks_util.Int_vec
 module Topheap = Xks_util.Topheap
 module Trace = Xks_trace.Trace
 
@@ -42,18 +57,6 @@ type candidate = {
 
 type outcome = { top : candidate list; early_exit : bool; scanned : int }
 
-(* Occurrences of [posting] in [u]'s range ([acc], counted by the
-   caller) minus those inside its passed ranges: one binary search per
-   passed range, ticked so an emit over a long accounting list is
-   interruptible. *)
-let rec count_dispatched ?budget posting acc = function
-  | [] -> acc
-  | (lo, hi) :: passed ->
-      Xks_robust.Budget.tick_opt budget 1;
-      count_dispatched ?budget posting
-        (acc - Bsearch.count_in_range posting ~lo ~hi)
-        passed
-
 let run ?budget ~k ~score ~bound doc postings =
   if k < 1 then invalid_arg "Topk.run: k must be >= 1";
   let nk = Array.length postings in
@@ -63,20 +66,9 @@ let run ?budget ~k ~score ~bound doc postings =
   (* One tf vector per run: [score] only reads it during the call, and
      it is copied only for a fragment the heap admits. *)
   let tf = Array.make nk 0 in
-  let emit u passed =
-    for j = 0 to nk - 1 do
-      let c =
-        count_dispatched ?budget postings.(j)
-          (Bsearch.count_in_range postings.(j) ~lo:u ~hi:ends.(u))
-          passed
-      in
-      tf.(j) <- c;
-      consumed.(j) <- consumed.(j) + c
-    done;
-    let s = score ~lca:u ~tf in
-    if Topheap.admits heap ~score:s ~id:u then
-      ignore (Topheap.insert heap ~score:s ~id:u (Array.copy tf, passed) : bool)
-  in
+  (* [hi.(j)]: the entries of posting [j] up to the end of the last
+     emitted ELCA. *)
+  let hi = Array.make nk 0 in
   let early = ref false in
   (* Like [tf], [avail] is one scratch vector per run. *)
   let avail = Array.make nk 0 in
@@ -96,16 +88,46 @@ let run ?budget ~k ~score ~bound doc postings =
     end;
     !early
   in
-  let scanned = Indexed_stack.scan ?budget ~emit ~stop doc postings in
+  let scanned =
+    Xks_util.Scratch.with_ints (fun bases ->
+        let emit u passed =
+          let p = List.length passed in
+          (* [u]'s frame replaces the [p] frames of its passed ranges and
+             keeps the deepest one's base; with none, its run starts now. *)
+          let frame =
+            if p = 0 then Int_vec.length bases
+            else begin
+              Int_vec.truncate bases (Int_vec.length bases - ((p - 1) * nk));
+              Int_vec.length bases - nk
+            end
+          in
+          for j = 0 to nk - 1 do
+            (* A new frame starts at [consumed]; otherwise each passed
+               range is charged as when it cost a search. *)
+            if p = 0 then Int_vec.push bases consumed.(j)
+            else Xks_robust.Budget.tick_opt budget p;
+            let posting = postings.(j) in
+            let h = Bsearch.upper_bound_from posting ~lo:hi.(j) ends.(u) in
+            hi.(j) <- h;
+            let lo = Bsearch.upper_bound_back posting ~hi:h (u - 1) in
+            let c = h - lo - (consumed.(j) - Int_vec.get bases (frame + j)) in
+            tf.(j) <- c;
+            consumed.(j) <- consumed.(j) + c
+          done;
+          let s = score ~lca:u ~tf in
+          if Topheap.admits heap ~score:s ~id:u then
+            ignore
+              (Topheap.insert heap ~score:s ~id:u (Array.copy tf, passed)
+                : bool)
+        in
+        Indexed_stack.scan ?budget ~emit ~stop doc postings)
+  in
   (* Materialise keyword nodes only for the k winners: posting entries
      in the winner's range minus its emitted-descendant ranges, merged
-     and deduplicated.  The passed ranges are disjoint, so sorting
-     them once lets each posting be filtered in a single merge sweep
+     and deduplicated.  The passed ranges are disjoint and in document
+     order, so each posting is filtered in a single merge sweep
      (postings are ascending). *)
   let knodes_of lca_id passed =
-    let passed =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) passed
-    in
     Xks_util.Scratch.with_ints (fun out ->
         Array.iter
           (fun posting ->
@@ -125,11 +147,11 @@ let run ?budget ~k ~score ~bound doc postings =
               remaining := advance !remaining;
               match !remaining with
               | (a, _) :: _ when id >= a -> ()
-              | (_, _) :: _ | [] -> Xks_util.Int_vec.push out id
+              | (_, _) :: _ | [] -> Int_vec.push out id
             done)
           postings;
-        Xks_util.Int_vec.sort_uniq out;
-        Xks_util.Int_vec.to_array out)
+        Int_vec.sort_uniq out;
+        Int_vec.to_array out)
   in
   let top =
     List.map

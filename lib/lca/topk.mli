@@ -4,7 +4,11 @@
     pops, from posting-range counts under the RTF dispatch semantics
     (each keyword occurrence belongs to the deepest emitted LCA
     containing it: the ELCA's range minus its [passed] ranges), and
-    keeps the best k in a {!Xks_util.Topheap}.  Its [stop] ends the
+    keeps the best k in a {!Xks_util.Topheap}.  The counts come from
+    posting cursors that only gallop forward (emitted ELCAs end in
+    nondecreasing order) and from a running total of the occurrences
+    already dispatched inside the ELCA, so an emit costs two gallops per
+    keyword whatever the number of its [passed] ranges.  Its [stop] ends the
     scan once the heap is full and an upper bound over the
     still-unconsumed keyword occurrences is strictly below the heap's
     minimum score: the knodes of distinct RTFs partition keyword
@@ -52,8 +56,8 @@ val run :
     it (the [tf] of each returned {!candidate} is its own copy).  The
     same holds for the [avail] array passed to [bound].
     [budget] is ticked as {!Indexed_stack.scan} ticks it, plus once per
-    keyword and passed range of each emitted fragment and once per
-    posting entry in a winner's range.  Ticks the [topk.early_exit] /
+    keyword and passed range of each emitted fragment (charged in one
+    call per keyword) and once per posting entry in a winner's range.  Ticks the [topk.early_exit] /
     [topk.pruned_postings] trace counters when the bound fires.
     @raise Invalid_argument when [k < 1].
     @raise Xks_robust.Budget.Exhausted when the budget runs out. *)

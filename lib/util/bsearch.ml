@@ -62,6 +62,3 @@ let right_match a x =
 let mem a x =
   let i = lower_bound a x in
   i < Array.length a && a.(i) = x
-
-let count_in_range a ~lo ~hi =
-  if hi < lo then 0 else upper_bound a hi - lower_bound a lo

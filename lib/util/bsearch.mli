@@ -38,6 +38,3 @@ val right_match : int array -> int -> int option
 
 val mem : int array -> int -> bool
 (** Membership in a sorted array. *)
-
-val count_in_range : int array -> lo:int -> hi:int -> int
-(** Number of elements [x] with [lo <= x <= hi]. *)

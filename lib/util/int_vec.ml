@@ -16,6 +16,10 @@ let check v i = if i < 0 || i >= v.len then invalid_arg "Int_vec: index"
 let get v i = check v i; v.data.(i)
 let set v i x = check v i; v.data.(i) <- x
 let clear v = v.len <- 0
+
+let truncate v n =
+  if n < 0 || n > v.len then invalid_arg "Int_vec.truncate";
+  v.len <- n
 let to_array v = Array.sub v.data 0 v.len
 
 let last v = if v.len = 0 then invalid_arg "Int_vec.last: empty" else v.data.(v.len - 1)
@@ -27,7 +31,9 @@ let pop v =
 
 (* In-place heapsort + compaction: sorting a scratch buffer must not
    allocate (the whole point of the buffer is to keep the query path off
-   the minor heap), which rules out [Array.sort] on a [to_array] copy. *)
+   the minor heap), which rules out [Array.sort] on a [to_array] copy.
+   Buffers filled in document order (a pruned fragment's members) are
+   often sorted already, so one pass looks for a descent first. *)
 let sort_uniq v =
   let a = v.data and n = v.len in
   let swap i j =
@@ -48,13 +54,20 @@ let sort_uniq v =
       end
     end
   in
-  for i = (n / 2) - 1 downto 0 do
-    sift_down i n
+  let ascending = ref true and i = ref 1 in
+  while !ascending && !i < n do
+    if a.(!i) < a.(!i - 1) then ascending := false;
+    incr i
   done;
-  for i = n - 1 downto 1 do
-    swap 0 i;
-    sift_down 0 i
-  done;
+  if not !ascending then begin
+    for i = (n / 2) - 1 downto 0 do
+      sift_down i n
+    done;
+    for i = n - 1 downto 1 do
+      swap 0 i;
+      sift_down 0 i
+    done
+  end;
   if n > 0 then begin
     let w = ref 1 in
     for r = 1 to n - 1 do

@@ -18,6 +18,10 @@ val set : t -> int -> int -> unit
 val clear : t -> unit
 (** Reset the length to 0, keeping the capacity. *)
 
+val truncate : t -> int -> unit
+(** [truncate v n] keeps the first [n] elements, keeping the capacity.
+    @raise Invalid_argument unless [0 <= n <= length v]. *)
+
 val to_array : t -> int array
 (** A fresh array of the current contents. *)
 
@@ -31,4 +35,6 @@ val pop : t -> int
 val sort_uniq : t -> unit
 (** Sort ascending and drop duplicates, in place (the length shrinks by
     the number of duplicates).  Allocation-free: heapsort over the
-    backing array — meant for {!Scratch} buffers on hot query paths. *)
+    backing array — meant for {!Scratch} buffers on hot query paths.
+    An input already in ascending order is only deduplicated: one pass
+    finds it sorted, and the heapsort is skipped. *)

@@ -11,7 +11,14 @@ let test_make_normalises () =
   Alcotest.(check (list int)) "sorted, deduplicated, root added"
     [ 0; 1; 2; 3 ]
     (Fragment.members_list f);
-  Alcotest.(check int) "size" 4 (Fragment.size f)
+  Alcotest.(check int) "size" 4 (Fragment.size f);
+  let ids = Xks_util.Int_vec.create () in
+  List.iter (Xks_util.Int_vec.push ids) [ 1; 2; 4; 2 ];
+  Alcotest.(check (list int)) "of_ids sorts the buffer" [ 1; 2; 4 ]
+    (Fragment.members_list (Fragment.of_ids ~root:1 ids));
+  Alcotest.check_raises "of_ids without its root"
+    (Invalid_argument "Fragment.of_ids: the root is not among the ids")
+    (fun () -> ignore (Fragment.of_ids ~root:3 ids))
 
 let test_membership_and_equality () =
   let f = Fragment.make ~root:1 ~members:[ 2; 3 ] in

@@ -186,6 +186,23 @@ let prop_topk_equals_prefix =
       let prefix = List.filteri (fun i _ -> i < k) full in
       Engine.search ~rank:`Bm25 ~k engine q = prefix)
 
+(* The prefix property compares only the k winners, so a miscounted
+   emit that leaves the top k unchanged passes it.  This one keeps every
+   ELCA (k above the ELCA count) and compares each one's tf and knodes
+   with the full pipeline's RTF (Xks_check's [topk-tf] rule). *)
+let prop_topk_counts_every_emit =
+  QCheck2.Test.make ~name:"top-k tf and knodes of every ELCA = its RTF's"
+    ~count:300
+    ~print:(fun (doc, q) ->
+      Printf.sprintf "query=%s doc=%s" (String.concat "," q)
+        (Helpers.print_doc doc))
+    QCheck2.Gen.(pair Helpers.gen_doc Helpers.gen_query)
+    (fun (doc, ws) ->
+      let q = Query.make ~order:`Rarest (Xks_index.Inverted.build doc) ws in
+      match Xks_check.Topk.check_counts q with
+      | [] -> true
+      | v :: _ -> QCheck2.Test.fail_report (Xks_check.Invariant.to_string v))
+
 let tests =
   [
     Alcotest.test_case "topheap basics and thresholds" `Quick
@@ -202,4 +219,5 @@ let tests =
     Alcotest.test_case "bound collapses on exhausted keyword" `Quick
       test_bound_exhaustion;
     Helpers.qtest prop_topk_equals_prefix;
+    Helpers.qtest prop_topk_counts_every_emit;
   ]

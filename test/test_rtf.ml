@@ -67,6 +67,9 @@ let print_case (doc, ws) =
 
 let make_query doc ws = Query.make (Xks_index.Inverted.build doc) ws
 
+(* Also complete: every keyword node with an ELCA ancestor-or-self is
+   dispatched (and no other), each partition is strictly ascending, and
+   the RTFs come back in [lcas] order. *)
 let prop_partitions_disjoint_and_assigned_deepest =
   QCheck2.Test.make ~name:"dispatch: disjoint, deepest LCA ancestor"
     ~count:300 ~print:print_case gen_case (fun (doc, ws) ->
@@ -74,7 +77,24 @@ let prop_partitions_disjoint_and_assigned_deepest =
       let lcas = elcas q in
       let rtfs = Rtf.get_rtfs q lcas in
       let seen = Hashtbl.create 16 in
-      List.for_all
+      let ends = Tree.subtree_ends doc in
+      let under_some_lca kn =
+        List.exists (fun a -> a <= kn && kn <= ends.(a)) lcas
+      in
+      let ascending a =
+        let ok = ref true in
+        Array.iteri (fun i x -> if i > 0 && a.(i - 1) >= x then ok := false) a;
+        !ok
+      in
+      let dispatched =
+        List.sort Int.compare
+          (List.concat_map (fun rtf -> Array.to_list rtf.Rtf.knodes) rtfs)
+      in
+      List.map (fun rtf -> rtf.Rtf.lca) rtfs = lcas
+      && List.for_all (fun rtf -> ascending rtf.Rtf.knodes) rtfs
+      && dispatched
+         = List.filter under_some_lca (Array.to_list (Rtf.keyword_node_ids q))
+      && List.for_all
         (fun rtf ->
           Array.for_all
             (fun kn ->

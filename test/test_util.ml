@@ -18,6 +18,9 @@ let test_int_vec_basics () =
   Alcotest.(check int) "set" 7 (Int_vec.get v 0);
   Alcotest.(check int) "pop" 198 (Int_vec.pop v);
   Alcotest.(check int) "pop shrinks" 99 (Int_vec.length v);
+  Int_vec.truncate v 10;
+  Alcotest.(check int) "truncate" 10 (Int_vec.length v);
+  Alcotest.(check int) "truncate keeps the prefix" 18 (Int_vec.last v);
   Int_vec.clear v;
   Alcotest.(check int) "clear" 0 (Int_vec.length v)
 
@@ -28,7 +31,9 @@ let test_int_vec_bounds () =
   Alcotest.check_raises "last" (Invalid_argument "Int_vec.last: empty")
     (fun () -> ignore (Int_vec.last v));
   Alcotest.check_raises "pop" (Invalid_argument "Int_vec.pop: empty")
-    (fun () -> ignore (Int_vec.pop v))
+    (fun () -> ignore (Int_vec.pop v));
+  Alcotest.check_raises "truncate" (Invalid_argument "Int_vec.truncate")
+    (fun () -> Int_vec.truncate v 1)
 
 let test_int_vec_to_array_iter () =
   let v = Int_vec.create ~capacity:1 () in
@@ -53,6 +58,11 @@ let test_int_vec_sort_uniq () =
   List.iter (Int_vec.push v) [ 7; 7; 7; 7 ];
   Int_vec.sort_uniq v;
   Alcotest.(check (list int)) "all-equal input" [ 7 ]
+    (Array.to_list (Int_vec.to_array v));
+  Int_vec.clear v;
+  List.iter (Int_vec.push v) [ 1; 2; 2; 4; 9; 9 ];
+  Int_vec.sort_uniq v;
+  Alcotest.(check (list int)) "ascending input" [ 1; 2; 4; 9 ]
     (Array.to_list (Int_vec.to_array v))
 
 let prop_sort_uniq_matches_spec =
@@ -153,8 +163,6 @@ let test_bsearch_matches () =
 
 let test_bsearch_ranges () =
   let a = [| 2; 4; 6; 8 |] in
-  Alcotest.(check int) "count in range" 2 (Bsearch.count_in_range a ~lo:3 ~hi:7);
-  Alcotest.(check int) "empty range" 0 (Bsearch.count_in_range a ~lo:7 ~hi:3);
   Alcotest.(check (option int)) "first in range" (Some 4)
     (first_in_range a ~lo:3 ~hi:7);
   Alcotest.(check (option int)) "no first" None

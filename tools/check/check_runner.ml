@@ -144,7 +144,8 @@ let run_standard ~seed =
   bad := !bad + check_determinism "dblp-gen" idx workload;
   (* Ranked top-k must equal the k-prefix of full-enumeration-then-sort
      on every query — sequentially, cold/warm through the cache, and
-     from a pool (Xks_check.Topk). *)
+     from a pool — and every fragment the scan scores must carry its
+     RTF's tf and keyword nodes (Xks_check.Topk). *)
   bad :=
     !bad
     + report "publications"
@@ -163,7 +164,8 @@ let run_standard ~seed =
     Printf.printf
       "check: ok — %d queries audited (invariants, ELCA/SLCA differential, \
        node-info reference, Definition 4 post-conditions, jobs=%d batch \
-       determinism, top-k prefix equivalence, workload seed=%d)\n"
+       determinism, top-k prefix equivalence, top-k counts of every ELCA, \
+       workload seed=%d)\n"
       audited determinism_jobs seed
   else begin
     Printf.eprintf
