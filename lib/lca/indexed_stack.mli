@@ -20,46 +20,53 @@
 val is_elca :
   ?budget:Xks_robust.Budget.t ->
   Xks_xml.Tree.t ->
-  int array array -> int array -> int -> (int * int) list -> bool
-(** [is_elca doc postings cursors u child_ranges] is the pop-time
+  int array array -> int array -> int -> Xks_util.Int_vec.t -> int -> bool
+(** [is_elca doc postings cursors u kids first] is the pop-time
     witness check: does node [u]'s subtree hold, for every keyword, an
-    occurrence outside every full container strictly below [u]?
-    [child_ranges] are the preorder ranges of [u]'s already-determined
-    candidate children (most recent first) — they only accelerate the
-    probe scan; passing [[]] is correct but slower.  [cursors] is a
+    occurrence outside every full container strictly below [u]?  The
+    entries of [kids] from [first] on, read in place, are the ids of
+    [u]'s already-determined candidate children [c], each standing for
+    its range [(c, end c)]; they only accelerate the probe scan (an
+    empty slice is correct but slower).  [cursors] is a
     {!Probe.cursors} array the check reuses as scratch for its probes
     (any positions are correct; a scan passes the same array to every
-    pop so that each check starts near the last one).  Per keyword the
-    probes and their {!Probe.fc} validations gallop forward through
-    [u]'s range.  [budget] is ticked once per witness probe, so a
-    deadline interrupts even a root-sized scan. *)
+    pop so that each check starts near the last one).  [budget] is
+    ticked once per witness probe, so a deadline interrupts even a
+    root-sized scan. *)
 
 val scan :
   ?budget:Xks_robust.Budget.t ->
-  emit:(int -> (int * int) list -> unit) ->
+  emit:(int -> Xks_util.Int_vec.t -> int -> unit) ->
   stop:(unit -> bool) ->
   Xks_xml.Tree.t ->
   int array array ->
   int
 (** [scan ~emit ~stop doc postings] runs the scan and calls
-    [emit u passed] for each ELCA [u] as it pops: descendants before
-    ancestors, not in document order.  [passed] holds the disjoint
-    ranges [(v, end v)] of the maximal ELCAs strictly inside [u]: those
-    inside no other ELCA strictly inside [u]; they are in document
-    order.  It is empty iff [u] is an SLCA.  The scan derives it from
-    one stack of emitted ids: candidates pop in post-order, so the ELCAs
-    inside [u] are all emitted before [u], and the maximal ones are the
-    stack's top entries with id [>= u] when [u] is emitted; they are
-    popped into [passed] and [u] is pushed (the stack lives in a
-    {!Xks_util.Scratch} buffer).  [stop ()] is asked after each rarest-keyword occurrence while
-    work remains (more occurrences or open candidates), and after each
-    pop of the final drain while candidates remain open; once it
-    returns [true] the scan ends and calls neither callback again.
-    Returns the number of rarest-keyword occurrences processed: [0],
-    with nothing emitted, when some keyword has no occurrence or the
-    query is empty.  [budget] is ticked once per rarest-keyword
-    occurrence, once per pop and once per witness probe (via
-    {!is_elca}); the callbacks tick their own work.
+    [emit u passed first] for each ELCA [u] as it pops: descendants
+    before ancestors, not in document order.  The entries of [passed]
+    from [first] on are the maximal ELCAs strictly inside [u] (inside no
+    other ELCA strictly inside [u]), in document order, each standing
+    for its range [(v, end v)]; the slice is empty iff [u] is an SLCA.
+    [passed] is the scan's own stack of emitted ids, lent for the call:
+    [emit] must not modify it or keep it.  Candidates pop in post-order,
+    so the ELCAs inside [u] are all emitted before [u], and the maximal
+    ones are the stack's top entries with id [>= u]; after [emit] they
+    are dropped and [u] is pushed.  The open candidates, their candidate
+    children (one segmented stack) and the emitted ids live in
+    {!Xks_util.Scratch} buffers, so a rarest-keyword occurrence
+    allocates nothing.  The pop-time check is {!is_elca} minus the
+    rarest keyword: a candidate [u] is opened as [fc v] for a
+    rarest-keyword occurrence [v], which lies in [u]'s subtree and in no
+    full container strictly below [u] (that would be a deeper full
+    container of [v]), so [v] is a witness.  [stop ()] is asked after
+    each rarest-keyword occurrence while work remains (more occurrences
+    or open candidates), and after each pop of the final drain while
+    candidates remain open; once it returns [true] the scan ends and
+    calls neither callback again.  Returns the number of rarest-keyword
+    occurrences processed: [0], with nothing emitted, when some keyword
+    has no occurrence or the query is empty.  [budget] is ticked once
+    per rarest-keyword occurrence, once per pop and once per witness
+    probe of the other keywords; the callbacks tick their own work.
     @raise Xks_robust.Budget.Exhausted when the budget runs out. *)
 
 val elca :

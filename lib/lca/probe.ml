@@ -32,7 +32,14 @@ let fc doc postings cursors x =
     let n = Array.length p in
     if n = 0 then cur := -1
     else begin
-      let j = Bsearch.upper_bound_from p ~lo:cursors.(!i) x in
+      let c = cursors.(!i) in
+      let j =
+        if c < n && p.(c) <= x then
+          if c + 1 = n || p.(c + 1) > x then c + 1
+          else Bsearch.upper_bound_from p ~lo:c x
+        else if c = 0 || p.(c - 1) <= x then c
+        else Bsearch.upper_bound_from p ~lo:c x
+      in
       cursors.(!i) <- j;
       let l = if j > 0 then p.(j - 1) else -1 in
       let r = if j < n then p.(j) else max_int in

@@ -37,10 +37,11 @@ val fc : Xks_xml.Tree.t -> int array array -> int array -> int -> int
     [Bsearch.upper_bound postings.(i) x].  A scan that probes ascending
     nodes and carries one cursor array along pays
     [O(k log d + depth x)] per call, where [d] is the distance each
-    cursor moves: amortised over the scan, about one step per posting
-    entry passed over.  A cursor behind or ahead of the answer is still
-    correct ({!Xks_util.Bsearch.upper_bound_from}), at worst about two
-    binary searches.  Allocation-free. *)
+    cursor moves; a cursor already at the answer or one entry short
+    (the common case) is recognised inline, without a search.  A cursor
+    further behind or ahead is still correct
+    ({!Xks_util.Bsearch.upper_bound_from}), at worst about two binary
+    searches.  Allocation-free. *)
 
 val smallest_list_index : int array array -> int
 (** Index of the shortest posting list (ties broken by lower index).

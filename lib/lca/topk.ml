@@ -1,26 +1,28 @@
 (* Top-k ELCA retrieval with score-bounded early termination: a sink of
    [Indexed_stack.scan].
 
-   1. [emit u passed] scores each ELCA as it pops.  Its per-keyword term
-      frequency under the RTF dispatch semantics (every keyword
-      occurrence goes to the deepest emitted LCA containing it) is
+   1. [emit u passed first] scores each ELCA as it pops.  Its tf under
+      the RTF dispatch semantics (every keyword occurrence goes to the
+      deepest emitted LCA containing it) is
 
         tf_i = |posting_i ∩ range(u)| − Σ over passed |posting_i ∩ r|
 
-      exact because [passed] names the maximal ELCAs emitted inside [u],
-      and every ELCA inside [u] pops before it.  Both terms come from
-      the sweep's own state, with no search per passed range:
+      exact because [passed] (from [first] on) names the maximal ELCAs
+      emitted inside [u], and every ELCA inside [u] pops before it.
+      Both terms come from the sweep's own state, with no search per
+      passed range:
       - the ELCAs pop in post-order, so the subtree ends of emitted
         ELCAs never decrease, and [hi_i] (entries of posting i up to the
-        end of the last emitted ELCA) only gallops forward; the first
-        entry in [u]'s range is a gallop back from it;
+        end of the last emitted ELCA) only moves forward; the first
+        entry in [u]'s range is a step back from it.  Both usually stay
+        or move one entry, which is tested before galloping;
       - the ELCAs inside [u] were emitted as one run just before [u], so
         the second term is [consumed_i − base_i], where [consumed_i]
         counts the occurrences dispatched so far (item 2) and [base] is
         [consumed] when that run began.  A stack of [nk]-int frames
         mirrors the scan's stack of maximal emitted ELCAs: an emit pops
         one frame per passed range, and [u]'s run began with the
-        deepest of them (or now, when [passed = []]).
+        deepest of them (or now, when [passed] is empty).
       The budget is charged as when each keyword and passed range cost a
       search: [|passed|] per keyword, [nk × |passed|] per emit.
 
@@ -33,14 +35,19 @@
       fragment can enter the top k — strictness matters because score
       ties break toward the smaller LCA id, and ancestors (smaller
       preorder ids) pop late.  The scan asks after each driver
-      occurrence and after each drain pop.  The exit usually fires in
+      occurrence and after each drain pop; [avail] and the heap change
+      only in [emit], so the bound is evaluated at the first ask after
+      an emit, and the exit fires on the same ask.  It usually fires in
       the drain: popping the last container of a keyword drives its
       avail to zero and the bound to -inf, so no surviving ancestor (in
       particular the root, whose witness scan over its accumulated child
       ranges is the single most expensive pop) can still be an ELCA.
 
       [Topk_pruned_postings] records the total avail at exit time: the
-      keyword occurrences the exit freed us from ever dispatching. *)
+      keyword occurrences the exit freed us from ever dispatching.
+
+   3. The k winners' keyword nodes are merged from their posting ranges,
+      one tick per posting entry in the winner's range. *)
 
 module Tree = Xks_xml.Tree
 module Bsearch = Xks_util.Bsearch
@@ -72,8 +79,10 @@ let run ?budget ~k ~score ~bound doc postings =
   let early = ref false in
   (* Like [tf], [avail] is one scratch vector per run. *)
   let avail = Array.make nk 0 in
+  let emitted_since_bound = ref false in
   let stop () =
-    if Topheap.is_full heap then begin
+    if !emitted_since_bound && Topheap.is_full heap then begin
+      emitted_since_bound := false;
       (* xkscost: unticked k-bounded: one length/counter read per keyword *)
       for j = 0 to nk - 1 do
         avail.(j) <- Array.length postings.(j) - consumed.(j)
@@ -90,8 +99,8 @@ let run ?budget ~k ~score ~bound doc postings =
   in
   let scanned =
     Xks_util.Scratch.with_ints (fun bases ->
-        let emit u passed =
-          let p = List.length passed in
+        let emit u passed first =
+          let p = Int_vec.length passed - first in
           (* [u]'s frame replaces the [p] frames of its passed ranges and
              keeps the deepest one's base; with none, its run starts now. *)
           let frame =
@@ -101,56 +110,73 @@ let run ?budget ~k ~score ~bound doc postings =
               Int_vec.length bases - nk
             end
           in
+          let u_end = ends.(u) in
           for j = 0 to nk - 1 do
             (* A new frame starts at [consumed]; otherwise each passed
                range is charged as when it cost a search. *)
             if p = 0 then Int_vec.push bases consumed.(j)
             else Xks_robust.Budget.tick_opt budget p;
             let posting = postings.(j) in
-            let h = Bsearch.upper_bound_from posting ~lo:hi.(j) ends.(u) in
+            let n = Array.length posting in
+            let at = hi.(j) in
+            let h =
+              if at = n || posting.(at) > u_end then at
+              else if at + 1 = n || posting.(at + 1) > u_end then at + 1
+              else Bsearch.upper_bound_from posting ~lo:at u_end
+            in
             hi.(j) <- h;
-            let lo = Bsearch.upper_bound_back posting ~hi:h (u - 1) in
+            let lo =
+              if h = 0 || posting.(h - 1) < u then h
+              else if h = 1 || posting.(h - 2) < u then h - 1
+              else Bsearch.upper_bound_back posting ~hi:h (u - 1)
+            in
             let c = h - lo - (consumed.(j) - Int_vec.get bases (frame + j)) in
             tf.(j) <- c;
             consumed.(j) <- consumed.(j) + c
           done;
+          emitted_since_bound := true;
           let s = score ~lca:u ~tf in
           if Topheap.admits heap ~score:s ~id:u then
-            ignore
-              (Topheap.insert heap ~score:s ~id:u (Array.copy tf, passed)
-                : bool)
+            let inner = Array.init p (fun i -> Int_vec.get passed (first + i)) in
+            ignore (Topheap.insert heap ~score:s ~id:u (Array.copy tf, inner) : bool)
         in
         Indexed_stack.scan ?budget ~emit ~stop doc postings)
   in
-  (* Materialise keyword nodes only for the k winners: posting entries
-     in the winner's range minus its emitted-descendant ranges, merged
-     and deduplicated.  The passed ranges are disjoint and in document
-     order, so each posting is filtered in a single merge sweep
-     (postings are ascending). *)
-  let knodes_of lca_id passed =
+  (* The posting entries in a winner's range outside its passed ranges
+     (disjoint, in document order), merged: each step takes the smallest
+     head, so a node in several lists is met in consecutive steps. *)
+  let knodes_of u passed =
+    (* xkscost: unticked k-bounded: one binary search per keyword list *)
+    let cur = Array.map (fun posting -> Bsearch.lower_bound posting u) postings in
+    (* xkscost: unticked k-bounded: one binary search per keyword list *)
+    let last = Array.map (fun posting -> Bsearch.upper_bound posting ends.(u)) postings in
+    let r = ref 0 and np = Array.length passed in
     Xks_util.Scratch.with_ints (fun out ->
-        Array.iter
-          (fun posting ->
-            let lo = Bsearch.lower_bound posting lca_id in
-            let hi = Bsearch.upper_bound posting ends.(lca_id) in
-            let remaining = ref passed in
-            for j = lo to hi - 1 do
-              (* One posting entry per iteration: ticked so
-                 materialising a huge winner subtree is interruptible. *)
-              Xks_robust.Budget.tick_opt budget 1;
-              let id = posting.(j) in
-              (* xkscost: unticked monotone prefix skip over the sorted passed ranges; the enclosing for loop ticks per posting entry *)
-              let rec advance = function
-                | (_, b) :: rest when b < id -> advance rest
-                | l -> l
-              in
-              remaining := advance !remaining;
-              match !remaining with
-              | (a, _) :: _ when id >= a -> ()
-              | (_, _) :: _ | [] -> Int_vec.push out id
-            done)
-          postings;
-        Int_vec.sort_uniq out;
+        let prev = ref (-1) and m = ref 0 in
+        while !m >= 0 do
+          let x = ref max_int in
+          m := -1;
+          (* xkscost: unticked k-bounded: one head read per keyword list *)
+          for j = 0 to nk - 1 do
+            if cur.(j) < last.(j) && postings.(j).(cur.(j)) < !x then begin
+              m := j;
+              x := postings.(j).(cur.(j))
+            end
+          done;
+          if !m >= 0 then begin
+            (* One posting entry per step: ticked so materialising a
+               huge winner subtree is interruptible. *)
+            Xks_robust.Budget.tick_opt budget 1;
+            cur.(!m) <- cur.(!m) + 1;
+            (* xkscost: unticked amortised: the passed cursor only moves forward over the winner's disjoint passed ranges, under the merge's per-entry ticks *)
+            while !r < np && ends.(passed.(!r)) < !x do
+              incr r
+            done;
+            if !x <> !prev && not (!r < np && passed.(!r) <= !x) then
+              Int_vec.push out !x;
+            prev := !x
+          end
+        done;
         Int_vec.to_array out)
   in
   let top =

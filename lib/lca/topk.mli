@@ -5,19 +5,21 @@
     (each keyword occurrence belongs to the deepest emitted LCA
     containing it: the ELCA's range minus its [passed] ranges), and
     keeps the best k in a {!Xks_util.Topheap}.  The counts come from
-    posting cursors that only gallop forward (emitted ELCAs end in
-    nondecreasing order) and from a running total of the occurrences
-    already dispatched inside the ELCA, so an emit costs two gallops per
-    keyword whatever the number of its [passed] ranges.  Its [stop] ends the
-    scan once the heap is full and an upper bound over the
+    posting cursors that only move forward (emitted ELCAs end in
+    nondecreasing order; a step of zero or one entry is tested before
+    galloping) and from a running total of the occurrences already
+    dispatched inside the ELCA, so an emit costs two cursor moves per
+    keyword whatever the number of its [passed] ranges.  Its [stop] ends
+    the scan once the heap is full and an upper bound over the
     still-unconsumed keyword occurrences is strictly below the heap's
     minimum score: the knodes of distinct RTFs partition keyword
     occurrences, so [avail_i = df_i − Σ emitted tf_i] caps any future
     fragment's tf, and [bound] (monotone in each component) caps its
-    score.  Keyword nodes are materialised for the k winners only.  The
-    surviving candidates are exactly the k best fragments of the full
-    enumeration under (score desc, LCA id asc) — {!Xks_check} pins the
-    equivalence.
+    score; only an emit moves either side, so [bound] is called at the
+    first ask after each emit.  Keyword nodes are merged, one cursor per
+    posting list, for the k winners only.  The surviving candidates are
+    exactly the k best fragments of the full enumeration under (score
+    desc, LCA id asc) — {!Xks_check} pins the equivalence.
 
     The scoring callbacks live with the caller ({!Xks_core.Rank}); this
     module only promises to call them with exact RTF term frequencies

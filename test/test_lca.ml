@@ -125,6 +125,43 @@ let test_fc_allocation () =
         Alcotest.failf "Probe.fc allocates %.2f minor words per call (> 0)"
           per_call
 
+(* The scan's allocation contract: its state lives in scratch buffers,
+   so a driver occurrence allocates nothing and only the per-scan set-up
+   remains, shared by every occurrence.  Measured on xmark1's df-head
+   pairs, where the scan opens and pops thousands of candidates. *)
+let test_scan_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+      let idx =
+        Xks_index.Inverted.build
+          (Xks_datagen.Xmark_gen.generate
+             ~config:{ Xks_datagen.Xmark_gen.default_config with items = 200 }
+             Xks_datagen.Xmark_gen.Data1)
+      in
+      let queries =
+        List.map
+          (fun pair ->
+            Xks_core.Query.make ~order:`Rarest idx (String.split_on_char ' ' pair))
+          [ "auction bidder"; "item increase"; "reserve price"; "ship description";
+            "will antique"; "description price"; "cash listing"; "bidder item";
+            "order price" ]
+      in
+      let scan (q : Xks_core.Query.t) =
+        Indexed_stack.scan ~emit:(fun _ _ _ -> ()) ~stop:(fun () -> false) q.doc
+          q.postings
+      in
+      (* The first scans size the scratch buffers. *)
+      List.iter (fun q -> ignore (scan q : int)) queries;
+      let before = Gc.minor_words () in
+      let occurrences = List.fold_left (fun n q -> n + scan q) 0 queries in
+      let per = (Gc.minor_words () -. before) /. float_of_int occurrences in
+      if per >= 1.0 then
+        Alcotest.failf
+          "Indexed_stack.scan allocates %.2f minor words per driver occurrence \
+           (bound 1)"
+          per
+
 let test_probe_ancestor_at () =
   let doc, _ = doc_and_postings nested_xml [ "w1" ] in
   let n = Helpers.id_at doc "0.0.1" in
@@ -182,9 +219,17 @@ let prop_elca_stack_agrees =
 (* [Indexed_stack.scan]'s sink contract, on which Topk's tf counts and
    knodes rest: every ELCA is emitted once, with [passed] the ranges of
    the maximal ELCAs strictly inside it (empty exactly for SLCAs). *)
+let passed_ranges doc passed first =
+  let ends = Tree.subtree_ends doc in
+  List.init (Xks_util.Int_vec.length passed - first) (fun i ->
+      let v = Xks_util.Int_vec.get passed (first + i) in
+      (v, ends.(v)))
+
 let record_scan ~stop doc ps =
   let emitted = ref [] in
-  let emit u passed = emitted := (u, passed) :: !emitted in
+  let emit u passed first =
+    emitted := (u, passed_ranges doc passed first) :: !emitted
+  in
   let scanned = Indexed_stack.scan ~emit ~stop doc ps in
   (List.rev !emitted, scanned)
 
@@ -230,9 +275,9 @@ let prop_scan_stop =
         !asked = n
       in
       let emitted = ref [] in
-      let emit u passed =
+      let emit u passed first =
         if !asked >= n then incr late_calls;
-        emitted := (u, passed) :: !emitted
+        emitted := (u, passed_ranges doc passed first) :: !emitted
       in
       let scanned = Indexed_stack.scan ~emit ~stop doc ps in
       let rec is_prefix = function
@@ -275,8 +320,11 @@ let prop_fc_is_deepest_full_container =
       let ps = Helpers.postings_for doc q in
       let fcs = Naive.full_containers doc ps in
       (* One cursor array carried along the preorder fold (the scans'
-         use) and fresh cursors per call must both find it. *)
-      let carried = Probe.cursors ps in
+         use), fresh cursors per call and cursors scattered at random
+         before every call (right, one entry short, further behind or
+         ahead) must all find it. *)
+      let carried = Probe.cursors ps and scattered = Probe.cursors ps in
+      let rng = Random.State.make [| Tree.size doc; Hashtbl.hash q |] in
       List.for_all
         (fun n ->
           let expected =
@@ -289,7 +337,11 @@ let prop_fc_is_deepest_full_container =
             |> List.fold_left (fun _ f -> Some f) None
           in
           let fresh = Probe.fc doc ps (Probe.cursors ps) n in
+          Array.iteri
+            (fun i p -> scattered.(i) <- Random.State.int rng (Array.length p + 1))
+            ps;
           fresh = Probe.fc doc ps carried n
+          && fresh = Probe.fc doc ps scattered n
           &&
           match (fresh, expected) with
           | -1, None -> true
@@ -359,6 +411,8 @@ let tests =
     Alcotest.test_case "fc probe" `Quick test_probe_fc;
     Alcotest.test_case "fc edge cases" `Quick test_fc_edges;
     Alcotest.test_case "fc allocates only its result" `Quick test_fc_allocation;
+    Alcotest.test_case "scan allocates under a word per driver occurrence" `Quick
+      test_scan_allocation;
     Alcotest.test_case "ancestor_at" `Quick test_probe_ancestor_at;
     Alcotest.test_case "smallest list index" `Quick test_smallest_list;
     Helpers.qtest prop_elca_implementations_agree;

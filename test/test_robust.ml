@@ -208,7 +208,7 @@ let test_budget_interrupts_elca_witness () =
   let b = Budget.create ~max_nodes:0 () in
   match
     Xks_lca.Indexed_stack.is_elca ~budget:b doc ps (Xks_lca.Probe.cursors ps) 0
-      []
+      (Xks_util.Int_vec.create ()) 0
   with
   | exception Budget.Exhausted Budget.Node_budget -> ()
   | _ -> Alcotest.fail "witness probe ran past the node budget"

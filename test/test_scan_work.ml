@@ -61,47 +61,47 @@ let check_rows generate rows () =
 let dblp_rows =
   [
     ("keyword similarity",
-     "1 8 1/1 | full 5 0 1 74 | 0");
+     "1 7 1/1 | full 5 0 1 73 | 0");
     ("keyword recognition",
-     "1 8 1/1 | full 5 0 1 332 | 0");
+     "1 7 1/1 | full 5 0 1 331 | 0");
     ("keyword algorithm",
-     "2 11 2/2 | full 5 0 2 710 | 0 30654");
+     "2 9 2/2 | full 5 0 2 708 | 0 30654");
     ("data query",
-     "23 247 23/23 | full 178 0 23 1717 | 0 2700 4990 7133 13633 17449 19764 21705 26044 26942");
+     "23 224 23/23 | full 178 0 23 1694 | 0 2700 4990 7133 13633 17449 19764 21705 26044 26942");
     ("data recognition probabilistic xml",
-     "1 110 1/1 | full 105 0 1 1878 | 0");
+     "1 109 1/1 | full 105 0 1 1877 | 0");
     ("algorithm dynamic sigmod tree",
-     "1 180 1/1 | full 175 0 1 1602 | 0");
+     "1 179 1/1 | full 175 0 1 1601 | 0");
     ("tree query pattern similarity",
-     "1 66 1/1 | full 61 0 1 800 | 0");
+     "1 65 1/1 | full 61 0 1 799 | 0");
     ("xml tree automata algorithm",
-     "1 110 1/1 | full 105 0 1 1246 | 0");
+     "1 109 1/1 | full 105 0 1 1245 | 0");
     ("dynamic probabilistic efficient",
-     "1 118 1/1 | full 114 0 1 1000 | 0");
+     "1 117 1/1 | full 114 0 1 999 | 0");
     ("dynamic probabilistic efficient retrieval",
-     "1 119 1/1 | full 114 0 1 1255 | 0");
+     "1 118 1/1 | full 114 0 1 1254 | 0");
     ("xml keyword retrieval algorithm",
-     "1 10 1/1 | full 5 0 1 1064 | 0");
+     "1 9 1/1 | full 5 0 1 1063 | 0");
     ("automata similarity searching",
-     "1 65 1/1 | full 61 0 1 522 | 0");
+     "1 64 1/1 | full 61 0 1 521 | 0");
     ("xml efficient tree data recognition",
-     "1 111 1/1 | full 105 0 1 2349 | 0");
+     "1 110 1/1 | full 105 0 1 2348 | 0");
     ("xml data keyword retrieval algorithm",
-     "1 11 1/1 | full 5 0 1 2295 | 0");
+     "1 10 1/1 | full 5 0 1 2294 | 0");
     ("xml algorithm dynamic pattern",
-     "1 110 1/1 | full 105 0 1 1584 | 0");
+     "1 109 1/1 | full 105 0 1 1583 | 0");
     ("vldb efficient xml data keyword retrieval",
-     "1 12 1/1 | full 5 0 1 2130 | 0");
+     "1 11 1/1 | full 5 0 1 2129 | 0");
     ("automata similarity henry searching",
-     "1 66 1/1 | full 61 0 1 589 | 0");
+     "1 65 1/1 | full 61 0 1 588 | 0");
     ("keyword probabilistic sigmod",
-     "1 9 1/1 | full 5 0 1 326 | 0");
+     "1 8 1/1 | full 5 0 1 325 | 0");
     ("keyword searching semantics similarity efficient",
-     "1 11 1/1 | full 5 0 1 899 | 0");
+     "1 10 1/1 | full 5 0 1 898 | 0");
     ("data xml",
-     "14 147 14/14 | full 105 0 14 1526 | 0 6486 13246 23806 25008 25554 36413 38608 43790 43822");
+     "14 133 14/14 | full 105 0 14 1512 | 0 6486 13246 23806 25008 25554 36413 38608 43790 43822");
     ("database system",
-     "59 264 59/59 | full 87 0 59 8227 | 0 5491 5959 6815 9585 12657 13280 15436 15450 16158");
+     "59 205 59/59 | full 87 0 59 8168 | 0 5491 5959 6815 9585 12657 13280 15436 15450 16158");
     ("search keyword",
      "0 0 0/0 | full 0 0 0 0 | ");
   ]
@@ -109,69 +109,69 @@ let dblp_rows =
 let xmark1_rows =
   [
     ("particle threshold",
-     "2 8 2/2 | full 2 0 2 16 | 5403 2");
+     "2 6 2/2 | full 2 0 2 14 | 5403 2");
     ("particle dominator",
-     "2 8 2/2 | full 2 0 2 13 | 2 5403");
+     "2 6 2/2 | full 2 0 2 11 | 2 5403");
     ("particle preventions",
-     "2 8 2/2 | full 2 0 2 12 | 4086 7804");
+     "2 6 2/2 | full 2 0 2 10 | 4086 7804");
     ("chronicle method",
-     "9 90 9/9 | full 63 0 9 235 | 50950 32949 68264 2 10804 21606 16205 27007 5403");
+     "9 81 9/9 | full 63 0 9 226 | 50950 32949 68264 2 10804 21606 16205 27007 5403");
     ("description order",
-     "366 2670 366/366 | full 1566 0 366 6634 | 32949 50950 68264 16205 2 5403 27007 21606 10804 108");
+     "366 2299 366/366 | full 1566 0 366 6263 | 32949 50950 68264 16205 2 5403 27007 21606 10804 108");
     ("preventions description",
-     "1149 5037 1149/1149 | full 1566 0 1149 14393 | 32949 68264 50950 16205 10804 27007 2 5403 21606 27");
+     "1149 3866 1149/1149 | full 1566 0 1149 13222 | 32949 68264 50950 16205 10804 27007 2 5403 21606 27");
     ("threshold chronicle method",
-     "8 52 8/8 | full 20 0 8 208 | 32949 10804 2 5403 50950 68264 21606 27007");
+     "8 44 8/8 | full 20 0 8 200 | 32949 10804 2 5403 50950 68264 21606 27007");
     ("chronicle method strings",
-     "9 99 9/9 | full 63 0 9 336 | 32949 50950 68264 2 10804 21606 27007 16205 5403");
+     "9 90 9/9 | full 63 0 9 327 | 32949 50950 68264 2 10804 21606 27007 16205 5403");
     ("invention leon egypt",
-     "9 268 9/9 | full 232 0 9 1134 | 32949 50950 68264 5403 21606 10804 2 27007 16205");
+     "9 259 9/9 | full 232 0 9 1125 | 32949 50950 68264 5403 21606 10804 2 27007 16205");
     ("strings description chronicle",
-     "9 99 9/9 | full 63 0 9 1820 | 32949 50950 68264 10804 2 27007 16205 21606 5403");
+     "9 90 9/9 | full 63 0 9 1811 | 32949 50950 68264 10804 2 27007 16205 21606 5403");
     ("preventions description order",
-     "262 2616 262/262 | full 1566 0 262 12134 | 32949 50950 68264 16205 2 10804 21606 27007 5403 108");
+     "262 2353 262/262 | full 1566 0 262 11871 | 32949 50950 68264 16205 2 10804 21606 27007 5403 108");
     ("particle threshold chronicle method",
-     "2 12 2/2 | full 2 0 2 43 | 2 5403");
+     "2 10 2/2 | full 2 0 2 41 | 2 5403");
     ("chronicle method strings unjust",
-     "9 108 9/9 | full 63 0 9 496 | 32949 50950 68264 2 10804 21606 27007 16205 5403");
+     "9 99 9/9 | full 63 0 9 487 | 32949 50950 68264 2 10804 21606 27007 16205 5403");
     ("strings unjust invention leon",
-     "9 137 9/9 | full 92 0 9 986 | 32949 50950 68264 27007 10804 2 21606 16205 5403");
+     "9 128 9/9 | full 92 0 9 977 | 32949 50950 68264 27007 10804 2 21606 16205 5403");
     ("invention particle dominator method",
-     "2 12 2/2 | full 2 0 2 79 | 2 5403");
+     "2 10 2/2 | full 2 0 2 77 | 2 5403");
     ("preventions description order invention",
-     "19 328 19/19 | full 232 0 19 9360 | 32949 50950 68264 5403 2 21606 10804 16205 27007 10558");
+     "19 308 19/19 | full 232 0 19 9340 | 32949 50950 68264 5403 2 21606 10804 16205 27007 10558");
     ("threshold chronicle method strings unjust",
-     "8 68 8/8 | full 20 0 8 455 | 32949 10804 2 50950 68264 5403 21606 27007");
+     "8 60 8/8 | full 20 0 8 447 | 32949 10804 2 50950 68264 5403 21606 27007");
     ("invention leon egypt strings description",
-     "9 146 9/9 | full 92 0 9 2670 | 32949 50950 68264 27007 10804 2 21606 16205 5403");
+     "9 137 9/9 | full 92 0 9 2661 | 32949 50950 68264 27007 10804 2 21606 16205 5403");
     ("particle threshold chronicle method strings",
-     "2 14 2/2 | full 2 0 2 54 | 2 5403");
+     "2 12 2/2 | full 2 0 2 52 | 2 5403");
     ("particle threshold chronicle method dominator",
-     "2 14 2/2 | full 2 0 2 48 | 2 5403");
+     "2 12 2/2 | full 2 0 2 46 | 2 5403");
     ("particle threshold chronicle method preventions",
-     "2 14 2/2 | full 2 0 2 931 | 2 5403");
+     "2 12 2/2 | full 2 0 2 929 | 2 5403");
     ("particle threshold chronicle dominator preventions",
-     "2 14 2/2 | full 2 0 2 922 | 2 5403");
+     "2 12 2/2 | full 2 0 2 920 | 2 5403");
     ("particle threshold chronicle dominator preventions egypt",
-     "2 16 2/2 | full 2 0 2 962 | 2 5403");
+     "2 14 2/2 | full 2 0 2 960 | 2 5403");
     ("particle threshold chronicle method preventions egypt",
-     "2 16 2/2 | full 2 0 2 971 | 2 5403");
+     "2 14 2/2 | full 2 0 2 969 | 2 5403");
     ("dominator threshold chronicle method preventions order",
-     "4 36 4/4 | full 8 0 4 4169 | 32949 2 50950 5403");
+     "4 32 4/4 | full 8 0 4 4165 | 32949 2 50950 5403");
     ("auction bidder",
-     "5707 26756 6000/6000 | exit 8346 1131 5999 44920 | 32949 5403 27007 16205 2 10804 21606 32408 51045 51161");
+     "5707 20666 6000/6000 | exit 8346 1131 5999 38831 | 32949 5403 27007 16205 2 10804 21606 32408 51045 51161");
     ("item increase",
-     "1200 6571 1200/1200 | exit 2971 5492 1199 6628 | 51045 51161 51223 51732 51950 52230 52438 52457 52527 52546");
+     "1200 5371 1200/1200 | exit 2971 5492 1199 5429 | 51045 51161 51223 51732 51950 52230 52438 52457 52527 52546");
     ("reserve price",
-     "289 2576 300/300 | exit 1477 767 299 4686 | 32949 50950 21606 27007 5403 16205 2 10804 32408 234");
+     "289 2271 300/300 | exit 1477 767 299 4382 | 32949 50950 21606 27007 5403 16205 2 10804 32408 234");
     ("ship description",
-     "396 2786 397/397 | exit 752 815 396 5269 | 2 5403 21606 16205 10804 27007 129 246 300 390");
+     "396 2366 397/397 | exit 752 815 396 4864 | 2 5403 21606 16205 10804 27007 129 246 300 390");
     ("will antique",
-     "259 1857 260/260 | exit 554 488 259 4195 | 10804 21606 5403 16205 2 27007 3684 4386 9031 15629");
+     "259 1573 260/260 | exit 554 488 259 3927 | 10804 21606 5403 16205 2 27007 3684 4386 9031 15629");
     ("description price",
-     "347 2810 363/363 | exit 1472 746 361 4696 | 32949 50950 21606 27007 16205 5403 2 10804 1431 3168");
+     "347 2440 363/363 | exit 1472 746 361 4335 | 32949 50950 21606 27007 16205 5403 2 10804 1431 3168");
     ("cash listing",
-     "393 2647 394/394 | exit 765 672 393 5318 | 16205 10804 2 21606 27007 5403 2145 12182 21670 24541");
+     "393 2234 394/394 | exit 765 672 393 4918 | 16205 10804 2 21606 27007 5403 2145 12182 21670 24541");
   ]
 
 let tests =

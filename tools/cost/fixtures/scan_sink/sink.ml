@@ -8,7 +8,7 @@ let hits doc postings =
   let total = ref 0 in
   ignore
     (Indexed_stack.scan
-       ~emit:(fun u _ -> total := !total + Array.length postings.(u))
+       ~emit:(fun u _ _ -> total := !total + Array.length postings.(u))
        ~stop:(fun () -> false)
        doc postings);
   !total
