@@ -13,9 +13,8 @@
       passed range:
       - the ELCAs pop in post-order, so the subtree ends of emitted
         ELCAs never decrease, and [hi_i] (entries of posting i up to the
-        end of the last emitted ELCA) only moves forward; the first
-        entry in [u]'s range is a step back from it.  Both usually stay
-        or move one entry, which is tested before galloping;
+        end of the last emitted ELCA) only gallops forward; the first
+        entry in [u]'s range is a gallop back from it;
       - the ELCAs inside [u] were emitted as one run just before [u], so
         the second term is [consumed_i − base_i], where [consumed_i]
         counts the occurrences dispatched so far (item 2) and [base] is
@@ -110,26 +109,15 @@ let run ?budget ~k ~score ~bound doc postings =
               Int_vec.length bases - nk
             end
           in
-          let u_end = ends.(u) in
           for j = 0 to nk - 1 do
             (* A new frame starts at [consumed]; otherwise each passed
                range is charged as when it cost a search. *)
             if p = 0 then Int_vec.push bases consumed.(j)
             else Xks_robust.Budget.tick_opt budget p;
             let posting = postings.(j) in
-            let n = Array.length posting in
-            let at = hi.(j) in
-            let h =
-              if at = n || posting.(at) > u_end then at
-              else if at + 1 = n || posting.(at + 1) > u_end then at + 1
-              else Bsearch.upper_bound_from posting ~lo:at u_end
-            in
+            let h = Bsearch.upper_bound_from posting ~lo:hi.(j) ends.(u) in
             hi.(j) <- h;
-            let lo =
-              if h = 0 || posting.(h - 1) < u then h
-              else if h = 1 || posting.(h - 2) < u then h - 1
-              else Bsearch.upper_bound_back posting ~hi:h (u - 1)
-            in
+            let lo = Bsearch.upper_bound_back posting ~hi:h (u - 1) in
             let c = h - lo - (consumed.(j) - Int_vec.get bases (frame + j)) in
             tf.(j) <- c;
             consumed.(j) <- consumed.(j) + c

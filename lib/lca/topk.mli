@@ -5,10 +5,9 @@
     (each keyword occurrence belongs to the deepest emitted LCA
     containing it: the ELCA's range minus its [passed] ranges), and
     keeps the best k in a {!Xks_util.Topheap}.  The counts come from
-    posting cursors that only move forward (emitted ELCAs end in
-    nondecreasing order; a step of zero or one entry is tested before
-    galloping) and from a running total of the occurrences already
-    dispatched inside the ELCA, so an emit costs two cursor moves per
+    posting cursors that only gallop forward (emitted ELCAs end in
+    nondecreasing order) and from a running total of the occurrences
+    already dispatched inside the ELCA, so an emit costs two gallops per
     keyword whatever the number of its [passed] ranges.  Its [stop] ends
     the scan once the heap is full and an upper bound over the
     still-unconsumed keyword occurrences is strictly below the heap's

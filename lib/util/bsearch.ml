@@ -1,7 +1,10 @@
 (* Every search is pinned to [int]: a polymorphic [<] on array elements
    compiles to a [compare_val] call per probe, and these run once per
    posting probe on the query path.  [dune runtest] checks the object
-   file for such calls (see test/dune). *)
+   file for such calls (see test/dune).  The gallops clamp with
+   [Int.min]/[Int.max]: [Stdlib.min]/[max] are polymorphic, so each
+   clamp would be a call into the runtime's comparison, one the object
+   check cannot see (it sits inside Stdlib). *)
 
 let lower_bound (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
@@ -28,7 +31,7 @@ let upper_bound_back (a : int array) ~hi (x : int) =
   while !step <= hi && a.(hi - !step) > x do
     step := 2 * !step
   done;
-  let lo = ref (max 0 (hi - !step + 1)) and up = ref (hi - (!step / 2)) in
+  let lo = ref (Int.max 0 (hi - !step + 1)) and up = ref (hi - (!step / 2)) in
   while !lo < !up do
     let mid = (!lo + !up) / 2 in
     if a.(mid) <= x then lo := mid + 1 else up := mid
@@ -47,7 +50,7 @@ let upper_bound_from (a : int array) ~lo (x : int) =
     while lo + !step - 1 < n && a.(lo + !step - 1) <= x do
       step := 2 * !step
     done;
-    let l = ref (lo + (!step / 2)) and h = ref (min n (lo + !step - 1)) in
+    let l = ref (lo + (!step / 2)) and h = ref (Int.min n (lo + !step - 1)) in
     while !l < !h do
       let mid = (!l + !h) / 2 in
       if a.(mid) <= x then l := mid + 1 else h := mid
