@@ -33,7 +33,7 @@ type sets = {
 
 let room a n =
   if n < Array.length a then a
-  else Array.append a (Array.make (max 8 (Array.length a)) Cid.empty)
+  else Array.append a (Array.make (Int.max 8 (Array.length a)) Cid.empty)
 
 let slot s =
   s.open_sets <- room s.open_sets s.slots;
@@ -233,7 +233,7 @@ let label_groups info =
           (fun firsts (c : info) ->
             let l = c.label in
             if l >= Array.length !slots then begin
-              let grown = Array.make (max (l + 1) (2 * Array.length !slots)) [] in
+              let grown = Array.make (Int.max (l + 1) (2 * Array.length !slots)) [] in
               Array.blit !slots 0 grown 0 (Array.length !slots);
               slots := grown
             end;

@@ -11,7 +11,7 @@ let score (q : Query.t) (rtf : Rtf.t) frag =
       0 rtf.knodes
   in
   let density =
-    float_of_int knode_count /. float_of_int (max 1 (Fragment.size frag))
+    float_of_int knode_count /. float_of_int (Int.max 1 (Fragment.size frag))
   in
   let coverage = log (1.0 +. float_of_int knode_count) in
   (1.0 +. depth) *. density *. (1.0 +. coverage)

@@ -11,7 +11,7 @@ type t = { lca : int; knodes : int array }
 let merge_postings ?budget (q : Query.t) out =
   let postings = q.postings in
   let k = Array.length postings in
-  let heads = Array.make (max 1 k) 0 in
+  let heads = Array.make (Int.max 1 k) 0 in
   let exhausted = ref false in
   let last = ref min_int in
   while not !exhausted do

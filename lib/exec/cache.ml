@@ -34,6 +34,7 @@
 module Engine = Xks_core.Engine
 module Fragment = Xks_core.Fragment
 module Trace = Xks_trace.Trace
+module Tokenizer = Xks_xml.Tokenizer
 
 type key = {
   engine_id : int;
@@ -42,6 +43,7 @@ type key = {
   rank : string;
   k : int;  (* 0 = unlimited (no top-k truncation) *)
   budget_class : string;
+  hash : int;  (* of the six fields above, computed once by [key] *)
 }
 
 let algorithm_name = function
@@ -57,24 +59,40 @@ let rank_name = function
 let unbudgeted = "unbudgeted"
 
 let key ~engine ~algorithm ?(rank = `Heuristic) ?k ~budget_class ws =
-  let words =
-    List.concat_map
-      (Xks_xml.Tokenizer.words ~keep_stopwords:true)
-      ws
-    |> List.sort_uniq String.compare
-  in
+  let acc = ref [] in
+  let add w = acc := w :: !acc in
+  List.iter (Tokenizer.iter_words ~keep_stopwords:true add) ws;
+  let words = List.sort_uniq String.compare !acc in
   match words with
   | [] -> None
   | _ :: _ ->
-      Some
-        {
-          engine_id = Engine.id engine;
-          words;
-          algorithm = algorithm_name algorithm;
-          rank = rank_name rank;
-          k = (match k with None -> 0 | Some k -> k);
-          budget_class;
-        }
+      let engine_id = Engine.id engine
+      and algorithm = algorithm_name algorithm
+      and rank = rank_name rank
+      and k = match k with None -> 0 | Some k -> k in
+      (* A six-field tuple is the same block as a record of the six key
+         fields, so this is the hash a key hashed before it carried one:
+         every key keeps its shard and its bucket. *)
+      let hash =
+        Hashtbl.hash (engine_id, words, algorithm, rank, k, budget_class)
+      in
+      Some { engine_id; words; algorithm; rank; k; budget_class; hash }
+
+(* Keys are hashed once, by [key], and compared field by field. *)
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    Int.equal a.hash b.hash
+    && Int.equal a.engine_id b.engine_id
+    && Int.equal a.k b.k
+    && List.equal String.equal a.words b.words
+    && String.equal a.algorithm b.algorithm
+    && String.equal a.rank b.rank
+    && String.equal a.budget_class b.budget_class
+
+  let hash k = k.hash
+end)
 
 type node = {
   nkey : key;
@@ -89,7 +107,7 @@ type shard = {
   idx : int;
   lock : Rwlock.t;
   capacity : int;
-  table : (key, node) Hashtbl.t;  (* xksrace: guarded_by lock *)
+  table : node Table.t;  (* xksrace: guarded_by lock *)
   mutable bytes : int;  (* xksrace: guarded_by lock *)
 }
 
@@ -117,7 +135,7 @@ let create ?(shards = 8) ?instrument ~max_bytes () =
           {
             idx;
             lock = Rwlock.create ();
-            table = Hashtbl.create 64;
+            table = Table.create 64;
             bytes = 0;
             capacity;
           });
@@ -130,7 +148,7 @@ let create ?(shards = 8) ?instrument ~max_bytes () =
   }
 
 let shard_count t = Array.length t.shards
-let shard_index t k = Hashtbl.hash k land t.mask
+let shard_index t k = k.hash land t.mask
 let shard_of t k = t.shards.(shard_index t k)
 
 let observe t s a =
@@ -153,23 +171,35 @@ let cost_of (r : Engine.search_result) =
 
 (* The instrument hook is arbitrary user code: it may raise (the fault
    suite's hooks do, deliberately).  Every [observe] inside a lock
-   section therefore runs under the same protection as the section
-   body — including the unlock-side observe, which must not be able to
-   skip the unlock itself.  The release event is journalled before the
+   section therefore runs where a raise still releases the latch —
+   including the unlock-side observe, which must not be able to skip
+   the unlock itself.  The release event is journalled before the
    actual unlock so replay never sees a write overlapping a section
    that was still read-held. *)
+
+(* Journal the release of [s]'s read section, then release its latch
+   [lock] (that is, [s.lock]), also when the hook raises. *)
+(* xksleak: releases lock *)
+let read_release t s lock =
+  match observe t s Runlock with
+  | () -> Rwlock.read_unlock lock
+  | exception e ->
+      Rwlock.read_unlock lock;
+      raise e
 
 (* xksrace: locks lock *)
 let read_locked t s f =
   Rwlock.read_lock s.lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Fun.protect
-        ~finally:(fun () -> Rwlock.read_unlock s.lock)
-        (fun () -> observe t s Runlock))
-    (fun () ->
-      observe t s Rlock;
-      f ())
+  match
+    observe t s Rlock;
+    f ()
+  with
+  | r ->
+      read_release t s s.lock;
+      r
+  | exception e ->
+      read_release t s s.lock;
+      raise e
 
 (* xksrace: locks lock *)
 let write_locked t s f =
@@ -183,20 +213,35 @@ let write_locked t s f =
       observe t s Lock;
       f ())
 
+(* The lookup proper, inside a read section. *)
+(* xksrace: requires_lock lock *)
+let lookup t s k =
+  match Table.find_opt s.table k with
+  | None -> None
+  | Some n ->
+      (* LRU refresh without list surgery: bump the entry's stamp to the
+         next global clock tick.  Concurrent hits on the same entry race
+         to the newer tick — either order is a correct recency. *)
+      Atomic.set n.stamp (Atomic.fetch_and_add t.clock 1);
+      Some n.value
+
 let find t k =
   let s = shard_of t k in
+  (* [read_locked]'s section with the lookup written in, so that a
+     lookup allocates no closure. *)
+  Rwlock.read_lock s.lock;
   let result =
-    read_locked t s (fun () ->
-        observe t s Read;
-        match Hashtbl.find_opt s.table k with
-        | None -> None
-        | Some n ->
-            (* LRU refresh without list surgery: bump the entry's stamp
-               to the next global clock tick.  Concurrent hits on the
-               same entry race to the newer tick — either order is a
-               correct recency. *)
-            Atomic.set n.stamp (Atomic.fetch_and_add t.clock 1);
-            Some n.value)
+    match
+      observe t s Rlock;
+      observe t s Read;
+      lookup t s k
+    with
+    | r ->
+        read_release t s s.lock;
+        r
+    | exception e ->
+        read_release t s s.lock;
+        raise e
   in
   (match result with
   | Some _ ->
@@ -213,7 +258,7 @@ let find t k =
 (* xksrace: requires_lock lock *)
 let evict_lru s =
   let victim =
-    Hashtbl.fold
+    Table.fold
       (fun _ n best ->
         match best with
         | Some b when Atomic.get b.stamp <= Atomic.get n.stamp -> best
@@ -223,7 +268,7 @@ let evict_lru s =
   match victim with
   | None -> assert false (* bytes > 0 ⇒ an entry exists *)
   | Some v ->
-      Hashtbl.remove s.table v.nkey;
+      Table.remove s.table v.nkey;
       s.bytes <- s.bytes - v.cost
 
 let add t k value =
@@ -233,9 +278,9 @@ let add t k value =
     let evicted =
       write_locked t s (fun () ->
           observe t s Write;
-          (match Hashtbl.find_opt s.table k with
+          (match Table.find_opt s.table k with
           | Some old ->
-              Hashtbl.remove s.table k;
+              Table.remove s.table k;
               s.bytes <- s.bytes - old.cost
           | None -> ());
           let n =
@@ -246,7 +291,7 @@ let add t k value =
               stamp = Atomic.make (Atomic.fetch_and_add t.clock 1);
             }
           in
-          Hashtbl.replace s.table k n;
+          Table.replace s.table k n;
           s.bytes <- s.bytes + cost;
           let count = ref 0 in
           while s.bytes > s.capacity do
@@ -266,7 +311,7 @@ let clear t =
     (fun s ->
       write_locked t s (fun () ->
           observe t s Write;
-          Hashtbl.reset s.table;
+          Table.reset s.table;
           s.bytes <- 0))
     t.shards
 
@@ -284,7 +329,7 @@ let stats t =
     (fun s ->
       read_locked t s (fun () ->
           observe t s Read;
-          entries := !entries + Hashtbl.length s.table;
+          entries := !entries + Table.length s.table;
           bytes := !bytes + s.bytes))
     t.shards;
   {

@@ -20,7 +20,17 @@
     eviction order is exactly least-recently-accessed.  Capacity is
     approximate bytes, split evenly across shards.  Every lookup and
     eviction ticks the {!Xks_trace.Trace} cache counters as well as the
-    cache's own {!stats}. *)
+    cache's own {!stats}.
+
+    A key is hashed once, when {!key} builds it, and that hash picks
+    both the shard and the bucket.  It is [Hashtbl.hash] of a record of
+    the six key fields, the value keys hashed to before they carried a
+    hash, so every key keeps its shard and bucket and hits, misses and
+    evictions replay identically.  The shard tables compare keys field
+    by field ([Int.equal], [String.equal]), never with the polymorphic
+    [compare].  {!find} takes the shard's read latch inline, without
+    allocating a closure, and releases it on every path, also when the
+    lookup or the [instrument] hook raises. *)
 
 type key = private {
   engine_id : int;
@@ -29,6 +39,9 @@ type key = private {
   rank : string;  (** rank-mode name: "heuristic", "bm25" or "doc" *)
   k : int;  (** top-k limit; [0] = unlimited *)
   budget_class : string;
+  hash : int;
+      (** [Hashtbl.hash] of the six fields above as one record, computed
+          once by {!key}; it picks both the shard and the bucket *)
 }
 
 val unbudgeted : string

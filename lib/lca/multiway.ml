@@ -17,7 +17,7 @@ let slca doc postings =
         if i = k then Some anchor
         else
           match Bsearch.right_match postings.(i) pos with
-          | Some h -> heads (i + 1) (max anchor h)
+          | Some h -> heads (i + 1) (Int.max anchor h)
           | None -> None
       in
       match heads 0 (-1) with

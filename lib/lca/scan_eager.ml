@@ -33,14 +33,14 @@ let slca doc postings =
       match (left, right) with
       | None, None -> assert false (* the list is non-empty *)
       | Some d, None | None, Some d -> d
-      | Some l, Some r -> max l r
+      | Some l, Some r -> Int.max l r
     in
     let candidate v =
       let dv = Tree.depth doc v in
       let depth = ref dv in
       (* xkscost: unticked k-bounded: one cursor probe per keyword list *)
       for i = 0 to k - 1 do
-        if i <> anchor then depth := min !depth (closest_depth i v dv)
+        if i <> anchor then depth := Int.min !depth (closest_depth i v dv)
       done;
       Probe.ancestor_at doc v !depth
     in

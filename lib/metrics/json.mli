@@ -15,7 +15,16 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (single-line) rendering. *)
+(** Compact (single-line) rendering.  Its bytes are those of the
+    Printf-based printer it replaced: strings escape the double quote,
+    the backslash, newline, carriage return and tab by name and every
+    other byte below 0x20 as a lowercase [\u00XX], all other bytes as
+    is; ints print as [string_of_int] does, [min_int] included; finite
+    floats print with C's [%.6g], the conversion [Printf]'s [%g] calls,
+    and non-finite ones as [null].  It does plain string work: each run of bytes that
+    need no escape is copied at once, ints are written digit by digit
+    into the buffer, floats skip [Printf]'s format machinery, and lists
+    and objects recurse without closures. *)
 
 exception Parse_error of string
 

@@ -11,7 +11,18 @@
 
     CRLF and bare-LF line endings are both accepted.  Chunked transfer
     encoding, header continuations and protocol versions other than
-    HTTP/1.0 / HTTP/1.1 are rejected as {!Bad_request}. *)
+    HTTP/1.0 / HTTP/1.1 are rejected as {!Bad_request}.
+
+    Parsing reads the buffered bytes in place: the request line and the
+    header lines are scanned by index, and only the strings the
+    {!request} record keeps are cut out.  A path, parameter name or
+    value that holds no [%] (and, in the query, no [+]) is taken as is,
+    without a decoding buffer, and {!feed} into an empty reader keeps
+    the string it is given.  The limits, the positions their errors
+    report, the error messages, torn-read and pipelining behaviour and
+    the {!request} record are those of the line-splitting parser this
+    replaced (test_serve keeps that parser as the reference of a
+    differential property). *)
 
 type limits = {
   max_request_line_bytes : int;  (** cap on the request line *)
@@ -77,4 +88,6 @@ val response :
   string
 (** Serialize a complete response with [content-length] (and
     [content-type], default [application/json]) computed from the
-    body. *)
+    body: the status line, [content-type], [content-length], then
+    [headers] in order, a blank line and the body, concatenated into
+    one string of the final length, without [Printf]. *)

@@ -27,9 +27,17 @@
    Workers observe the stop flag between requests and answer with
    [Connection: close], so draining converges; sockets cut at the
    deadline wake their worker's blocking read immediately.  The
-   per-connection cleanup path is the single place that closes the fd,
-   removes the table entry and releases the admission slot, whichever
-   way the connection ends.
+   per-connection cleanup path is the single place that closes the fd
+   and removes the table entry, whichever way the connection ends.  The
+   admission slot is released exactly once per connection: just before
+   a final response (one that carries [connection: close]) is written,
+   so a client that reconnects the moment it reads that response is
+   never shed for its own previous connection, and otherwise by the
+   cleanup.  A worker may therefore still be writing a final response
+   after its slot is free, so draining waits until the connection table
+   is empty, not only the slots: the drain deadline cuts those writes
+   too ([write_timeout_ms] caps each send, not a whole response that a
+   slow reader keeps accepting).
 
    Lock discipline (machine-checked by xksrace): the connection table is
    guarded by [mutex]; every counter, and the stop flag, is an
@@ -419,12 +427,16 @@ let route t trace_id req =
     | "/stats" -> (200, stats_json t)
     | p -> (404, err_obj trace_id ("no such endpoint: " ^ p))
 
-let respond t fd ~close ~status ~trace_id body_obj =
+(* [release_slot] runs before a final response ([close]) is written:
+   a client that reconnects the moment it reads that response must find
+   the connection's admission slot free again. *)
+let respond t fd ~release_slot ~close ~status ~trace_id body_obj =
   let headers = [ ("x-request-id", trace_id) ] in
   let headers =
     if close then ("connection", "close") :: headers else headers
   in
   let resp = Http.response ~headers ~status (Json.to_string body_obj) in
+  if close then release_slot ();
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO (ms_to_s t.cfg.write_timeout_ms);
   match try_write fd resp with
   | W_ok ->
@@ -447,7 +459,7 @@ let parse_error_message e =
    framing is unknown past the error); a mid-request read timeout
    answers 408 best-effort and closes; the idle timeout between
    requests is a silent, normal close. *)
-let conn_loop t conn_id fd =
+let conn_loop t ~release_slot conn_id fd =
   let reader = Http.reader t.cfg.http_limits in
   let req_seq = ref 0 in
   let rec loop () =
@@ -470,7 +482,7 @@ let conn_loop t conn_id fd =
           Trace.incr Trace.Requests_timed_out;
           let trace_id = Printf.sprintf "c%d.r%d" conn_id (!req_seq + 1) in
           (match
-             respond t fd ~close:true ~status:408 ~trace_id
+             respond t fd ~release_slot ~close:true ~status:408 ~trace_id
                (err_obj trace_id "request read timed out")
            with
           | `Sent | `Gone -> ())
@@ -479,7 +491,7 @@ let conn_loop t conn_id fd =
         incr req_seq;
         let trace_id = Printf.sprintf "c%d.r%d" conn_id !req_seq in
         (match
-           respond t fd ~close:true ~status:400 ~trace_id
+           respond t fd ~release_slot ~close:true ~status:400 ~trace_id
              (err_obj trace_id (parse_error_message e))
          with
         | `Sent | `Gone -> ())
@@ -492,21 +504,31 @@ let conn_loop t conn_id fd =
         let status, body =
           Trace.with_span "serve.request" (fun () -> route t trace_id req)
         in
-        match respond t fd ~close ~status ~trace_id body with
+        match respond t fd ~release_slot ~close ~status ~trace_id body with
         | `Sent -> if not close then loop ()
         | `Gone -> ())
   in
   loop ()
 
+(* The connection's admission slot is released exactly once: before
+   its final response is written when it ends with one, else by the
+   cleanup. *)
 (* xksleak: owns fd *)
 let serve_conn t conn_id fd =
+  let released = ref false in
+  let release_slot () =
+    if not !released then begin
+      released := true;
+      Admission.release t.admission
+    end
+  in
   let cleanup () =
     Mutex.protect t.mutex (fun () -> Hashtbl.remove t.conns conn_id);
     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-    Admission.release t.admission
+    release_slot ()
   in
   Fun.protect ~finally:cleanup (fun () ->
-      match conn_loop t conn_id fd with
+      match conn_loop t ~release_slot conn_id fd with
       | () -> ()
       | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
       | exception e ->
@@ -604,13 +626,20 @@ let accept_loop t =
 
 (* --- shutdown --- *)
 
+(* No slot is taken and no connection is left: a connection leaves the
+   table only in its cleanup, after its last write, while its slot may
+   already be free when its final response is being written. *)
+let settled t =
+  Admission.outstanding t.admission = 0
+  && Mutex.protect t.mutex (fun () -> Hashtbl.length t.conns = 0)
+
 let drain t =
   (try Unix.close t.listen_fd with Unix.Unix_error (_, _, _) -> ());
   let deadline =
     Unix.gettimeofday () +. ms_to_s t.cfg.drain_timeout_ms
   in
   let rec wait () =
-    if Admission.outstanding t.admission = 0 then true
+    if settled t then true
     else if Unix.gettimeofday () >= deadline then false
     else begin
       Unix.sleepf 0.01;
@@ -635,7 +664,7 @@ let drain t =
         with Unix.Unix_error (_, _, _) -> ())
       victims;
     let rec settle () =
-      if Admission.outstanding t.admission > 0 then begin
+      if not (settled t) then begin
         Unix.sleepf 0.005;
         settle ()
       end

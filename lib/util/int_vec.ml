@@ -1,6 +1,6 @@
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 16) () = { data = Array.make (max 1 capacity) 0; len = 0 }
+let create ?(capacity = 16) () = { data = Array.make (Int.max 1 capacity) 0; len = 0 }
 let length v = v.len
 
 let push v x =

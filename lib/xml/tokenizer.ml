@@ -12,18 +12,25 @@ let rec word_end s i stop =
   if i < stop && is_word_char (String.unsafe_get s i) then word_end s (i + 1) stop
   else i
 
+(* [normalize (String.sub s start (stop - start))], in one copy. *)
+let normalize_sub s start stop =
+  let w = Bytes.create (stop - start) in
+  for j = 0 to stop - start - 1 do
+    Bytes.unsafe_set w j (Char.lowercase_ascii (String.unsafe_get s (start + j)))
+  done;
+  Bytes.unsafe_to_string w
+
+let rec iter_words_from ~keep_stopwords f s n i =
+  let start = word_start s i n in
+  if start < n then begin
+    let stop = word_end s start n in
+    let w = normalize_sub s start stop in
+    if keep_stopwords || not (Stopwords.is_stopword w) then f w;
+    iter_words_from ~keep_stopwords f s n stop
+  end
+
 let iter_words ?(keep_stopwords = false) f s =
-  let n = String.length s in
-  let rec loop i =
-    let start = word_start s i n in
-    if start < n then begin
-      let stop = word_end s start n in
-      let w = normalize (String.sub s start (stop - start)) in
-      if keep_stopwords || not (Stopwords.is_stopword w) then f w;
-      loop stop
-    end
-  in
-  loop 0
+  iter_words_from ~keep_stopwords f s (String.length s) 0
 
 let words ?keep_stopwords s =
   let acc = ref [] in

@@ -20,7 +20,8 @@ val word_set : ?keep_stopwords:bool -> string -> string list
 
 val iter_words : ?keep_stopwords:bool -> (string -> unit) -> string -> unit
 (** [iter_words f s] calls [f] on each normalised non-stop word of [s] in
-    occurrence order, without building a list. *)
+    occurrence order, without building a list.  Each word is cut from
+    [s] and lowercased in one copy. *)
 
 (** {1 Word boundaries}
 

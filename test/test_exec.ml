@@ -225,6 +225,49 @@ let test_key_normalisation () =
        ~budget_class:Cache.unbudgeted [ " "; "" ]
     = None)
 
+(* A key's hash is [Hashtbl.hash] of a record of its six fields, the
+   record keys were before they carried their hash: every key keeps the
+   shard and the bucket it had, so hits, misses and evictions replay
+   identically. *)
+type six_field_key = {
+  engine_id : int;
+  words : string list;
+  algorithm : string;
+  rank : string;
+  k : int;
+  budget_class : string;
+}
+
+let test_key_hash_unchanged () =
+  let engine = mk_engine () in
+  let cache = Cache.create ~shards:8 ~max_bytes:(1024 * 1024) () in
+  List.iter
+    (fun (ws, rank, k, budget_class) ->
+      match
+        Cache.key ~engine ~algorithm:Engine.Validrtf ?rank ?k ~budget_class ws
+      with
+      | None -> Alcotest.fail "expected a cache key"
+      | Some key ->
+          let record =
+            {
+              engine_id = key.Cache.engine_id;
+              words = key.Cache.words;
+              algorithm = key.Cache.algorithm;
+              rank = key.Cache.rank;
+              k = key.Cache.k;
+              budget_class = key.Cache.budget_class;
+            }
+          in
+          Alcotest.(check int) "hash of the six-field record"
+            (Hashtbl.hash record) key.Cache.hash;
+          Alcotest.(check int) "shard from that hash"
+            (Hashtbl.hash record land 7) (Cache.shard_index cache key))
+    [
+      ([ "xml" ], None, None, Cache.unbudgeted);
+      ([ "Search"; "xml"; "XML" ], Some `Bm25, Some 10, "t200:n-");
+      ([ "a"; "b"; "c"; "d"; "e"; "f"; "g" ], Some `Doc, None, "t-:n500");
+    ]
+
 let test_key_stale_invalidation () =
   (* A reloaded/rebuilt index makes a new engine; its keys can never
      collide with the old engine's entries. *)
@@ -633,6 +676,8 @@ let tests =
     Alcotest.test_case "shutdown drains queued deques" `Quick
       test_pool_shutdown_drains_deques;
     Alcotest.test_case "cache key normalisation" `Quick test_key_normalisation;
+    Alcotest.test_case "cache key hash is the six-field record's" `Quick
+      test_key_hash_unchanged;
     Alcotest.test_case "cache stale invalidation across engines" `Quick
       test_key_stale_invalidation;
     Alcotest.test_case "cache key carries rank mode and k" `Quick

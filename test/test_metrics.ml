@@ -200,6 +200,120 @@ let test_trace_json_round_trip () =
   | Some (_ :: _) -> ()
   | _ -> Alcotest.fail "spans missing from JSON"
 
+(* --- JSON printing: byte identity with the Printf-based printer --- *)
+
+(* The printer [Json.to_string] replaced, kept verbatim as the
+   reference: [Printf] for control-character escapes and floats,
+   [string_of_int] for ints, one [Buffer.add_char] per plain byte. *)
+module Reference_json = struct
+  let escape buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  let rec emit buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Int i -> Buffer.add_string buf (string_of_int i)
+    | Json.Float f ->
+        if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
+        else Buffer.add_string buf "null"
+    | Json.String s ->
+        Buffer.add_char buf '"';
+        escape buf s;
+        Buffer.add_char buf '"'
+    | Json.List l ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            emit buf v)
+          l;
+        Buffer.add_char buf ']'
+    | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_char buf '"';
+            escape buf k;
+            Buffer.add_string buf "\":";
+            emit buf v)
+          fields;
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    emit buf v;
+    Buffer.contents buf
+end
+
+let gen_json =
+  let open QCheck2.Gen in
+  (* every byte value, with the ones that need escaping drawn often *)
+  let byte =
+    frequency
+      [ (3, char); (1, map Char.chr (int_range 0 0x1f));
+        (1, oneofl [ '"'; '\\'; '\x7f'; '\xff' ]) ]
+  in
+  let str = string_size ~gen:byte (int_range 0 12) in
+  let int =
+    oneof
+      [ oneofl [ min_int; max_int; min_int + 1; -1; 0; 9; 10; -10; 99; 100 ];
+        int_range (-1000) 1000; int ]
+  in
+  let float =
+    oneof
+      [ oneofl
+          [ nan; infinity; neg_infinity; -0.; 0.; 4.9e-324; -4.9e-324;
+            2.2250738585072009e-308; 1e300; -1e300; 1e-300; 1.; -3.; 1e6;
+            123456.; 1234565.; 0.1234565; 999999.5; 9999995.; 1.0000005 ];
+        float; map float_of_int int ]
+  in
+  sized_size (int_range 0 12)
+  @@ fix (fun self n ->
+         let scalar =
+           oneof
+             [ return Json.Null; map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int; map (fun f -> Json.Float f) float;
+               map (fun s -> Json.String s) str ]
+         in
+         if n = 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n / 2))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 2)))) ) ])
+
+let prop_json_byte_identity =
+  QCheck2.Test.make ~name:"json: to_string is byte-identical to the Printf printer"
+    ~count:2000 ~print:Reference_json.to_string gen_json (fun v ->
+      String.equal (Json.to_string v) (Reference_json.to_string v))
+
+(* The values the property draws rarely, pinned once. *)
+let test_json_edge_values () =
+  let check name v =
+    Alcotest.(check string) name (Reference_json.to_string v) (Json.to_string v)
+  in
+  check "min_int" (Json.Int min_int);
+  check "max_int" (Json.Int max_int);
+  check "all bytes" (Json.String (String.init 256 Char.chr));
+  check "non-finite floats"
+    (Json.List [ Json.Float nan; Json.Float infinity; Json.Float neg_infinity ]);
+  check "empty containers" (Json.Obj [ ("", Json.List []); ("\x01", Json.Obj []) ])
+
 let tests =
   [
     Alcotest.test_case "identical results" `Quick test_identical_results;
@@ -218,4 +332,7 @@ let tests =
       test_trace_search_stage_spans;
     Alcotest.test_case "trace json round-trip" `Quick
       test_trace_json_round_trip;
+    Helpers.qtest prop_json_byte_identity;
+    Alcotest.test_case "json: edge values byte-identical" `Quick
+      test_json_edge_values;
   ]

@@ -35,3 +35,22 @@ let run () =
   let seen = find s in
   Domain.join d;
   seen + hot_entries s
+
+(* A bare read section, as an uninstrumented cache lookup takes it:
+   the guarded read sits between [Rwlock.read_lock] and
+   [Rwlock.read_unlock] on the same guard name, so it is held. *)
+let find_bare t =
+  Rwlock.read_lock t.rw;
+  match t.entries with
+  | n ->
+      Rwlock.read_unlock t.rw;
+      n
+  | exception e ->
+      Rwlock.read_unlock t.rw;
+      raise e
+
+(* The release ends the section: this read is unguarded. *)
+let find_after_release t =
+  Rwlock.read_lock t.rw;
+  Rwlock.read_unlock t.rw;
+  t.entries

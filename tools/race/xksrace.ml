@@ -321,13 +321,20 @@ let compute_unsafe fields =
 (* ------------------------------------------------------------------ *)
 (* Pass 2: enforcement                                                *)
 
+(* A bare lock or unlock statement: [Mutex.lock m], or either section
+   of an [Rwlock] — both sections hold the lock's one guard name, as
+   the [locks]-annotated section wrappers do. *)
 let mutex_call (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_apply
-      ( { pexp_desc = Pexp_ident { txt = Ldot (Lident "Mutex", f); _ }; _ },
-        (_, m) :: _ )
-    when String.equal f "lock" || String.equal f "unlock" ->
-      Some (f, Front.path_name m)
+      ( { pexp_desc = Pexp_ident { txt = Ldot (Lident md, f); _ }; _ },
+        (_, m) :: _ ) -> (
+      match (md, f) with
+      | "Mutex", ("lock" | "unlock") -> Some (f, Front.path_name m)
+      | "Rwlock", ("read_lock" | "write_lock") -> Some ("lock", Front.path_name m)
+      | "Rwlock", ("read_unlock" | "write_unlock") ->
+          Some ("unlock", Front.path_name m)
+      | _ -> None)
   | _ -> None
 
 (* Closure arguments of a spawn point, or [None].  [Domain.spawn f]
