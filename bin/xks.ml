@@ -204,9 +204,9 @@ let search_cmd =
       & info [ "timeout-ms" ] ~docv:"MS"
           ~doc:
             "Wall-clock budget for the query.  On exhaustion the engine \
-             degrades to a cheaper algorithm (ValidRTF, revised MaxMatch, \
-             SLCA-only) instead of running on; a note is printed when \
-             results are degraded.")
+             answers with the SLCA-only algorithm (original MaxMatch) \
+             instead of running on; a note is printed when results are \
+             degraded.")
   in
   let max_nodes =
     Arg.(
@@ -683,8 +683,8 @@ let serve_cmd =
       value & opt int 200
       & info [ "timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Per-request budget deadline; slow queries degrade down the \
-             algorithm ladder and the response is tagged. 0 disables.")
+            "Per-request budget deadline; a slow query is answered by the \
+             SLCA-only algorithm and the response is tagged. 0 disables.")
   in
   let max_nodes =
     Arg.(
@@ -709,7 +709,7 @@ let serve_cmd =
     Arg.(
       value & opt int 2000
       & info [ "write-ms" ] ~docv:"MS"
-          ~doc:"Timeout for writing one response.")
+          ~doc:"Total timeout for writing one response.")
   in
   let drain_ms =
     Arg.(

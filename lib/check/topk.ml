@@ -10,7 +10,8 @@
    same order (Rank.score_tf), so even the score bits must agree.  Any
    drift — a fragment admitted by an unsound bound, a tie broken the
    wrong way, a cache entry served across rank modes — shows up as a
-   violation. *)
+   violation.  The same comparison checks budgeted answers (rule
+   [ladder]) against the answer their degradation tag names. *)
 
 module Engine = Xks_core.Engine
 module Query = Xks_core.Query
@@ -18,6 +19,7 @@ module Rank = Xks_core.Rank
 module Rtf = Xks_core.Rtf
 module Exec = Xks_exec.Exec
 module Pool = Xks_exec.Pool
+module Budget = Xks_robust.Budget
 
 let prefix k l = List.filteri (fun i _ -> i < k) l
 
@@ -139,9 +141,49 @@ let check_batch ?(k = 10) engine queries =
   @ Pool.with_pool ~size:batch_jobs ~oversubscribe:true (fun pool ->
         run ~pool (Printf.sprintf "jobs=%d" batch_jobs))
 
+let expired_deadline () =
+  let now = ref 0.0 in
+  let b =
+    Budget.create ~now:(fun () -> !now) ~check_interval:1 ~deadline_ms:1 ()
+  in
+  now := 10.0;
+  b
+
+let check_budgeted ?tag ?rank ?k ~what engine ws budget =
+  let r = Engine.search_result ?rank ?k ~budget engine ws in
+  let rung, algorithm =
+    match r.Engine.degraded with
+    | None -> ("untagged", Engine.Validrtf)
+    | Some (Budget.Deadline | Budget.Node_budget) ->
+        ("tagged", Engine.Maxmatch_original)
+  in
+  compare_hits ?tag ~rule:"ladder"
+    ~what:(Printf.sprintf "%s answer under %s" rung what)
+    (Engine.search ~algorithm ?rank ?k engine ws)
+    r.Engine.hits
+
+let check_ladder ?tag ?(k = 10) engine ws =
+  List.concat_map
+    (fun (mode, rank, k) ->
+      let check what =
+        check_budgeted ?tag ~rank ?k ~what:(mode ^ ", " ^ what) engine ws
+      in
+      (* An unlimited budget measures the query's full charge; its run
+         must come back untagged. *)
+      let unlimited = Budget.create () in
+      let first = check "no limit" unlimited in
+      let half = Budget.visited unlimited / 2 in
+      first
+      @ check
+          (Printf.sprintf "a %d-node budget" half)
+          (Budget.create ~max_nodes:half ())
+      @ check "an expired deadline" (expired_deadline ()))
+    [ ("heuristic", `Heuristic, None); ("BM25 top-k", `Bm25, Some k) ]
+
 let check_workload ?k engine queries =
   List.concat_map
     (fun ws ->
-      check_query ~tag:(String.concat " " ws) ?k engine ws)
+      let tag = String.concat " " ws in
+      check_query ~tag ?k engine ws @ check_ladder ~tag ?k engine ws)
     queries
   @ check_batch ?k engine queries

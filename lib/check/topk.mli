@@ -7,7 +7,8 @@
     exactly that, by structural equality on the full hit lists — LCA
     ids, BM25 scores (bit-for-bit: both sides sum the same per-keyword
     contributions in the same [`Rarest] order), pruned fragments and
-    SLCA tags. *)
+    SLCA tags.  {!check_ladder} applies the same comparison to budgeted
+    answers. *)
 
 val check_counts : ?tag:string -> Xks_core.Query.t -> Invariant.violation list
 (** Rule [topk-tf]: the counts of every fragment the scan scores, not
@@ -36,8 +37,28 @@ val check_batch :
     and from a 4-domain pool — in particular the cache key must keep
     ranked entries apart from unranked ones. *)
 
+val expired_deadline : unit -> Xks_robust.Budget.t
+(** A budget whose fake clock is already past its deadline: a search
+    under it degrades at its first tick. *)
+
+val check_budgeted :
+  ?tag:string -> ?rank:Xks_core.Engine.rank_mode -> ?k:int -> what:string ->
+  Xks_core.Engine.t -> string list -> Xks_robust.Budget.t ->
+  Invariant.violation list
+(** Rule [ladder] on one budgeted search: the answer is the one its tag
+    names.  Untagged, it must equal the unbudgeted ValidRTF answer;
+    tagged, the unbudgeted [Maxmatch_original] answer (same [rank] and
+    [k]).  [what] names the budget in the violation. *)
+
+val check_ladder :
+  ?tag:string -> ?k:int -> Xks_core.Engine.t -> string list ->
+  Invariant.violation list
+(** {!check_budgeted} in the heuristic and BM25 top-[k] modes, under an
+    unlimited budget (which measures the query's full charge), a node
+    budget of half that charge, and {!expired_deadline}. *)
+
 val check_workload :
   ?k:int -> Xks_core.Engine.t -> string list list ->
   Invariant.violation list
-(** {!check_query} on every query, then {!check_batch} over the whole
-    workload. *)
+(** {!check_query} and {!check_ladder} on every query, then
+    {!check_batch} over the whole workload. *)

@@ -23,7 +23,6 @@ type hit = {
   rtf : Rtf.t;
   score : float;
   is_slca : bool;
-  degraded : Budget.reason option;
 }
 
 let of_doc doc =
@@ -84,7 +83,6 @@ let hits_of_result ?(rank = (`Heuristic : rank_mode)) ?k (_ : t) result =
       rtf = scored.rtf;
       score = scored.score;
       is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) scored.rtf.lca;
-      degraded = None;
     }
   in
   let scored =
@@ -129,72 +127,41 @@ let topk_hits ?cid_mode ?budget ~k e ws =
             rtf;
             score = c.score;
             is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) c.lca;
-            degraded = None;
           })
         outcome.Xks_lca.Topk.top)
 
-(* The graceful-degradation ladder: each cheaper algorithm retries with a
-   renewed node allowance (same absolute deadline); the floor — original
-   MaxMatch, SLCA fragments only — runs unbudgeted so a budgeted search
-   always returns.  Hits carry the first exhaustion reason. *)
-let next_cheaper = function
-  | Validrtf -> Some Maxmatch
-  | Maxmatch -> Some Maxmatch_original
-  | Maxmatch_original -> None
-
 type search_result = { hits : hit list; degraded : Budget.reason option }
 
+(* Graceful degradation is one step: the requested algorithm (or the
+   top-k scan) runs under the budget, and on exhaustion the SLCA-only
+   floor (original MaxMatch) answers unbudgeted, so a budgeted search
+   always returns.  No rung in between: revised MaxMatch charges the
+   same ticks as ValidRTF, so it would only replay the exhaustion. *)
 let search_result ?(algorithm = Validrtf) ?cid_mode
     ?(rank = (`Heuristic : rank_mode)) ?k ?budget e ws =
   check_k k;
   Trace.with_span "search" (fun () ->
       let attempt alg budget =
-        match (rank, k) with
-        | `Bm25, Some kk -> (
-            match alg with
-            | Validrtf -> topk_hits ?cid_mode ?budget ~k:kk e ws
-            | Maxmatch | Maxmatch_original ->
-                (* Down-ladder (or explicitly cheaper) top-k: full
-                   enumeration, BM25-scored, k-prefix — still
-                   score-tagged, just without the early-exit scan. *)
-                hits_of_result ~rank ?k e
-                  (run ~algorithm:alg ?cid_mode ?budget e ws))
-        | (`Bm25 | `Heuristic | `Doc), (Some _ | None) ->
+        match (alg, rank, k) with
+        | Validrtf, `Bm25, Some kk -> topk_hits ?cid_mode ?budget ~k:kk e ws
+        | ( (Validrtf | Maxmatch | Maxmatch_original),
+            (`Bm25 | `Heuristic | `Doc),
+            (Some _ | None) ) ->
+            (* Other algorithms under BM25 top-k enumerate in full,
+               BM25-scored, and keep the k-prefix. *)
             hits_of_result ~rank ?k e
               (run ~algorithm:alg ?cid_mode ?budget e ws)
       in
-      match budget with
-      | None -> { hits = attempt algorithm None; degraded = None }
-      | Some b -> (
-          let rec ladder alg b =
-            match attempt alg (Some b) with
-            | hits -> (hits, None)
-            | exception Budget.Exhausted reason -> (
-                match next_cheaper alg with
-                | Some alg' ->
-                    let hits, _ = ladder alg' (Budget.renew b) in
-                    (hits, Some reason)
-                | None -> (attempt Maxmatch_original None, Some reason))
-          in
-          match ladder algorithm b with
-          | hits, None -> { hits; degraded = None }
-          | hits, Some reason ->
-              (* One event per degraded search, recorded whether or not
-                 any hit survived to carry the tag. *)
-              Trace.degradation (Budget.reason_to_string reason);
-              {
-                hits =
-                  List.map
-                    (fun (h : hit) -> { h with degraded = Some reason })
-                    hits;
-                degraded = Some reason;
-              }))
+      match attempt algorithm budget with
+      | hits -> { hits; degraded = None }
+      | exception Budget.Exhausted reason ->
+          (* One event per degraded search, also when the floor finds
+             no hit. *)
+          Trace.degradation (Budget.reason_to_string reason);
+          { hits = attempt Maxmatch_original None; degraded = Some reason })
 
-let search ?algorithm ?cid_mode ?rank ?k ?budget e ws =
-  (search_result ?algorithm ?cid_mode ?rank ?k ?budget e ws).hits
-
-let degraded_reason hits =
-  List.find_map (fun (h : hit) -> h.degraded) hits
+let search ?algorithm ?cid_mode ?rank ?k e ws =
+  (search_result ?algorithm ?cid_mode ?rank ?k e ws).hits
 
 let render ?(xml = false) e hit =
   if xml then Fragment.to_xml e.doc hit.fragment

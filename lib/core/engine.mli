@@ -11,9 +11,10 @@
 
     Serving untrusted traffic, two robustness hooks apply
     ({!Xks_robust}): document loading is capped by ingestion
-    {!Xks_robust.Limits}, and {!search} accepts a {!Xks_robust.Budget}
-    under which an expensive query degrades to a cheaper algorithm
-    instead of running away — see {!hit.degraded}. *)
+    {!Xks_robust.Limits}, and {!search_result} accepts a
+    {!Xks_robust.Budget} under which an expensive query degrades to the
+    SLCA-only answer instead of running away — see
+    {!search_result.degraded}. *)
 
 type t
 
@@ -34,10 +35,6 @@ type hit = {
   rtf : Rtf.t;
   score : float;
   is_slca : bool;  (** whether the fragment root is an SLCA node *)
-  degraded : Xks_robust.Budget.reason option;
-      (** [None] for a full-fidelity answer; [Some r] when the query
-          budget ran out and the hits come from a cheaper algorithm
-          further down the ladder (see {!search}) *)
 }
 
 val of_doc : Xks_xml.Tree.t -> t
@@ -69,29 +66,20 @@ val id : t -> int
 type search_result = {
   hits : hit list;
   degraded : Xks_robust.Budget.reason option;
-      (** the first exhaustion reason of a degraded run — carried even
-          when [hits] is empty, which the per-hit tag cannot express *)
+      (** [None] for a full-fidelity answer; [Some r] when the budget
+          ran out for reason [r] and [hits] is the SLCA-only floor's
+          answer.  The only degradation signal: it holds also when
+          [hits] is empty. *)
 }
 
 val search_result :
   ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
   ?k:int -> ?budget:Xks_robust.Budget.t -> t -> string list -> search_result
-(** Like {!search}, returning the hits together with the degradation
-    status of the whole run.  Prefer this over {!degraded_reason} when a
-    degraded query may legitimately return zero hits: a budgeted query
-    over a keyword that does not occur degrades (the budget charges the
-    other keywords' postings) yet produces an empty hit list, and only
-    [degraded] keeps that signal.  A degraded run also records exactly
-    one {!Xks_trace.Trace.degradation} event on the current trace. *)
-
-val search :
-  ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
-  ?k:int -> ?budget:Xks_robust.Budget.t -> t -> string list -> hit list
-(** [search e ws] runs the query.  Keywords are deduplicated and sorted
-    rarest-first (shortest posting list first) before the pipeline runs
-    — duplicates and keyword order never change the result set.  Hits
-    are ordered by [rank] (default [`Heuristic]).  The empty hit list
-    means some keyword does not occur.
+(** [search_result e ws] runs the query.  Keywords are deduplicated and
+    sorted rarest-first (shortest posting list first) before the
+    pipeline runs — duplicates and keyword order never change the result
+    set.  Hits are ordered by [rank] (default [`Heuristic]).  The empty
+    hit list means some keyword does not occur.
 
     [k] keeps only the best [k] hits.  Under [~rank:`Bm25] on ValidRTF
     this switches to the streaming top-k scan: fragments are scored
@@ -104,26 +92,28 @@ val search :
     truncates the ranked hit list.
     @raise Invalid_argument when [k < 1].
 
-    With a [budget], the run is governed: when it exhausts mid-pipeline
-    the engine falls down the ladder ValidRTF → revised MaxMatch →
-    SLCA-only, granting each cheaper attempt a renewed node allowance
-    under the {e same} deadline; the final SLCA-only attempt runs
-    unbudgeted, so a budgeted search always returns.  Degraded hits
-    carry [degraded = Some reason] (the first exhaustion).  Without
+    With a [budget], the requested algorithm (or the top-k scan) runs
+    under it.  When it exhausts, the search answers from
+    [Maxmatch_original] (SLCA fragments only), run without a budget, so
+    a budgeted search always returns; [degraded] then carries the
+    reason, and exactly one {!Xks_trace.Trace.degradation} event is
+    recorded on the current trace.  There is no rung in between: the
+    revised MaxMatch charges the same ticks as ValidRTF.  Without
     [budget] the behaviour (and cost) is exactly the unbudgeted
     pipeline.
     @raise Invalid_argument on an empty query. *)
 
-val degraded_reason : hit list -> Xks_robust.Budget.reason option
-(** The degradation tag of a result set ([None] also for the empty
-    list — use {!search_result} to distinguish an empty degraded answer
-    from an empty full-fidelity one). *)
+val search :
+  ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
+  ?k:int -> t -> string list -> hit list
+(** {!search_result}'s hits, unbudgeted: a budgeted search goes through
+    {!search_result}, whose result says whether it degraded. *)
 
 val run :
   ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode ->
   ?budget:Xks_robust.Budget.t -> t -> string list -> Pipeline.result
 (** The raw pipeline result, for callers that need stage outputs.
-    Unlike {!search} this does not degrade:
+    Unlike {!search_result} this does not degrade:
     @raise Xks_robust.Budget.Exhausted when [budget] runs out. *)
 
 val hits_of_result :
@@ -131,8 +121,7 @@ val hits_of_result :
 (** Turn a pipeline result into scored hits (what {!search} does after
     running the pipeline); exposed for callers that build queries
     themselves, e.g. {!Labeled}.  [`Bm25] here always scores the full
-    enumeration ([k] is a plain prefix); hits come back with
-    [degraded = None].
+    enumeration ([k] is a plain prefix).
     @raise Invalid_argument when [k < 1]. *)
 
 val render : ?xml:bool -> t -> hit -> string

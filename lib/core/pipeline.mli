@@ -30,7 +30,7 @@ val run_query :
     front, then the LCA stage, keyword-node dispatch and per-RTF pruning
     tick as they visit nodes.
     @raise Xks_robust.Budget.Exhausted when the budget runs out;
-    {!Xks_core.Engine.search} catches this and degrades instead. *)
+    {!Xks_core.Engine.search_result} catches this and degrades instead. *)
 
 val run :
   ?cid_mode:Xks_index.Cid.mode -> lca:lca_algorithm -> pruning:pruning ->

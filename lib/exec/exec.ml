@@ -56,7 +56,13 @@ let search_batch_results ?pool ?cache ?(algorithm = Engine.Validrtf) ?cid_mode
             | Some result -> result
             | None ->
                 let result = compute () in
-                Cache.add c k result;
+                (* An answer degraded by a deadline depends on the time
+                   the run took, not on the key: serve it once, never
+                   from the cache.  A node budget is part of the key
+                   (its budget class), so that answer is kept. *)
+                (match result.Engine.degraded with
+                | Some Budget.Deadline -> ()
+                | Some Budget.Node_budget | None -> Cache.add c k result);
                 result))
   in
   let thunks = List.map run_one queries in
@@ -64,9 +70,8 @@ let search_batch_results ?pool ?cache ?(algorithm = Engine.Validrtf) ?cid_mode
   | Some p -> Pool.run_all p thunks
   | None -> Array.of_list (List.map (fun f -> f ()) thunks)
 
-let search_batch ?pool ?cache ?algorithm ?cid_mode ?rank ?k ?budget engine
-    queries =
+let search_batch ?pool ?cache ?algorithm ?cid_mode ?rank ?k engine queries =
   Array.map
     (fun (r : Engine.search_result) -> r.hits)
-    (search_batch_results ?pool ?cache ?algorithm ?cid_mode ?rank ?k ?budget
-       engine queries)
+    (search_batch_results ?pool ?cache ?algorithm ?cid_mode ?rank ?k engine
+       queries)

@@ -2,8 +2,8 @@
     the sharded {!Cache} of query results.
 
     Queries in a batch are independent: each one sees exactly the
-    sequential {!Xks_core.Engine.search} semantics — same hits, same
-    order, same per-query budget and degradation ladder — whatever the
+    sequential {!Xks_core.Engine.search_result} semantics — same hits,
+    same order, same per-query budget and degradation — whatever the
     pool size.  The engine's document tree and inverted index are
     immutable after construction (see {!Xks_index.Inverted}), so workers
     share them read-only; every piece of mutable per-query state
@@ -33,15 +33,18 @@ val search_batch_results :
     regardless of completion order).  With a [pool] the queries fan out
     over its workers; without one they run sequentially on the calling
     domain.  With a [cache], each query is first looked up (and its
-    computed result inserted on a miss); [rank] and [k] are part of the
-    cache key, so ranked and unranked runs of the same keywords never
-    share entries.  A query that raises — e.g. an
+    computed result inserted on a miss, unless a deadline degraded it:
+    that answer depends on time, not on the key); [rank] and [k] are
+    part of the cache key, so ranked and unranked runs of the same
+    keywords never share entries.  A query that raises — e.g. an
     empty keyword list — aborts the batch with {!Pool.Task_error} (the
     raw exception when no pool is used) after all tasks finish. *)
 
 val search_batch :
   ?pool:Pool.t -> ?cache:Cache.t -> ?algorithm:Xks_core.Engine.algorithm ->
   ?cid_mode:Xks_index.Cid.mode -> ?rank:Xks_core.Engine.rank_mode ->
-  ?k:int -> ?budget:budget_spec ->
-  Xks_core.Engine.t -> string list list -> Xks_core.Engine.hit list array
-(** {!search_batch_results} projected to the hit lists. *)
+  ?k:int -> Xks_core.Engine.t -> string list list ->
+  Xks_core.Engine.hit list array
+(** {!search_batch_results}' hit lists, unbudgeted: a budgeted batch
+    goes through {!search_batch_results}, whose results say which
+    answers degraded. *)

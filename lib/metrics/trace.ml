@@ -21,11 +21,6 @@ type counter =
   | Cache_hits
   | Cache_misses
   | Cache_evictions
-  | Requests_accepted
-  | Requests_served
-  | Requests_rejected
-  | Requests_timed_out
-  | Requests_aborted
   | Topk_pruned_postings
   | Topk_early_exit
 
@@ -41,23 +36,17 @@ let counter_index = function
   | Cache_hits -> 8
   | Cache_misses -> 9
   | Cache_evictions -> 10
-  | Requests_accepted -> 11
-  | Requests_served -> 12
-  | Requests_rejected -> 13
-  | Requests_timed_out -> 14
-  | Requests_aborted -> 15
-  | Topk_pruned_postings -> 16
-  | Topk_early_exit -> 17
+  | Topk_pruned_postings -> 11
+  | Topk_early_exit -> 12
 
-let n_counters = 18
+let n_counters = 13
 
 let all_counters =
   [
     Postings_scanned; Nodes_visited; Elca_pushed; Elca_popped;
     Frag_nodes_kept; Frag_nodes_pruned; Budget_ticks; Degradations;
-    Cache_hits; Cache_misses; Cache_evictions; Requests_accepted;
-    Requests_served; Requests_rejected; Requests_timed_out;
-    Requests_aborted; Topk_pruned_postings; Topk_early_exit;
+    Cache_hits; Cache_misses; Cache_evictions; Topk_pruned_postings;
+    Topk_early_exit;
   ]
 
 let counter_name = function
@@ -72,11 +61,6 @@ let counter_name = function
   | Cache_hits -> "cache_hits"
   | Cache_misses -> "cache_misses"
   | Cache_evictions -> "cache_evictions"
-  | Requests_accepted -> "requests_accepted"
-  | Requests_served -> "requests_served"
-  | Requests_rejected -> "requests_rejected"
-  | Requests_timed_out -> "requests_timed_out"
-  | Requests_aborted -> "requests_aborted"
   | Topk_pruned_postings -> "topk.pruned_postings"
   | Topk_early_exit -> "topk.early_exit"
 

@@ -36,11 +36,6 @@ type counter =
   | Cache_hits  (** {!Xks_exec} result-cache lookups answered *)
   | Cache_misses  (** result-cache lookups that ran the pipeline *)
   | Cache_evictions  (** result-cache entries evicted by LRU pressure *)
-  | Requests_accepted  (** connections admitted by {!Xks_serve} *)
-  | Requests_served  (** HTTP responses completed (any status) *)
-  | Requests_rejected  (** connections shed with 503 at admission *)
-  | Requests_timed_out  (** connections closed by a read/write timeout *)
-  | Requests_aborted  (** in-flight connections cut at the drain deadline *)
   | Topk_pruned_postings
       (** driver-posting entries skipped by top-k early termination *)
   | Topk_early_exit
@@ -83,9 +78,8 @@ val incr : counter -> unit
 
 val degradation : string -> unit
 (** Record a degradation event (e.g. the budget-exhaustion reason) and
-    bump {!constructor:Degradations}.  Called by
-    {!Xks_core.Engine.search} even when the degraded result is empty —
-    the trace keeps the signal the hit list cannot carry. *)
+    bump {!constructor:Degradations}.  Called once per degraded
+    {!Xks_core.Engine.search_result}, also when its hit list is empty. *)
 
 val span_begin : string -> unit
 val span_end : string -> unit

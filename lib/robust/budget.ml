@@ -26,8 +26,6 @@ let create ?(now = Unix.gettimeofday) ?(check_interval = 128) ?deadline_ms
   in
   { deadline; max_nodes; now; check_interval; visited = 0; until_clock = 0 }
 
-let renew b = { b with visited = 0; until_clock = 0 }
-
 let check_deadline b =
   match b.deadline with
   | Some d when b.now () > d -> raise (Exhausted Deadline)

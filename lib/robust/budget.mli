@@ -3,8 +3,9 @@
     A budget is threaded through the pipeline stages (keyword-node
     collection, Indexed-Stack ELCA, RTF partitioning, pruning), which
     call {!tick} as they visit nodes.  When the budget is exhausted the
-    current stage raises {!Exhausted}; {!Xks_core.Engine.search} catches
-    it and degrades to a cheaper algorithm instead of failing the query.
+    current stage raises {!Exhausted}; {!Xks_core.Engine.search_result}
+    catches it and answers from the unbudgeted SLCA-only algorithm
+    instead of failing the query.
 
     The node counter is checked on every tick; the clock only every
     [check_interval] ticked nodes, so a deadline is honoured to within
@@ -34,11 +35,6 @@ val create :
     (default 128) is the number of ticked nodes between clock checks.
     @raise Invalid_argument on a negative [deadline_ms], [max_nodes] or
     non-positive [check_interval]. *)
-
-val renew : t -> t
-(** A copy with the visited-node counter reset to zero but the {e same}
-    absolute deadline — what each degradation fallback gets: a fresh
-    node allowance, no extra time. *)
 
 val tick : t -> int -> unit
 (** [tick b n] records [n] more visited nodes.

@@ -1,19 +1,19 @@
 (* Overload-safe HTTP/1.1 serving over a Unix-domain socket.
 
-   Request flow: admission → deadline → pool → ladder → response.  The
-   accept loop (the caller's domain) claims a slot from the lock-free
-   [Admission] gate; an admitted connection is registered in the
-   connection table and handed to an [Exec.Pool] worker, a rejected one
-   is shed immediately with a 503 + Retry-After — the gate's
+   Request flow: admission → deadline → pool → fallback → response.
+   The accept loop (the caller's domain) claims a slot from the
+   lock-free [Admission] gate; an admitted connection is registered in
+   the connection table and handed to an [Exec.Pool] worker, a rejected
+   one is shed immediately with a 503 + Retry-After — the gate's
    [workers + queue] bound is the only buffering in the system.  Each
    worker owns its connection end to end: it parses requests
    incrementally under idle/read caps, runs the query under the
-   configured [Budget] recipe (slow queries ride the ValidRTF → MaxMatch
-   → SLCA degradation ladder; the JSON response carries the [degraded]
-   reason and budget class), and answers on the same socket under a
-   write cap.  A keep-alive connection holds its admission slot for its
-   whole lifetime, so overload shows up at connect time, never as an
-   unbounded backlog.
+   configured [Budget] recipe (a query that exhausts it is answered by
+   the SLCA-only floor; the JSON response carries the [degraded] reason
+   and budget class), and answers on the same socket under a write cap
+   on the whole response.  A keep-alive connection holds its admission
+   slot for its whole lifetime, so overload shows up at connect time,
+   never as an unbounded backlog.
 
    Shutdown state machine (driven by [run] after [request_shutdown]
    flips the atomic stop flag, e.g. from a SIGTERM handler):
@@ -36,8 +36,7 @@
    cleanup.  A worker may therefore still be writing a final response
    after its slot is free, so draining waits until the connection table
    is empty, not only the slots: the drain deadline cuts those writes
-   too ([write_timeout_ms] caps each send, not a whole response that a
-   slow reader keeps accepting).
+   too, before [write_timeout_ms] would.
 
    Lock discipline (machine-checked by xksrace): the connection table is
    guarded by [mutex]; every counter, and the stop flag, is an
@@ -209,21 +208,42 @@ let request_shutdown t = Atomic.set t.stop_flag true
 
 let ms_to_s ms = float_of_int ms /. 1000.
 
+(* A socket timeout of [s] seconds.  A zero timeval means "never time
+   out", so a positive remainder below the timeval's microsecond is
+   raised to one millisecond. *)
+let set_timeout fd opt s = Unix.setsockopt_float fd opt (Float.max s 0.001)
+
 type write_outcome = W_ok | W_timeout | W_closed
 
-let try_write fd s =
+(* Write all of [s] within [timeout] seconds in total: each write gets
+   only the time left, so a client that keeps reading a trickle cannot
+   hold the worker past the deadline.  A write carries at most
+   [write_chunk] bytes: on a Unix socket the kernel applies the send
+   timeout to each buffer it waits for within one write(2), so one
+   large write to a slow reader could outlast the time left by several
+   buffers' drain time. *)
+let write_chunk = 16384
+
+let try_write fd ~timeout s =
   let n = String.length s in
+  let deadline = Unix.gettimeofday () +. timeout in
   let rec go off =
     if off >= n then W_ok
     else
-      match Unix.write_substring fd s off (n - off) with
-      | 0 -> W_closed
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          W_timeout
-      | exception Unix.Unix_error (_, _, _) -> W_closed
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then W_timeout
+      else begin
+        set_timeout fd Unix.SO_SNDTIMEO left;
+        let len = Int.min (n - off) write_chunk in
+        match Unix.write_substring fd s off len with
+        | 0 -> W_closed
+        | k -> go (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception
+            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            W_timeout
+        | exception Unix.Unix_error (_, _, _) -> W_closed
+      end
   in
   go 0
 
@@ -263,7 +283,7 @@ let read_request ?idle_ms t reader fd =
         in
         if timeout <= 0. then R_timeout
         else begin
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+          set_timeout fd Unix.SO_RCVTIMEO timeout;
           match Unix.read fd chunk 0 (Bytes.length chunk) with
           | 0 -> R_eof
           | n ->
@@ -437,15 +457,12 @@ let respond t fd ~release_slot ~close ~status ~trace_id body_obj =
   in
   let resp = Http.response ~headers ~status (Json.to_string body_obj) in
   if close then release_slot ();
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO (ms_to_s t.cfg.write_timeout_ms);
-  match try_write fd resp with
+  match try_write fd ~timeout:(ms_to_s t.cfg.write_timeout_ms) resp with
   | W_ok ->
       Atomic.incr t.served;
-      Trace.incr Trace.Requests_served;
       `Sent
   | W_timeout ->
       Atomic.incr t.timed_out;
-      Trace.incr Trace.Requests_timed_out;
       `Gone
   | W_closed -> `Gone
 
@@ -479,7 +496,6 @@ let conn_loop t ~release_slot conn_id fd =
     | R_timeout ->
         if Http.pending_bytes reader > 0 then begin
           Atomic.incr t.timed_out;
-          Trace.incr Trace.Requests_timed_out;
           let trace_id = Printf.sprintf "c%d.r%d" conn_id (!req_seq + 1) in
           (match
              respond t fd ~release_slot ~close:true ~status:408 ~trace_id
@@ -546,7 +562,6 @@ let reject_503 t fd ~outstanding ~capacity =
     ~finally:(fun () ->
       try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
     (fun () ->
-      Trace.incr Trace.Requests_rejected;
       let detail =
         match
           Limits.error_to_string (Admission.to_error ~outstanding t.admission)
@@ -576,8 +591,8 @@ let reject_503 t fd ~outstanding ~capacity =
       in
       (* best-effort, short cap: the accept loop must never block on a
          slow rejected client *)
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.2;
-      match try_write fd resp with W_ok | W_timeout | W_closed -> ())
+      match try_write fd ~timeout:0.2 resp with
+      | W_ok | W_timeout | W_closed -> ())
 
 (* xksleak: owns fd *)
 let handle_accept t fd =
@@ -586,7 +601,6 @@ let handle_accept t fd =
       reject_503 t fd ~outstanding ~capacity
   | Admission.Admitted -> (
       Atomic.incr t.accepted;
-      Trace.incr Trace.Requests_accepted;
       let conn_id = Atomic.fetch_and_add t.next_conn_id 1 in
       Mutex.protect t.mutex (fun () -> Hashtbl.replace t.conns conn_id fd);
       (* the task closure takes the fd with it; the single close site
@@ -600,8 +614,7 @@ let handle_accept t fd =
           Mutex.protect t.mutex (fun () -> Hashtbl.remove t.conns conn_id);
           (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
           Admission.release t.admission;
-          Atomic.incr t.aborted;
-          Trace.incr Trace.Requests_aborted)
+          Atomic.incr t.aborted)
 
 let accept_loop t =
   let rec loop () =
@@ -657,7 +670,6 @@ let drain t =
     List.iter
       (fun fd ->
         Atomic.incr t.aborted;
-        Trace.incr Trace.Requests_aborted;
         (* shutdown(2), not close: the worker still owns the fd; this
            just wakes its blocking read/write immediately *)
         try Unix.shutdown fd Unix.SHUTDOWN_ALL

@@ -1,14 +1,14 @@
 (** Overload-safe HTTP/1.1 serving of keyword search over a Unix-domain
     socket.
 
-    The request flow is admission → deadline → pool → ladder → response:
-    the accept loop claims a slot from a bounded
+    The request flow is admission → deadline → pool → fallback →
+    response: the accept loop claims a slot from a bounded
     {!Xks_robust.Admission} gate (capacity [workers + queue]) and hands
     admitted connections to {!Xks_exec.Pool} workers; connections over
     capacity are shed immediately with [503] + [Retry-After] — overload
     never becomes unbounded queueing.  Each request runs under the
-    configured {!Xks_robust.Budget} recipe, so slow queries degrade down
-    the ValidRTF → MaxMatch → SLCA ladder instead of hogging a worker;
+    configured {!Xks_robust.Budget} recipe, so a query that exhausts it
+    is answered by the SLCA-only algorithm instead of hogging a worker;
     the JSON response carries the [degraded] reason and budget class.
     Keep-alive connections hold their admission slot until they close.
 
@@ -33,7 +33,7 @@ type config = {
   max_nodes : int option;  (** per-request budget node cap *)
   idle_timeout_ms : int;  (** keep-alive wait for a request's first byte *)
   read_timeout_ms : int;  (** total cap on reading one request head+body *)
-  write_timeout_ms : int;  (** cap on writing one response *)
+  write_timeout_ms : int;  (** total cap on writing one response *)
   drain_timeout_ms : int;  (** graceful-shutdown drain budget *)
   retry_after_s : int;  (** advertised in 503 rejections *)
   algorithm : Xks_core.Engine.algorithm;  (** default algorithm *)

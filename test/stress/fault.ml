@@ -246,25 +246,28 @@ let ingestion_faults rng doc =
 
 (* --- Query storms under tiny budgets --- *)
 
+(* Each budgeted answer must be the one its tag names (Xks_check's
+   [ladder] rule): heuristic, BM25 and BM25 top-k searches, under node
+   budgets and under a deadline already past on a fake clock. *)
 let budget_faults rng doc =
   let e = Engine.of_doc doc in
   let q = random_query rng in
-  let unbudgeted alg = Engine.search ~algorithm:alg e q in
-  let rungs =
-    List.map
-      (fun alg -> List.sort compare (List.map (fun h -> h.Engine.fragment) (unbudgeted alg)))
-      [ Engine.Validrtf; Engine.Maxmatch; Engine.Maxmatch_original ]
-  in
+  let modes = [| (`Heuristic, None); (`Bm25, None); (`Bm25, Some 3) |] in
   for _ = 1 to 4 do
-    let budget = Budget.create ~max_nodes:(Rng.int rng 50) () in
-    match Engine.search ~budget e q with
-    | hits ->
-        let frags =
-          List.sort compare (List.map (fun h -> h.Engine.fragment) hits)
-        in
-        if not (List.mem frags rungs) then
-          fail "budgeted answer matches no ladder rung (query %s)"
-            (String.concat " " q)
+    let rank, k = modes.(Rng.int rng (Array.length modes)) in
+    let what, budget =
+      if Rng.int rng 4 = 0 then
+        ("an expired deadline", Xks_check.Topk.expired_deadline ())
+      else
+        let n = Rng.int rng 50 in
+        (Printf.sprintf "a %d-node budget" n, Budget.create ~max_nodes:n ())
+    in
+    match
+      Xks_check.Topk.check_budgeted ~tag:(String.concat " " q) ~rank ?k ~what
+        e q budget
+    with
+    | [] -> ()
+    | v :: _ -> fail "%s" (Xks_check.Invariant.to_string v)
     | exception e ->
         fail "budgeted search escaped with %s" (Printexc.to_string e)
   done

@@ -96,8 +96,8 @@ let test_ranking_prefers_specific () =
 
 (* The degradation signal must survive an empty hit list: a budgeted
    query over a missing keyword exhausts on the present keywords'
-   postings, degrades all the way down, and the floor returns zero hits
-   — only [search_result] (and the trace) can report that. *)
+   postings, degrades to the floor, and the floor returns zero hits —
+   [search_result] (and the trace) still report it. *)
 let test_search_result_degraded_empty () =
   let engine = Engine.of_string library_xml in
   let budget = Xks_robust.Budget.create ~max_nodes:0 () in
@@ -109,10 +109,6 @@ let test_search_result_degraded_empty () =
   Alcotest.(check int) "no hits" 0 (List.length result.Engine.hits);
   Alcotest.(check bool) "degradation reported" true
     (result.Engine.degraded = Some Xks_robust.Budget.Node_budget);
-  (* The per-hit accessor is blind here — the signal-loss bug this
-     closes. *)
-  Alcotest.(check bool) "hit-list accessor sees nothing" true
-    (Engine.degraded_reason result.Engine.hits = None);
   Alcotest.(check int) "exactly one degradation event" 1
     (Xks_trace.Trace.counter t Xks_trace.Trace.Degradations);
   Alcotest.(check (list string)) "reason recorded" [ "node budget" ]
@@ -129,8 +125,6 @@ let test_search_result_degraded_nonempty () =
   Alcotest.(check bool) "floor still answers" true (result.Engine.hits <> []);
   Alcotest.(check bool) "degraded" true
     (result.Engine.degraded = Some Xks_robust.Budget.Node_budget);
-  Alcotest.(check bool) "hits agree with the result" true
-    (Engine.degraded_reason result.Engine.hits = result.Engine.degraded);
   Alcotest.(check int) "exactly one degradation event" 1
     (Xks_trace.Trace.counter t Xks_trace.Trace.Degradations);
   Alcotest.(check bool) "budget ticks counted" true

@@ -640,6 +640,46 @@ let test_batch_budget_semantics () =
             (seq.Engine.degraded = batched.(i).Engine.degraded))
         sequential)
 
+(* An answer degraded by a deadline depends on how long the run took,
+   not on the cache key, so it is never cached; one degraded by a node
+   budget is fixed by the key's budget class, so it is.  The query
+   ticks thousands of nodes, far past the 128-node clock interval, so a
+   zero deadline always expires. *)
+let test_cache_skips_deadline_degraded () =
+  let engine =
+    Engine.of_string
+      ("<r>"
+      ^ String.concat "" (List.init 2000 (fun _ -> "<a>xml search</a>"))
+      ^ "</r>")
+  in
+  let cache = Cache.create ~max_bytes:(64 * 1024 * 1024) () in
+  let twice spec =
+    let before = Cache.stats cache in
+    let run () =
+      (Exec.search_batch_results ~cache ~budget:spec engine
+         [ [ "xml"; "search" ] ]).(0)
+    in
+    let first = run () in
+    let second = run () in
+    let after = Cache.stats cache in
+    (first, second, after.Cache.hits - before.Cache.hits)
+  in
+  let first, second, hits =
+    twice { Exec.deadline_ms = Some 0; max_nodes = None }
+  in
+  Alcotest.(check bool) "degraded by the deadline" true
+    (first.Engine.degraded = Some Xks_robust.Budget.Deadline
+    && second.Engine.degraded = Some Xks_robust.Budget.Deadline);
+  Alcotest.(check int) "second deadline run is a miss" 0 hits;
+  let first, second, hits =
+    twice { Exec.deadline_ms = None; max_nodes = Some 1 }
+  in
+  Alcotest.(check bool) "degraded by the node budget" true
+    (first.Engine.degraded = Some Xks_robust.Budget.Node_budget);
+  Alcotest.(check int) "second node-budget run is a hit" 1 hits;
+  Alcotest.check hit_list "the cached answer" first.Engine.hits
+    second.Engine.hits
+
 let test_batch_empty_query_rejected () =
   let engine = mk_engine () in
   Pool.with_pool ~size:2 (fun pool ->
@@ -705,6 +745,8 @@ let tests =
       test_batch_determinism_generated;
     Alcotest.test_case "per-query budgets in a batch" `Quick
       test_batch_budget_semantics;
+    Alcotest.test_case "cache skips answers degraded by a deadline" `Quick
+      test_cache_skips_deadline_degraded;
     Alcotest.test_case "empty query aborts the batch" `Quick
       test_batch_empty_query_rejected;
   ]

@@ -1,5 +1,5 @@
 (* Robustness layer: budgets, ingestion limits, failpoints, and the
-   engine's degradation ladder. *)
+   engine's graceful degradation. *)
 
 module Budget = Xks_robust.Budget
 module Limits = Xks_robust.Limits
@@ -18,10 +18,7 @@ let test_node_budget () =
   | () -> Alcotest.fail "node cap not enforced"
   | exception Budget.Exhausted Budget.Deadline ->
       Alcotest.fail "wrong exhaustion reason");
-  Alcotest.(check int) "ticks counted" 11 (Budget.visited b);
-  let b' = Budget.renew b in
-  Alcotest.(check int) "renew resets the counter" 0 (Budget.visited b');
-  Budget.tick b' 10 (* the fresh allowance is usable again *)
+  Alcotest.(check int) "ticks counted" 11 (Budget.visited b)
 
 let test_deadline_fake_clock () =
   let now = ref 0.0 in
@@ -34,13 +31,9 @@ let test_deadline_fake_clock () =
   Budget.tick b 1;
   (* 200 ms in: past the deadline *)
   now := 0.2;
-  (match Budget.tick b 1 with
+  match Budget.tick b 1 with
   | exception Budget.Exhausted Budget.Deadline -> ()
-  | () -> Alcotest.fail "deadline not enforced");
-  (* renew keeps the same absolute deadline — still exhausted *)
-  match Budget.check (Budget.renew b) with
-  | exception Budget.Exhausted Budget.Deadline -> ()
-  | () -> Alcotest.fail "renew must not extend the deadline"
+  | () -> Alcotest.fail "deadline not enforced"
 
 let test_clock_checked_every_interval () =
   let calls = ref 0 in
@@ -255,7 +248,7 @@ let test_deadline_interrupts_topk () =
   | exception Budget.Exhausted Budget.Deadline -> ()
   | _ -> Alcotest.fail "deadline did not interrupt the top-k scan"
 
-(* --- The degradation ladder --- *)
+(* --- Graceful degradation: one step down to the SLCA-only floor --- *)
 
 let skeleton hits =
   hits
@@ -264,65 +257,103 @@ let skeleton hits =
   |> List.sort compare
 
 let test_degrades_to_slca_answer () =
-  (* A budget of one node exhausts every rung, so the search lands on the
-     unbudgeted SLCA-only floor: same fragments, tagged degraded. *)
+  (* A budget of one node exhausts the first attempt, so the search
+     lands on the unbudgeted SLCA-only floor: same fragments, tagged
+     degraded. *)
   let e = Engine.of_doc (Xks_datagen.Paper_fixtures.publications ()) in
   let q = Xks_datagen.Paper_fixtures.q2 in
   let budget = Budget.create ~max_nodes:1 () in
-  let hits = Engine.search ~budget e q in
+  let r = Engine.search_result ~budget e q in
   Alcotest.(check bool) "tagged degraded" true
-    (Engine.degraded_reason hits = Some Budget.Node_budget);
-  List.iter
-    (fun (h : Engine.hit) ->
-      Alcotest.(check bool) "every hit tagged" true
-        (h.Engine.degraded = Some Budget.Node_budget))
-    hits;
+    (r.Engine.degraded = Some Budget.Node_budget);
   let floor = Engine.search ~algorithm:Engine.Maxmatch_original e q in
   Alcotest.(check bool) "equals the SLCA-only answer" true
-    (skeleton hits = skeleton floor)
+    (skeleton r.Engine.hits = skeleton floor)
 
 let test_generous_budget_is_full_fidelity () =
   let e = Engine.of_doc (Xks_datagen.Paper_fixtures.publications ()) in
   let q = Xks_datagen.Paper_fixtures.q3 in
   let budget = Budget.create ~max_nodes:10_000_000 ~deadline_ms:600_000 () in
-  let budgeted = Engine.search ~budget e q in
+  let budgeted = Engine.search_result ~budget e q in
   let unbudgeted = Engine.search e q in
-  Alcotest.(check bool) "not degraded" true
-    (Engine.degraded_reason budgeted = None);
+  Alcotest.(check bool) "not degraded" true (budgeted.Engine.degraded = None);
   Alcotest.(check bool) "same answer" true
-    (skeleton budgeted = skeleton unbudgeted)
+    (skeleton budgeted.Engine.hits = skeleton unbudgeted)
 
 let test_expired_deadline_still_answers () =
   let e = Engine.of_doc (Xks_datagen.Paper_fixtures.team ()) in
   let q = Xks_datagen.Paper_fixtures.q4 in
-  let now = ref 0.0 in
-  let budget =
-    Budget.create ~now:(fun () -> !now) ~check_interval:1 ~deadline_ms:1 ()
-  in
-  now := 10.0;
   (* deadline long gone before the query starts *)
-  let hits = Engine.search ~budget e q in
+  let r =
+    Engine.search_result ~budget:(Xks_check.Topk.expired_deadline ()) e q
+  in
   Alcotest.(check bool) "degraded by deadline" true
-    (Engine.degraded_reason hits = Some Budget.Deadline);
+    (r.Engine.degraded = Some Budget.Deadline);
   Alcotest.(check bool) "still produced the SLCA answer" true
-    (skeleton hits
+    (skeleton r.Engine.hits
     = skeleton (Engine.search ~algorithm:Engine.Maxmatch_original e q))
 
+(* A degraded search runs two algorithms: the requested one (ValidRTF,
+   or the top-k scan) and then the floor, with no revised-MaxMatch
+   attempt between them.  The budget covers the up-front posting charge
+   exactly, so the first attempt opens its span and exhausts inside it. *)
+let test_degraded_search_spans () =
+  let e = Engine.of_doc (Xks_datagen.Paper_fixtures.publications ()) in
+  let q = Xks_datagen.Paper_fixtures.q2 in
+  let prepared = Xks_core.Query.make ~order:`Rarest (Engine.index e) q in
+  let charge =
+    Array.fold_left
+      (fun acc p -> acc + Array.length p)
+      0 prepared.Xks_core.Query.postings
+  in
+  let attempts ?rank ?k () =
+    let t = Xks_trace.Trace.create () in
+    let r =
+      Xks_trace.Trace.with_current t (fun () ->
+          Engine.search_result ?rank ?k
+            ~budget:(Budget.create ~max_nodes:charge ())
+            e q)
+    in
+    Alcotest.(check bool) "degraded" true
+      (r.Engine.degraded = Some Budget.Node_budget);
+    List.filter_map
+      (fun (s : Xks_trace.Trace.span) ->
+        match s.label with
+        | "validrtf" | "maxmatch" | "maxmatch_original" | "topk" ->
+            Some s.label
+        | _ -> None)
+      (Xks_trace.Trace.spans t)
+  in
+  Alcotest.(check (list string)) "ValidRTF, then the floor"
+    [ "validrtf"; "maxmatch_original" ] (attempts ());
+  Alcotest.(check (list string)) "top-k scan, then the floor"
+    [ "topk"; "maxmatch_original" ]
+    (attempts ~rank:`Bm25 ~k:2 ())
+
 let prop_budgeted_equals_some_ladder_rung =
-  (* Whatever the budget, the answer matches one of the three algorithms
-     run without a budget — degradation never invents fragments. *)
+  (* Whatever the budget and the rank mode, the answer is exactly the
+     one its tag names (Xks_check's [ladder] rule): untagged, the
+     requested algorithm's unbudgeted answer; tagged, the unbudgeted
+     SLCA-only answer.  Degradation never invents fragments. *)
+  let modes = [ (`Heuristic, None); (`Bm25, None); (`Bm25, Some 2) ] in
   QCheck2.Test.make ~name:"budgeted answer is some ladder rung's answer"
     ~count:60
-    QCheck2.Gen.(pair Helpers.gen_doc (int_range 1 200))
-    ~print:(fun (doc, n) -> Printf.sprintf "%s ~max_nodes:%d" (Helpers.print_doc doc) n)
-    (fun (doc, max_nodes) ->
+    QCheck2.Gen.(
+      quad Helpers.gen_doc (int_range 0 2) (int_range 0 200) bool)
+    ~print:(fun (doc, mode, n, expired) ->
+      Printf.sprintf "%s mode %d %s" (Helpers.print_doc doc) mode
+        (if expired then "expired deadline"
+         else Printf.sprintf "~max_nodes:%d" n))
+    (fun (doc, mode, max_nodes, expired) ->
       let e = Engine.of_doc doc in
-      let q = [ "w0"; "w1" ] in
-      let budget = Budget.create ~max_nodes () in
-      let got = skeleton (Engine.search ~budget e q) in
-      List.exists
-        (fun algorithm -> got = skeleton (Engine.search ~algorithm e q))
-        [ Engine.Validrtf; Engine.Maxmatch; Engine.Maxmatch_original ])
+      let rank, k = List.nth modes mode in
+      let budget =
+        if expired then Xks_check.Topk.expired_deadline ()
+        else Budget.create ~max_nodes ()
+      in
+      Xks_check.Topk.check_budgeted ~rank ?k ~what:"a generated budget" e
+        [ "w0"; "w1" ] budget
+      = [])
 
 let tests =
   [
@@ -359,5 +390,7 @@ let tests =
       test_generous_budget_is_full_fidelity;
     Alcotest.test_case "expired deadline still answers" `Quick
       test_expired_deadline_still_answers;
+    Alcotest.test_case "degraded search runs the floor next" `Quick
+      test_degraded_search_spans;
     Helpers.qtest prop_budgeted_equals_some_ladder_rung;
   ]

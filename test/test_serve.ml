@@ -501,6 +501,83 @@ let test_drain_deadline_cuts_final_write () =
   Alcotest.(check int) "the stalled writer was aborted" 1
     (Server.stats srv).Server.aborted
 
+(* A client that keeps reading a trickle must not hold its worker past
+   [write_timeout_ms]: the cap bounds the whole response, not each
+   write.  The drain test's answer (20,000 hits, about 0.9 MB) read at
+   1 KiB every 20 ms would take about 18 s.  The request keeps the
+   connection alive, so its slot is held until the worker lets the
+   connection go.  Time runs from the response's first byte, so the
+   query's own time does not count. *)
+let test_write_timeout_bounds_the_response () =
+  let n = 20_000 in
+  let engine =
+    Xks_core.Engine.of_string
+      ("<r>"
+      ^ String.concat "" (List.init n (fun _ -> "<p><t>xml</t><u>search</u></p>"))
+      ^ "</r>")
+  in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xks-trickle-%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Server.create
+      { (Server.default_config ~socket_path:socket ()) with
+        Server.workers = 1;
+        queue = 0;
+        cache_mb = 0;
+        deadline_ms = None;
+        max_hits = n;
+        write_timeout_ms = 300 }
+      engine
+  in
+  let server = Domain.spawn (fun () -> Server.run srv) in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let freed_after =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Server.request_shutdown srv;
+        Domain.join server)
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.02;
+        let req =
+          Printf.sprintf "GET /search?q=xml+search&limit=%d HTTP/1.1\r\n\r\n" n
+        in
+        ignore (Unix.write_substring fd req 0 (String.length req) : int);
+        let give_up = Unix.gettimeofday () +. 10. in
+        let first_byte = ref None in
+        let chunk = Bytes.create 1024 in
+        let freed () =
+          let s = Server.stats srv in
+          s.Server.timed_out = 1 && s.Server.active = 0
+        in
+        let rec trickle () =
+          let now = Unix.gettimeofday () in
+          match !first_byte with
+          | Some t0 when freed () -> now -. t0
+          | Some _ | None when now > give_up -> infinity
+          | Some _ | None ->
+              (match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | k -> if k > 0 && !first_byte = None then first_byte := Some now
+              | exception
+                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  ());
+              Unix.sleepf 0.02;
+              trickle ()
+        in
+        trickle ())
+  in
+  let s = Server.stats srv in
+  Alcotest.(check int) "one write timed out" 1 s.Server.timed_out;
+  Alcotest.(check int) "nothing served" 0 s.Server.served;
+  if freed_after > 1.5 then
+    Alcotest.failf
+      "the trickle reader held the connection %.2f s past the response's \
+       first byte with a 300 ms write timeout"
+      freed_after
+
 (* --- allocation on a served cache hit --- *)
 
 (* What a cache hit costs the server in minor words: parse the request,
@@ -954,6 +1031,8 @@ let tests =
       `Quick test_reconnect_after_close_not_shed;
     Alcotest.test_case "drain deadline cuts an unread final response" `Quick
       test_drain_deadline_cuts_final_write;
+    Alcotest.test_case "write timeout bounds the whole response" `Quick
+      test_write_timeout_bounds_the_response;
     Alcotest.test_case "a served cache hit allocates a bounded number of words"
       `Quick test_hit_path_allocation;
   ]

@@ -144,8 +144,9 @@ let run_standard ~seed =
   bad := !bad + check_determinism "dblp-gen" idx workload;
   (* Ranked top-k must equal the k-prefix of full-enumeration-then-sort
      on every query — sequentially, cold/warm through the cache, and
-     from a pool — and every fragment the scan scores must carry its
-     RTF's tf and keyword nodes (Xks_check.Topk). *)
+     from a pool — every fragment the scan scores must carry its RTF's
+     tf and keyword nodes, and every budgeted answer must be the one its
+     degradation tag names (Xks_check.Topk). *)
   bad :=
     !bad
     + report "publications"
@@ -165,7 +166,8 @@ let run_standard ~seed =
       "check: ok — %d queries audited (invariants, ELCA/SLCA differential, \
        node-info reference, Definition 4 post-conditions, jobs=%d batch \
        determinism, top-k prefix equivalence, top-k counts of every ELCA, \
-       workload seed=%d)\n"
+       ladder: each budgeted answer is its tag's rung's, workload \
+       seed=%d)\n"
       audited determinism_jobs seed
   else begin
     Printf.eprintf
