@@ -222,8 +222,9 @@ let search_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Trace the query and print per-stage timings, pipeline \
-             counters and degradation events to stderr.")
+            "Trace the query (or the whole $(b,--batch)) and print each \
+             stage's calls and time, pipeline counters and degradation \
+             events to stderr.")
   in
   let trace_json =
     Arg.(
@@ -231,8 +232,9 @@ let search_cmd =
       & opt (some string) None
       & info [ "trace-json" ] ~docv:"FILE"
           ~doc:
-            "Write the query trace (stage spans, counters, degradation \
-             events) to $(docv) as JSON.")
+            "Write the query trace (each stage's calls and time, counters, \
+             degradation events) to $(docv) as JSON; with $(b,--batch), \
+             the whole batch's.")
   in
   let batch_file =
     Arg.(
@@ -292,6 +294,65 @@ let search_cmd =
     let cid_mode =
       if exact_cid then Xks_index.Cid.Exact else Xks_index.Cid.Approx
     in
+    let trace =
+      if stats_flag || trace_json <> None then Some (Xks_trace.Trace.create ())
+      else None
+    in
+    let traced f =
+      match trace with
+      | None -> f ()
+      | Some t -> Xks_trace.Trace.with_current t f
+    in
+    let report_trace () =
+      match trace with
+      | None -> ()
+      | Some t -> (
+          if stats_flag then prerr_string (Xks_trace.Trace.summary t);
+          match trace_json with
+          | None -> ()
+          | Some path ->
+              let oc = open_out path in
+              Fun.protect
+                ~finally:(fun () -> close_out_noerr oc)
+                (fun () ->
+                  output_string oc
+                    (Xks_trace.Json.to_string (Xks_trace.Trace.to_json t));
+                  output_char oc '\n'))
+    in
+    (* The hits of one query, as both paths print them: the fragment,
+       then its snippet and its pruning decisions when asked for. *)
+    let print_hits query hits =
+      List.iteri
+        (fun i (hit : Xks_core.Engine.hit) ->
+          if i < limit then begin
+            Printf.printf "-- #%d score %.2f %s\n" (i + 1)
+              hit.Xks_core.Engine.score
+              (if hit.Xks_core.Engine.is_slca then "(slca)" else "(lca)");
+            print_string (Xks_core.Engine.render ~xml:xml_out engine hit);
+            if snippets then
+              Printf.printf "   %s\n"
+                (Xks_core.Snippet.of_fragment (Lazy.force query)
+                   hit.Xks_core.Engine.fragment);
+            if explain then begin
+              let info =
+                Xks_core.Node_info.construct ~cid_mode (Lazy.force query)
+                  hit.Xks_core.Engine.rtf
+              in
+              let decisions =
+                match algorithm with
+                | Xks_core.Engine.Validrtf ->
+                    Xks_core.Explain.valid_contributor info
+                | Xks_core.Engine.Maxmatch
+                | Xks_core.Engine.Maxmatch_original ->
+                    Xks_core.Explain.contributor info
+              in
+              print_string
+                (Xks_core.Explain.render (Xks_core.Engine.doc engine)
+                   decisions)
+            end
+          end)
+        hits
+    in
     match batch_file with
     | Some path ->
         if ws <> [] then
@@ -310,23 +371,19 @@ let search_cmd =
           if timeout_ms = None && max_nodes = None then None
           else Some { Xks_exec.Exec.deadline_ms = timeout_ms; max_nodes }
         in
-        let trace =
-          if stats_flag then Some (Xks_trace.Trace.create ()) else None
-        in
-        Xks_trace.Trace.set_current trace;
         let results =
-          try
-            if jobs > 1 then
-              Xks_exec.Pool.with_pool ~size:jobs (fun pool ->
-                  Xks_exec.Exec.search_batch_results ~pool ?cache ~algorithm
-                    ~rank ?k:top_k ~cid_mode ?budget:budget_spec engine
-                    queries)
-            else
-              Xks_exec.Exec.search_batch_results ?cache ~algorithm ~rank
-                ?k:top_k ~cid_mode ?budget:budget_spec engine queries
-          with Xks_exec.Pool.Task_error e -> raise e
+          traced (fun () ->
+              try
+                if jobs > 1 then
+                  Xks_exec.Pool.with_pool ~size:jobs (fun pool ->
+                      Xks_exec.Exec.search_batch_results ~pool ?cache
+                        ~algorithm ~rank ?k:top_k ~cid_mode
+                        ?budget:budget_spec engine queries)
+                else
+                  Xks_exec.Exec.search_batch_results ?cache ~algorithm ~rank
+                    ?k:top_k ~cid_mode ?budget:budget_spec engine queries
+              with Xks_exec.Pool.Task_error e -> raise e)
         in
-        Xks_trace.Trace.set_current None;
         List.iteri
           (fun qi ws ->
             let result = results.(qi) in
@@ -338,14 +395,8 @@ let search_cmd =
                 Printf.printf "   (degraded: %s)\n"
                   (Xks_robust.Budget.reason_to_string reason)
             | None -> ());
-            List.iteri
-              (fun i (hit : Xks_core.Engine.hit) ->
-                if i < limit then begin
-                  Printf.printf "-- #%d score %.2f %s\n" (i + 1)
-                    hit.Xks_core.Engine.score
-                    (if hit.Xks_core.Engine.is_slca then "(slca)" else "(lca)");
-                  print_string (Xks_core.Engine.render ~xml:xml_out engine hit)
-                end)
+            print_hits
+              (lazy (Xks_core.Query.make (Xks_core.Engine.index engine) ws))
               hits)
           queries;
         (match cache with
@@ -358,34 +409,27 @@ let search_cmd =
               s.Xks_exec.Cache.evictions s.Xks_exec.Cache.entries
               s.Xks_exec.Cache.bytes
         | _ -> ());
-        (match trace with
-        | Some t when stats_flag -> prerr_string (Xks_trace.Trace.summary t)
-        | _ -> ())
+        report_trace ()
     | None ->
     if ws = [] then
       die Cmd.Exit.cli_error "xks: expected keywords or --batch FILE";
-    let trace =
-      if stats_flag || trace_json <> None then
-        Some (Xks_trace.Trace.create ())
-      else None
-    in
-    Xks_trace.Trace.set_current trace;
     (* Terms containing ':' use the labeled-search extension. *)
     let labeled = List.exists (fun w -> String.contains w ':') ws in
     if labeled && (rank <> `Heuristic || top_k <> None) then
       die Cmd.Exit.cli_error
         "xks: --rank/--top-k are not supported with labeled (:) terms";
     let result =
-      if labeled then
-        {
-          Xks_core.Engine.hits = Xks_core.Labeled.search ~algorithm engine ws;
-          degraded = None;
-        }
-      else
-        Xks_core.Engine.search_result ~algorithm ~rank ?k:top_k ~cid_mode
-          ?budget engine ws
+      traced (fun () ->
+          if labeled then
+            {
+              Xks_core.Engine.hits =
+                Xks_core.Labeled.search ~algorithm engine ws;
+              degraded = None;
+            }
+          else
+            Xks_core.Engine.search_result ~algorithm ~rank ?k:top_k ~cid_mode
+              ?budget engine ws)
     in
-    Xks_trace.Trace.set_current None;
     let hits = result.Xks_core.Engine.hits in
     (* [search_result] keeps the degradation signal even when the hit
        list is empty; report it either way. *)
@@ -395,20 +439,7 @@ let search_cmd =
           "note: query %s exhausted; results degraded to a cheaper algorithm\n"
           (Xks_robust.Budget.reason_to_string reason)
     | None -> ());
-    (match trace with
-    | None -> ()
-    | Some t ->
-        if stats_flag then prerr_string (Xks_trace.Trace.summary t);
-        (match trace_json with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc
-                  (Xks_trace.Json.to_string (Xks_trace.Trace.to_json t));
-                output_char oc '\n')));
+    report_trace ();
     let query =
       if labeled then Xks_core.Labeled.query (Xks_core.Engine.index engine) ws
       else Xks_core.Query.make (Xks_core.Engine.index engine) ws
@@ -422,33 +453,7 @@ let search_cmd =
           | Some better -> Printf.printf "no \"%s\" — did you mean \"%s\"?\n" w better
           | None -> ())
         (Xks_index.Suggest.correct_query (Xks_core.Engine.index engine) ws);
-    List.iteri
-      (fun i (hit : Xks_core.Engine.hit) ->
-        if i < limit then begin
-          Printf.printf "-- #%d score %.2f %s\n" (i + 1)
-            hit.Xks_core.Engine.score
-            (if hit.Xks_core.Engine.is_slca then "(slca)" else "(lca)");
-          print_string (Xks_core.Engine.render ~xml:xml_out engine hit);
-          if snippets then
-            Printf.printf "   %s\n"
-              (Xks_core.Snippet.of_fragment query hit.Xks_core.Engine.fragment);
-          if explain then begin
-            let info =
-              Xks_core.Node_info.construct ~cid_mode query
-                hit.Xks_core.Engine.rtf
-            in
-            let decisions =
-              match algorithm with
-              | Xks_core.Engine.Validrtf ->
-                  Xks_core.Explain.valid_contributor info
-              | Xks_core.Engine.Maxmatch | Xks_core.Engine.Maxmatch_original ->
-                  Xks_core.Explain.contributor info
-            in
-            print_string
-              (Xks_core.Explain.render (Xks_core.Engine.doc engine) decisions)
-          end
-        end)
-      hits
+    print_hits (Lazy.from_val query) hits
   in
   let index_path =
     Arg.(

@@ -41,24 +41,48 @@ let id e = e.id
 let doc e = e.doc
 let index e = e.index
 
-let run ?(algorithm = Validrtf) ?cid_mode ?budget e ws =
-  (* Rarest keyword first: the dedup is shared with every caller of
-     [Query.make]; the rarity sort additionally puts the shortest
-     posting list in the driver seat of the stack walks. *)
+(* Rarest keyword first: the dedup is shared with every caller of
+   [Query.make]; the rarity sort additionally puts the shortest posting
+   list in the driver seat of the stack walks. *)
+let query_make e ws =
+  let t0 = Trace.start () in
   let q = Query.make ~order:`Rarest e.index ws in
-  match algorithm with
-  | Validrtf -> Validrtf.run_query ?cid_mode ?budget q
-  | Maxmatch -> Maxmatch.run_revised_query ?budget q
-  | Maxmatch_original -> Maxmatch.run_original_query ?budget q
+  Trace.stop Trace.Query_make t0;
+  q
+
+(* Each algorithm is one instance of the pipeline, timed as its stage. *)
+let pipeline = function
+  | Validrtf ->
+      (Trace.Validrtf, Pipeline.Elca_indexed_stack, Pipeline.Valid_contributor)
+  | Maxmatch ->
+      (Trace.Maxmatch, Pipeline.Elca_indexed_stack, Pipeline.Contributor)
+  | Maxmatch_original ->
+      (Trace.Maxmatch_original, Pipeline.Slca_only, Pipeline.Contributor)
+
+let run_query ~algorithm ?cid_mode ?budget q =
+  let stage, lca, pruning = pipeline algorithm in
+  Trace.with_stage stage (fun () ->
+      Pipeline.run_query ?cid_mode ?budget ~lca ~pruning q)
+
+let run ?(algorithm = Validrtf) ?cid_mode ?budget e ws =
+  run_query ~algorithm ?cid_mode ?budget (query_make e ws)
 
 (* [indexed_lookup_eager] returns ascending ids, so membership is a
    binary search instead of an O(hits × slcas) list scan. *)
 let slca_table (q : Query.t) =
   lazy
-    (Trace.with_span "slca_tag" (fun () ->
-         if Query.has_results q then
-           Array.of_list (Xks_lca.Slca.indexed_lookup_eager q.doc q.postings)
-         else [||]))
+    (let t0 = Trace.start () in
+     let slcas =
+       if Query.has_results q then
+         Array.of_list (Xks_lca.Slca.indexed_lookup_eager q.doc q.postings)
+       else [||]
+     in
+     Trace.stop Trace.Slca_tag t0;
+     slcas)
+
+let hit slcas fragment (rtf : Rtf.t) score =
+  let is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) rtf.lca in
+  { fragment; rtf; score; is_slca }
 
 let check_k = function
   | Some k when k < 1 -> invalid_arg "Engine.search: k must be >= 1"
@@ -77,58 +101,77 @@ let bm25_scored (result : Pipeline.result) =
 let hits_of_result ?(rank = (`Heuristic : rank_mode)) ?k (_ : t) result =
   check_k k;
   let slcas = slca_table result.Pipeline.query in
-  let hit (scored : Ranking.scored) =
-    {
-      fragment = scored.fragment;
-      rtf = scored.rtf;
-      score = scored.score;
-      is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) scored.rtf.lca;
-    }
-  in
+  let t0 = Trace.start () in
   let scored =
-    Trace.with_span "rank" (fun () ->
-        match rank with
-        | `Heuristic -> Ranking.rank result
-        | `Bm25 -> bm25_scored result
-        | `Doc ->
-            List.sort
-              (fun (a : Ranking.scored) b -> Int.compare a.rtf.lca b.rtf.lca)
-              (Ranking.rank result))
+    match rank with
+    | `Heuristic -> Ranking.rank result
+    | `Bm25 -> bm25_scored result
+    | `Doc ->
+        List.sort
+          (fun (a : Ranking.scored) b -> Int.compare a.rtf.lca b.rtf.lca)
+          (Ranking.rank result)
   in
-  List.map hit (truncate k scored)
+  Trace.stop Trace.Rank t0;
+  List.map
+    (fun (s : Ranking.scored) -> hit slcas s.fragment s.rtf s.score)
+    (truncate k scored)
+
+(* Ranked winners, best first, become hits: only their fragments are
+   constructed and pruned. *)
+let winner_hits ?cid_mode ?budget pruning q winners =
+  let slcas = slca_table q in
+  List.map
+    (fun (score, (rtf : Rtf.t)) ->
+      hit slcas (Pipeline.fragment ?cid_mode ?budget pruning q rtf) rtf score)
+    winners
 
 (* The streaming top-k fast path (BM25 + k over ValidRTF): scan once
-   with score-bounded early termination, then construct and prune only
-   the k winning fragments instead of every RTF. *)
-let topk_hits ?cid_mode ?budget ~k e ws =
-  let q = Query.make ~order:`Rarest e.index ws in
-  (* Same up-front posting charge as [Pipeline.run_query]. *)
+   with score-bounded early termination, then build only the k winning
+   fragments. *)
+let topk_hits ?cid_mode ?budget ~k q =
+  (* Same up-front posting charge as [Pipeline.lcas_rtfs]. *)
   Budget.tick_opt budget
     (Array.fold_left (fun acc p -> acc + Array.length p) 0 q.Query.postings);
   let w = Rank.weights q in
   let outcome =
-    Trace.with_span "topk" (fun () ->
+    Trace.with_stage Trace.Topk (fun () ->
         Xks_lca.Topk.run ?budget ~k
           ~score:(fun ~lca:_ ~tf -> Rank.score_tf w tf)
           ~bound:(fun ~avail -> Rank.bound w ~avail)
           q.Query.doc q.Query.postings)
   in
-  let slcas = slca_table q in
-  Trace.with_span "prune" (fun () ->
-      List.map
-        (fun (c : Xks_lca.Topk.candidate) ->
-          Budget.tick_opt budget (1 + Array.length c.knodes);
-          let rtf = { Rtf.lca = c.lca; knodes = c.knodes } in
-          let fragment =
-            Prune.valid_contributor (Node_info.construct ?cid_mode q rtf)
-          in
-          {
-            fragment;
-            rtf;
-            score = c.score;
-            is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) c.lca;
-          })
-        outcome.Xks_lca.Topk.top)
+  winner_hits ?cid_mode ?budget Pipeline.Valid_contributor q
+    (List.map
+       (fun (c : Xks_lca.Topk.candidate) ->
+         (c.score, { Rtf.lca = c.lca; knodes = c.knodes }))
+       outcome.Xks_lca.Topk.top)
+
+(* BM25 + k over a full enumeration (the MaxMatch algorithms, and the
+   SLCA-only floor of a degraded top-k search): BM25 reads only the RTF,
+   so the RTFs are ranked in the streaming driver's (score desc, LCA id
+   asc) order before any fragment is built, and only the first k are. *)
+let bm25_topk_hits ~algorithm ?cid_mode ?budget ~k q =
+  let stage, lca, pruning = pipeline algorithm in
+  let _, rtfs =
+    Trace.with_stage stage (fun () -> Pipeline.lcas_rtfs ?budget ~lca q)
+  in
+  let t0 = Trace.start () in
+  let w = Rank.weights q in
+  let best = Xks_util.Topheap.create ~capacity:k in
+  List.iter
+    (fun (rtf : Rtf.t) ->
+      ignore
+        (Xks_util.Topheap.insert best ~score:(Rank.score_rtf w q rtf)
+           ~id:rtf.lca rtf
+          : bool))
+    rtfs;
+  let winners =
+    List.map
+      (fun (score, _, rtf) -> (score, rtf))
+      (Xks_util.Topheap.to_sorted_list best)
+  in
+  Trace.stop Trace.Rank t0;
+  winner_hits ?cid_mode ?budget pruning q winners
 
 type search_result = { hits : hit list; degraded : Budget.reason option }
 
@@ -140,25 +183,29 @@ type search_result = { hits : hit list; degraded : Budget.reason option }
 let search_result ?(algorithm = Validrtf) ?cid_mode
     ?(rank = (`Heuristic : rank_mode)) ?k ?budget e ws =
   check_k k;
-  Trace.with_span "search" (fun () ->
-      let attempt alg budget =
-        match (alg, rank, k) with
-        | Validrtf, `Bm25, Some kk -> topk_hits ?cid_mode ?budget ~k:kk e ws
-        | ( (Validrtf | Maxmatch | Maxmatch_original),
-            (`Bm25 | `Heuristic | `Doc),
-            (Some _ | None) ) ->
-            (* Other algorithms under BM25 top-k enumerate in full,
-               BM25-scored, and keep the k-prefix. *)
-            hits_of_result ~rank ?k e
-              (run ~algorithm:alg ?cid_mode ?budget e ws)
-      in
-      match attempt algorithm budget with
-      | hits -> { hits; degraded = None }
-      | exception Budget.Exhausted reason ->
-          (* One event per degraded search, also when the floor finds
-             no hit. *)
-          Trace.degradation (Budget.reason_to_string reason);
-          { hits = attempt Maxmatch_original None; degraded = Some reason })
+  let t0 = Trace.start () in
+  let q = query_make e ws in
+  let attempt alg budget =
+    match (alg, rank, k) with
+    | Validrtf, `Bm25, Some k -> topk_hits ?cid_mode ?budget ~k q
+    | (Maxmatch | Maxmatch_original), `Bm25, Some k ->
+        bm25_topk_hits ~algorithm:alg ?cid_mode ?budget ~k q
+    | ( (Validrtf | Maxmatch | Maxmatch_original),
+        (`Bm25 | `Heuristic | `Doc),
+        (Some _ | None) ) ->
+        hits_of_result ~rank ?k e (run_query ~algorithm:alg ?cid_mode ?budget q)
+  in
+  let result =
+    match attempt algorithm budget with
+    | hits -> { hits; degraded = None }
+    | exception Budget.Exhausted reason ->
+        (* One event per degraded search, also when the floor finds no
+           hit. *)
+        Trace.degradation (Budget.reason_to_string reason);
+        { hits = attempt Maxmatch_original None; degraded = Some reason }
+  in
+  Trace.stop Trace.Search t0;
+  result
 
 let search ?algorithm ?cid_mode ?rank ?k e ws =
   (search_result ?algorithm ?cid_mode ?rank ?k e ws).hits

@@ -88,8 +88,12 @@ val search_result :
     availability bound proves no unseen fragment can enter the top k
     (DESIGN.md §5g) — the result is {e identical} to ranking the full
     enumeration and keeping its k-prefix, ties broken by document
-    order.  Under other rank modes (or other algorithms) [k] simply
-    truncates the ranked hit list.
+    order.  Under [~rank:`Bm25] on the MaxMatch algorithms (and on the
+    SLCA-only floor of a degraded search) the full enumeration's RTFs
+    are ranked first, since BM25 reads only the RTF, and only the first
+    [k] are constructed and pruned; the result is again the k-prefix of
+    the full ranking.  Under other rank modes [k] simply truncates the
+    ranked hit list.
     @raise Invalid_argument when [k < 1].
 
     With a [budget], the requested algorithm (or the top-k scan) runs

@@ -32,6 +32,20 @@ val run_query :
     @raise Xks_robust.Budget.Exhausted when the budget runs out;
     {!Xks_core.Engine.search_result} catches this and degrades instead. *)
 
+val lcas_rtfs :
+  ?budget:Xks_robust.Budget.t -> lca:lca_algorithm -> Query.t ->
+  int list * Rtf.t list
+(** The LCA stage and [getRTF]: {!run_query} without the pruning stage,
+    charging the same ticks.
+    @raise Xks_robust.Budget.Exhausted when the budget runs out. *)
+
+val fragment :
+  ?cid_mode:Xks_index.Cid.mode -> ?budget:Xks_robust.Budget.t -> pruning ->
+  Query.t -> Rtf.t -> Fragment.t
+(** The pruning stage for one RTF: tick [budget] once per keyword node
+    plus one, construct the RTF's {!Node_info} and prune it.
+    @raise Xks_robust.Budget.Exhausted when the budget runs out. *)
+
 val run :
   ?cid_mode:Xks_index.Cid.mode -> lca:lca_algorithm -> pruning:pruning ->
   Xks_index.Inverted.t -> string list -> result

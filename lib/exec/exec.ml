@@ -7,8 +7,10 @@
    Inverted's interface; the sharing audit in test/test_index.ml pins
    it), (2) its own Query/RTF/pruning state — freshly allocated per
    query, (3) its own Budget — created on the worker at query start, so
-   the mutable tick counters stay single-domain, (4) the Trace counters
-   — atomic — and the cache shards — mutex-guarded.  Nothing else is
+   the mutable tick counters stay single-domain, (4) the installed
+   Trace — its counters and stage table are atomic cells, so every
+   worker records its queries' stages into the installing domain's
+   trace — and the cache shards — mutex-guarded.  Nothing else is
    shared, so a batch run is observationally identical to the
    sequential loop. *)
 

@@ -1,13 +1,13 @@
-(* Per-query observability: stage spans + monotonic counters.
+(* Per-query observability: a fixed stage table + monotonic counters.
 
    One global "current trace" slot keeps the disabled fast path to a
    single load-and-branch per instrumentation point — the pipeline's hot
    loops tick counters unconditionally, so when no trace is installed
-   the cost must be negligible.  The slot is an [Atomic.t] and the
-   counters are atomic because work may run on several domains
-   ([Xks_exec] batch execution); spans are recorded only on the domain
-   that installed the trace, so the span stack stays single-domain
-   mutable state. *)
+   the cost must be negligible.  Every field of a trace is an atomic
+   cell (a flat array per table), so any domain records into it without
+   a lock and nothing is allocated per call: [Xks_exec] batch workers
+   time their stages into the installing domain's trace exactly as the
+   installing domain does. *)
 
 type counter =
   | Postings_scanned
@@ -64,48 +64,92 @@ let counter_name = function
   | Topk_pruned_postings -> "topk.pruned_postings"
   | Topk_early_exit -> "topk.early_exit"
 
-type span = { label : string; depth : int; seq : int; ms : float }
+type stage =
+  | Search
+  | Validrtf
+  | Maxmatch
+  | Maxmatch_original
+  | Query_make
+  | Topk
+  | Lca
+  | Rtf
+  | Construct
+  | Prune
+  | Rank
+  | Slca_tag
+
+let stage_index = function
+  | Search -> 0
+  | Validrtf -> 1
+  | Maxmatch -> 2
+  | Maxmatch_original -> 3
+  | Query_make -> 4
+  | Topk -> 5
+  | Lca -> 6
+  | Rtf -> 7
+  | Construct -> 8
+  | Prune -> 9
+  | Rank -> 10
+  | Slca_tag -> 11
+
+let n_stages = 12
+
+let all_stages =
+  [
+    Search; Validrtf; Maxmatch; Maxmatch_original; Query_make; Topk; Lca;
+    Rtf; Construct; Prune; Rank; Slca_tag;
+  ]
+
+let leaf_stages =
+  [ Query_make; Topk; Lca; Rtf; Construct; Prune; Rank; Slca_tag ]
+
+let stage_name = function
+  | Search -> "search"
+  | Validrtf -> "validrtf"
+  | Maxmatch -> "maxmatch"
+  | Maxmatch_original -> "maxmatch_original"
+  | Query_make -> "query_make"
+  | Topk -> "topk"
+  | Lca -> "lca"
+  | Rtf -> "rtf"
+  | Construct -> "construct"
+  | Prune -> "prune"
+  | Rank -> "rank"
+  | Slca_tag -> "slca_tag"
 
 type t = {
   counters : int Atomic.t array;
-  owner : int Atomic.t;  (* id of the domain that installed the trace *)
+  stage_ns : int Atomic.t array;
+  stage_calls : int Atomic.t array;
   events : string list Atomic.t;  (* degradation reasons, reverse order *)
-  (* The span fields are deliberately unsynchronized: [owns] gates
-     every write so only the domain that installed the trace touches
-     them (worker domains tick the atomic counters only). *)
-  (* xksrace: domain_safe owner-domain protocol, every write gated by owns *)
-  mutable stack : (string * int * float) list;  (* label, seq, start s *)
-  (* xksrace: domain_safe owner-domain protocol, every write gated by owns *)
-  mutable closed : span list;  (* reverse completion order *)
-  (* xksrace: domain_safe owner-domain protocol, every write gated by owns *)
-  mutable next_seq : int;
 }
 
-let domain_id () = (Domain.self () :> int)
+let atomics n = Array.init n (fun _ -> Atomic.make 0)
 
 let create () =
   {
-    counters = Array.init n_counters (fun _ -> Atomic.make 0);
-    owner = Atomic.make (domain_id ());
+    counters = atomics n_counters;
+    stage_ns = atomics n_stages;
+    stage_calls = atomics n_stages;
     events = Atomic.make [];
-    stack = [];
-    closed = [];
-    next_seq = 0;
   }
 
 let current : t option Atomic.t = Atomic.make None
 
-let set_current o =
-  (match o with Some t -> Atomic.set t.owner (domain_id ()) | None -> ());
-  Atomic.set current o
+let enabled () =
+  match Atomic.get current with None -> false | Some _ -> true
 
-let get_current () = Atomic.get current
-let enabled () = Atomic.get current <> None
+let with_current t f =
+  let saved = Atomic.get current in
+  Atomic.set current (Some t);
+  Fun.protect ~finally:(fun () -> Atomic.set current saved) f
+
+let bump cells i n = ignore (Atomic.fetch_and_add cells.(i) n : int)
 
 let add c n =
   match Atomic.get current with
   | None -> ()
-  | Some t -> ignore (Atomic.fetch_and_add t.counters.(counter_index c) n : int)
+  | Some t -> bump t.counters (counter_index c) n
 
 let incr c = add c 1
 
@@ -121,74 +165,48 @@ let degradation reason =
   | None -> ()
   | Some t ->
       push_event t reason;
-      ignore
-        (Atomic.fetch_and_add t.counters.(counter_index Degradations) 1 : int)
+      bump t.counters (counter_index Degradations) 1
 
-let now = Unix.gettimeofday
+(* Nanoseconds on the monotonic clock; an unboxed external, so reading
+   it allocates nothing. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-(* Spans mutate the trace's stack, which is not synchronised: only the
-   installing domain records them.  Worker domains (batch execution)
-   still tick the atomic counters above. *)
-let owns t = Atomic.get t.owner = domain_id ()
+let start () =
+  match Atomic.get current with None -> 0 | Some _ -> now_ns ()
 
-let span_begin label =
+(* [t0 = 0] is a start taken while no trace was installed: a trace
+   installed since then has no start time to charge. *)
+let stop stage t0 =
   match Atomic.get current with
   | None -> ()
-  | Some t when not (owns t) -> ()
+  | Some _ when t0 = 0 -> ()
   | Some t ->
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.stack <- (label, seq, now ()) :: t.stack
+      let i = stage_index stage in
+      bump t.stage_ns i (now_ns () - t0);
+      bump t.stage_calls i 1
 
-let span_end label =
-  match Atomic.get current with
-  | None -> ()
-  | Some t when not (owns t) -> ()
-  | Some t -> (
-      match t.stack with
-      | (l, seq, t0) :: rest when l = label ->
-          t.stack <- rest;
-          t.closed <-
-            {
-              label;
-              depth = List.length rest;
-              seq;
-              ms = (now () -. t0) *. 1000.;
-            }
-            :: t.closed
-      | _ -> () (* unmatched end: drop rather than corrupt the stack *))
-
-let with_span label f =
+let with_stage stage f =
   match Atomic.get current with
   | None -> f ()
   | Some _ ->
-      span_begin label;
-      Fun.protect ~finally:(fun () -> span_end label) f
-
-let with_current t f =
-  let saved = Atomic.get current in
-  set_current (Some t);
-  Fun.protect ~finally:(fun () -> Atomic.set current saved) f
+      let t0 = start () in
+      Fun.protect ~finally:(fun () -> stop stage t0) f
 
 let counter t c = Atomic.get t.counters.(counter_index c)
 let counters t = List.map (fun c -> (counter_name c, counter t c)) all_counters
-
-let spans t =
-  List.sort (fun a b -> Int.compare a.seq b.seq) t.closed
-
+let stage_calls t s = Atomic.get t.stage_calls.(stage_index s)
+let stage_ms t s = float_of_int (Atomic.get t.stage_ns.(stage_index s)) /. 1e6
 let degradation_events t = List.rev (Atomic.get t.events)
 
 let summary t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "-- trace: stage timings --\n";
+  Buffer.add_string buf "-- trace: stages --\n";
   List.iter
     (fun s ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%-*s %10.3f ms\n"
-           (String.make (2 * s.depth) ' ')
-           (24 - (2 * s.depth))
-           s.label s.ms))
-    (spans t);
+        (Printf.sprintf "%-24s %10d %10.3f ms\n" (stage_name s)
+           (stage_calls t s) (stage_ms t s)))
+    all_stages;
   Buffer.add_string buf "-- trace: counters --\n";
   List.iter
     (fun (name, v) ->
@@ -206,17 +224,17 @@ let summary t =
 let to_json t =
   Json.Obj
     [
-      ( "spans",
-        Json.List
+      ( "stages",
+        Json.Obj
           (List.map
              (fun s ->
-               Json.Obj
-                 [
-                   ("label", Json.String s.label);
-                   ("depth", Json.Int s.depth);
-                   ("ms", Json.Float s.ms);
-                 ])
-             (spans t)) );
+               ( stage_name s,
+                 Json.Obj
+                   [
+                     ("calls", Json.Int (stage_calls t s));
+                     ("ms", Json.Float (stage_ms t s));
+                   ] ))
+             all_stages) );
       ( "counters",
         Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (counters t))
       );

@@ -51,7 +51,6 @@ module Budget = Xks_robust.Budget
 module Limits = Xks_robust.Limits
 module Admission = Xks_robust.Admission
 module Failpoint = Xks_robust.Failpoint
-module Trace = Xks_trace.Trace
 module Json = Xks_trace.Json
 
 let read_site = "serve.read"
@@ -517,9 +516,7 @@ let conn_loop t ~release_slot conn_id fd =
         let close =
           stopping || Atomic.get t.stop_flag || not (Http.keep_alive req)
         in
-        let status, body =
-          Trace.with_span "serve.request" (fun () -> route t trace_id req)
-        in
+        let status, body = route t trace_id req in
         match respond t fd ~release_slot ~close ~status ~trace_id body with
         | `Sent -> if not close then loop ()
         | `Gone -> ())

@@ -101,8 +101,9 @@ let test_trace_disabled_is_noop () =
   Trace.add Trace.Nodes_visited 5;
   Trace.incr Trace.Postings_scanned;
   Trace.degradation "deadline";
-  Alcotest.(check int) "with_span is transparent" 42
-    (Trace.with_span "outer" (fun () -> 42));
+  Alcotest.(check int) "start reads no clock" 0 (Trace.start ());
+  Alcotest.(check int) "with_stage is transparent" 42
+    (Trace.with_stage Trace.Search (fun () -> 42));
   (* ...and a full untraced search leaves a later trace at zero. *)
   let engine = Engine.of_string search_doc in
   ignore (Engine.search engine [ "w1"; "w2" ]);
@@ -113,7 +114,11 @@ let test_trace_disabled_is_noop () =
         ("fresh counter " ^ Trace.counter_name c)
         0 (Trace.counter t c))
     Trace.all_counters;
-  Alcotest.(check int) "no spans" 0 (List.length (Trace.spans t));
+  List.iter
+    (fun s ->
+      Alcotest.(check int) ("no " ^ Trace.stage_name s ^ " call") 0
+        (Trace.stage_calls t s))
+    Trace.all_stages;
   Alcotest.(check int) "no events" 0 (List.length (Trace.degradation_events t))
 
 let test_trace_counters_enabled_and_monotone () =
@@ -144,45 +149,129 @@ let test_trace_counters_enabled_and_monotone () =
   Alcotest.(check int) "no degradations" 0
     (Trace.counter t Trace.Degradations)
 
-let test_trace_spans_nest () =
-  let t = Trace.create () in
-  Trace.with_current t (fun () ->
-      Trace.with_span "outer" (fun () ->
-          Trace.with_span "inner" (fun () -> ());
-          Trace.with_span "inner2" (fun () -> ())));
-  match Trace.spans t with
-  | [ outer; inner; inner2 ] ->
-      Alcotest.(check string) "outer first (start order)" "outer" outer.Trace.label;
-      Alcotest.(check int) "outer at depth 0" 0 outer.Trace.depth;
-      Alcotest.(check string) "inner second" "inner" inner.Trace.label;
-      Alcotest.(check int) "inner nested" 1 inner.Trace.depth;
-      Alcotest.(check int) "inner2 nested" 1 inner2.Trace.depth;
-      Alcotest.(check bool) "outer spans its children" true
-        (outer.Trace.ms >= inner.Trace.ms)
-  | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l)
+(* Construct and prune are timed once per RTF, so a start/stop pair
+   must cost no allocation, traced or not. *)
+let test_trace_start_stop_allocate_nothing () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+      let pairs = 10_000 in
+      let words_per_pair () =
+        let w0 = Gc.minor_words () in
+        for _ = 1 to pairs do
+          Trace.stop Trace.Construct (Trace.start ())
+        done;
+        (Gc.minor_words () -. w0) /. float_of_int pairs
+      in
+      let untraced = words_per_pair () in
+      let t = Trace.create () in
+      let traced = Trace.with_current t words_per_pair in
+      Alcotest.(check int) "every traced pair counted" pairs
+        (Trace.stage_calls t Trace.Construct);
+      List.iter
+        (fun (what, w) ->
+          if w >= 0.01 then
+            Alcotest.failf "%s start/stop allocates %.4f words per pair" what w)
+        [ ("untraced", untraced); ("traced", traced) ]
 
-let test_trace_search_stage_spans () =
+let test_trace_search_stage_calls () =
   let engine = Engine.of_string search_doc in
+  let ws = [ "w1"; "w2" ] in
+  let rtfs = List.length (Engine.run engine ws).Xks_core.Pipeline.rtfs in
   let t = Trace.create () in
-  Trace.with_current t (fun () -> ignore (Engine.search engine [ "w1"; "w2" ]));
-  let spans = Trace.spans t in
-  let find label =
-    match List.find_opt (fun s -> s.Trace.label = label) spans with
-    | Some s -> s
-    | None -> Alcotest.failf "missing span %s" label
-  in
-  Alcotest.(check int) "search is outermost" 0 (find "search").Trace.depth;
-  Alcotest.(check int) "validrtf under search" 1 (find "validrtf").Trace.depth;
-  List.iter
-    (fun stage ->
-      Alcotest.(check int) (stage ^ " under validrtf") 2 (find stage).Trace.depth)
-    [ "lca"; "rtf"; "prune" ];
-  Alcotest.(check int) "rank under search" 1 (find "rank").Trace.depth;
+  Trace.with_current t (fun () -> ignore (Engine.search engine ws));
+  let calls = Trace.stage_calls t in
   List.iter
     (fun s ->
-      Alcotest.(check bool) (s.Trace.label ^ " non-negative") true
-        (s.Trace.ms >= 0.0))
-    spans
+      Alcotest.(check int) (Trace.stage_name s ^ " once") 1 (calls s))
+    Trace.
+      [ Search; Validrtf; Query_make; Lca; Rtf; Rank; Slca_tag ];
+  Alcotest.(check bool) "more than one RTF" true (rtfs > 1);
+  Alcotest.(check int) "construct per RTF" rtfs (calls Trace.Construct);
+  Alcotest.(check int) "prune per RTF" rtfs (calls Trace.Prune);
+  List.iter
+    (fun s -> Alcotest.(check int) (Trace.stage_name s ^ " unused") 0 (calls s))
+    Trace.[ Maxmatch; Maxmatch_original; Topk ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Trace.stage_name s ^ " non-negative") true
+        (Trace.stage_ms t s >= 0.0))
+    Trace.all_stages
+
+(* Batch workers record into the installing domain's trace: every query
+   runs on one of the pool's two domains, none on the caller's. *)
+let test_trace_batch_on_pool () =
+  let engine = Engine.of_string search_doc in
+  let queries = [ [ "w1"; "w2" ]; [ "w1" ]; [ "w2" ]; [ "w2"; "w1" ] ] in
+  let t = Trace.create () in
+  ignore
+    (Xks_exec.Pool.with_pool ~size:2 ~oversubscribe:true (fun pool ->
+         Trace.with_current t (fun () ->
+             Xks_exec.Exec.search_batch_results ~pool engine queries))
+      : Engine.search_result array);
+  Alcotest.(check int) "one search per query" (List.length queries)
+    (Trace.stage_calls t Trace.Search);
+  Alcotest.(check bool) "lca time recorded" true
+    (Trace.stage_ms t Trace.Lca > 0.0)
+
+(* The leaf stages never nest inside one another, so their summed time
+   fits inside the search's.  Over the paper's 44 queries, in every
+   rank mode and degraded at half the full charge. *)
+let test_trace_leaves_within_search () =
+  let corpora =
+    [
+      (Xks_datagen.Dblp_gen.generate (), Xks_datagen.Queries.dblp);
+      ( Xks_datagen.Xmark_gen.generate
+          ~config:{ Xks_datagen.Xmark_gen.default_config with items = 200 }
+          Xks_datagen.Xmark_gen.Data1,
+        Xks_datagen.Queries.xmark );
+    ]
+  in
+  let check_search what search =
+    let t = Trace.create () in
+    let r = Trace.with_current t search in
+    let leaves =
+      List.fold_left (fun acc s -> acc +. Trace.stage_ms t s) 0.0
+        Trace.leaf_stages
+    in
+    Alcotest.(check int) (what ^ ": one search") 1
+      (Trace.stage_calls t Trace.Search);
+    if leaves > Trace.stage_ms t Trace.Search then
+      Alcotest.failf "%s: leaf stages %.6f ms exceed search %.6f ms" what
+        leaves (Trace.stage_ms t Trace.Search);
+    r
+  in
+  List.iter
+    (fun (doc, (workload : Xks_datagen.Queries.workload)) ->
+      let e = Engine.of_doc doc in
+      List.iter
+        (fun (name, ws) ->
+          List.iter
+            (fun (mode, rank, k) ->
+              let what = Printf.sprintf "%s %s %s" workload.name name mode in
+              let full = Xks_robust.Budget.create () in
+              let r =
+                check_search what (fun () ->
+                    Engine.search_result ~rank ?k ~budget:full e ws)
+              in
+              Alcotest.(check bool) (what ^ " full") true
+                (r.Engine.degraded = None);
+              let half =
+                Xks_robust.Budget.create
+                  ~max_nodes:(Xks_robust.Budget.visited full / 2)
+                  ()
+              in
+              ignore
+                (check_search (what ^ " at half charge") (fun () ->
+                     Engine.search_result ~rank ?k ~budget:half e ws)
+                  : Engine.search_result))
+            [
+              ("heuristic", `Heuristic, None);
+              ("bm25", `Bm25, None);
+              ("bm25 k10", `Bm25, Some 10);
+            ])
+        workload.queries)
+    corpora
 
 let test_trace_json_round_trip () =
   let engine = Engine.of_string search_doc in
@@ -196,9 +285,19 @@ let test_trace_json_round_trip () =
      with
     | Some n -> n > 0
     | None -> false);
-  match Option.bind (Json.member "spans" j) Json.to_list with
-  | Some (_ :: _) -> ()
-  | _ -> Alcotest.fail "spans missing from JSON"
+  let stages = Option.get (Json.member "stages" j) in
+  List.iter
+    (fun s ->
+      let stage = Json.member (Trace.stage_name s) stages in
+      Alcotest.(check (option int))
+        (Trace.stage_name s ^ " calls")
+        (Some (Trace.stage_calls t s))
+        (Option.bind (Option.bind stage (Json.member "calls")) Json.to_int);
+      Alcotest.(check bool) (Trace.stage_name s ^ " ms") true
+        (Option.is_some (Option.bind stage (Json.member "ms"))))
+    Trace.all_stages;
+  Alcotest.(check int) "search exported once" 1
+    (Trace.stage_calls t Trace.Search)
 
 (* --- JSON printing: byte identity with the Printf-based printer --- *)
 
@@ -327,9 +426,14 @@ let tests =
       test_trace_disabled_is_noop;
     Alcotest.test_case "trace counters enabled + monotone" `Quick
       test_trace_counters_enabled_and_monotone;
-    Alcotest.test_case "trace spans nest" `Quick test_trace_spans_nest;
-    Alcotest.test_case "trace search stage spans" `Quick
-      test_trace_search_stage_spans;
+    Alcotest.test_case "trace start/stop allocate nothing" `Quick
+      test_trace_start_stop_allocate_nothing;
+    Alcotest.test_case "trace search stage calls" `Quick
+      test_trace_search_stage_calls;
+    Alcotest.test_case "trace batch workers record" `Quick
+      test_trace_batch_on_pool;
+    Alcotest.test_case "trace leaves within search" `Quick
+      test_trace_leaves_within_search;
     Alcotest.test_case "trace json round-trip" `Quick
       test_trace_json_round_trip;
     Helpers.qtest prop_json_byte_identity;

@@ -168,8 +168,11 @@ let test_bound_exhaustion () =
 (* The driver's contract on arbitrary documents: identical hits, in
    the same order, as ranking the full ELCA enumeration and keeping the
    first k.  Exact equality is intentional — both paths compute scores
-   with the same Rank.score_tf over the same `Rarest keyword order, so
-   even the floats must agree bit-for-bit. *)
+   with the same Rank.score_rtf over the same `Rarest keyword order, so
+   even the floats must agree bit-for-bit.  The MaxMatch algorithms
+   rank their full enumeration's RTFs before building the first k
+   fragments, and must agree with their own full ranking the same way,
+   in both cID modes. *)
 let prop_topk_equals_prefix =
   let gen =
     QCheck2.Gen.(triple Helpers.gen_doc Helpers.gen_query (int_range 1 5))
@@ -182,9 +185,15 @@ let prop_topk_equals_prefix =
     gen
     (fun (doc, q, k) ->
       let engine = Engine.of_doc doc in
-      let full = Engine.search ~rank:`Bm25 engine q in
-      let prefix = List.filteri (fun i _ -> i < k) full in
-      Engine.search ~rank:`Bm25 ~k engine q = prefix)
+      List.for_all
+        (fun (algorithm, cid_mode) ->
+          let full = Engine.search ~algorithm ~cid_mode ~rank:`Bm25 engine q in
+          let prefix = List.filteri (fun i _ -> i < k) full in
+          Engine.search ~algorithm ~cid_mode ~rank:`Bm25 ~k engine q = prefix)
+        (List.concat_map
+           (fun algorithm ->
+             [ (algorithm, Xks_index.Cid.Approx); (algorithm, Xks_index.Cid.Exact) ])
+           [ Engine.Validrtf; Engine.Maxmatch; Engine.Maxmatch_original ]))
 
 (* The prefix property compares only the k winners, so a miscounted
    emit that leaves the top k unchanged passes it.  This one keeps every

@@ -296,39 +296,67 @@ let test_expired_deadline_still_answers () =
 (* A degraded search runs two algorithms: the requested one (ValidRTF,
    or the top-k scan) and then the floor, with no revised-MaxMatch
    attempt between them.  The budget covers the up-front posting charge
-   exactly, so the first attempt opens its span and exhausts inside it. *)
-let test_degraded_search_spans () =
+   exactly, so the first attempt opens its stage and exhausts inside
+   it. *)
+let posting_charge e q =
+  let prepared = Xks_core.Query.make ~order:`Rarest (Engine.index e) q in
+  Array.fold_left
+    (fun acc p -> acc + Array.length p)
+    0 prepared.Xks_core.Query.postings
+
+let degraded_trace ?rank ?k e q =
+  let t = Xks_trace.Trace.create () in
+  let r =
+    Xks_trace.Trace.with_current t (fun () ->
+        Engine.search_result ?rank ?k
+          ~budget:(Budget.create ~max_nodes:(posting_charge e q) ())
+          e q)
+  in
+  Alcotest.(check bool) "degraded" true
+    (r.Engine.degraded = Some Budget.Node_budget);
+  (r, t)
+
+let test_degraded_search_stages () =
   let e = Engine.of_doc (Xks_datagen.Paper_fixtures.publications ()) in
   let q = Xks_datagen.Paper_fixtures.q2 in
-  let prepared = Xks_core.Query.make ~order:`Rarest (Engine.index e) q in
-  let charge =
-    Array.fold_left
-      (fun acc p -> acc + Array.length p)
-      0 prepared.Xks_core.Query.postings
-  in
   let attempts ?rank ?k () =
-    let t = Xks_trace.Trace.create () in
-    let r =
-      Xks_trace.Trace.with_current t (fun () ->
-          Engine.search_result ?rank ?k
-            ~budget:(Budget.create ~max_nodes:charge ())
-            e q)
-    in
-    Alcotest.(check bool) "degraded" true
-      (r.Engine.degraded = Some Budget.Node_budget);
-    List.filter_map
-      (fun (s : Xks_trace.Trace.span) ->
-        match s.label with
-        | "validrtf" | "maxmatch" | "maxmatch_original" | "topk" ->
-            Some s.label
-        | _ -> None)
-      (Xks_trace.Trace.spans t)
+    let _, t = degraded_trace ?rank ?k e q in
+    List.map
+      (fun s -> (Xks_trace.Trace.stage_name s, Xks_trace.Trace.stage_calls t s))
+      Xks_trace.Trace.[ Validrtf; Maxmatch; Maxmatch_original; Topk ]
   in
-  Alcotest.(check (list string)) "ValidRTF, then the floor"
-    [ "validrtf"; "maxmatch_original" ] (attempts ());
-  Alcotest.(check (list string)) "top-k scan, then the floor"
-    [ "topk"; "maxmatch_original" ]
+  Alcotest.(check (list (pair string int))) "ValidRTF, then the floor"
+    [ ("validrtf", 1); ("maxmatch", 0); ("maxmatch_original", 1); ("topk", 0) ]
+    (attempts ());
+  Alcotest.(check (list (pair string int))) "top-k scan, then the floor"
+    [ ("validrtf", 0); ("maxmatch", 0); ("maxmatch_original", 1); ("topk", 1) ]
     (attempts ~rank:`Bm25 ~k:2 ())
+
+(* A degraded top-k search builds only the floor's k best fragments,
+   not every SLCA fragment it ranks. *)
+let test_degraded_topk_builds_k () =
+  let doc =
+    "<r>"
+    ^ String.concat ""
+        (List.init 30 (fun i ->
+             Printf.sprintf "<e><a>w1 x%d</a>%s<b>w2</b></e>" i
+               (if i mod 3 = 0 then "<c>w1</c>" else "")))
+    ^ "</r>"
+  in
+  let e = Engine.of_string doc in
+  let q = [ "w1"; "w2" ] in
+  let r, t = degraded_trace ~rank:`Bm25 ~k:10 e q in
+  Alcotest.(check int) "ten hits" 10 (List.length r.Engine.hits);
+  Alcotest.(check int) "thirty SLCA fragments to rank" 30
+    (List.length (Engine.search ~algorithm:Engine.Maxmatch_original e q));
+  let built = Xks_trace.Trace.stage_calls t Xks_trace.Trace.Construct in
+  if built > 10 then
+    Alcotest.failf "the floor constructed %d fragments for k = 10" built;
+  Alcotest.(check bool) "the floor's BM25 k-prefix" true
+    (r.Engine.hits
+    = List.filteri
+        (fun i _ -> i < 10)
+        (Engine.search ~algorithm:Engine.Maxmatch_original ~rank:`Bm25 e q))
 
 let prop_budgeted_equals_some_ladder_rung =
   (* Whatever the budget and the rank mode, the answer is exactly the
@@ -391,6 +419,8 @@ let tests =
     Alcotest.test_case "expired deadline still answers" `Quick
       test_expired_deadline_still_answers;
     Alcotest.test_case "degraded search runs the floor next" `Quick
-      test_degraded_search_spans;
+      test_degraded_search_stages;
+    Alcotest.test_case "degraded top-k builds only k fragments" `Quick
+      test_degraded_topk_builds_k;
     Helpers.qtest prop_budgeted_equals_some_ladder_rung;
   ]
